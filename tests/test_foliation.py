@@ -172,3 +172,27 @@ def test_config_is_frozen():
     cfg = FoliationConfig()
     with pytest.raises(Exception):
         cfg.chart_radius = 1.0
+
+
+def reference_point_at(seg, arc):
+    """Linear interpolation between the vertices around a clipped arc."""
+    if seg.points.shape[0] == 1:
+        return seg.points[0].copy()
+    a = float(np.clip(arc, 0.0, seg.arclength))
+    i = int(np.searchsorted(seg.arc_coords, a, side="right")) - 1
+    i = min(max(i, 0), seg.points.shape[0] - 2)
+    w = (a - seg.arc_coords[i]) / (seg.arc_coords[i + 1] - seg.arc_coords[i])
+    return seg.space.lerp(seg.points[i], seg.points[i + 1], w)
+
+
+@pytest.mark.parametrize("space", ["torus", "mapping_torus"])
+@pytest.mark.parametrize("radius", [0.05, 0.0])
+def test_point_at_matches_reference(space, radius, cat, time1):
+    sys, x = (cat, [0.2, 0.3]) if space == "torus" else (time1, [0.2, 0.3, 0.99])
+    seg = unstable_segment(sys, np.array(x), radius)
+    L = seg.arclength
+    arcs = np.concatenate(
+        [[-0.1, -1e-18, 0.0], seg.arc_coords, np.linspace(0.0, L, 7), [L, L + 1e-9, 2.0]]
+    )
+    for a in arcs:
+        assert np.array_equal(seg.point_at(a), reference_point_at(seg, a))

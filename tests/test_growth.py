@@ -206,3 +206,70 @@ def test_continuity_probe_validation(time1):
             (0.0,),
             {"x": (0.2, 0.3, 0.37), "delta": 0.05, "N_schedule": [1, 2], "wrong_key": 1},
         )
+
+
+def reference_push(sys, pts, spacing):
+    """Recursive per-edge bisection of one forward step.
+
+    Each pre-image edge whose image chord exceeds `spacing` is split at its
+    parameter midpoint, depth first.  Returns the images and the new index
+    of every input vertex.
+    """
+    space = sys.space
+    imgs = sys.step(pts)
+
+    def chain(pre_a, img_a, pre_b, img_b, depth):
+        if float(space.distance(img_a, img_b)) <= spacing or depth >= 24:
+            return [img_b]
+        mid_pre = space.lerp(pre_a, pre_b, 0.5)
+        mid_img = sys.step(mid_pre[None, :])[0]
+        left = chain(pre_a, img_a, mid_pre, mid_img, depth + 1)
+        right = chain(mid_pre, mid_img, pre_b, img_b, depth + 1)
+        return left + right
+
+    out, index = [imgs[0]], [0]
+    for i in range(pts.shape[0] - 1):
+        out.extend(chain(pts[i], imgs[i], pts[i + 1], imgs[i + 1], 0))
+        index.append(len(out) - 1)
+    return np.stack(out), np.array(index)
+
+
+def refine(sys, pts, center, spacing):
+    """The graph transform's refinement step: (images, new center index)."""
+    from entroflow import foliation
+
+    return foliation._push_refined(sys, pts, center, spacing)
+
+
+def _refinement_cases():
+    flow = systems.SuspensionFlow(
+        systems.ToralAutomorphism([[2, 1], [1, 1]]), systems.Roof(1.0)
+    )
+    time1 = systems.time_t_map(flow, 1.0)
+    return {
+        "cat_map": (CAT, (0.2, 0.3), 0.005),
+        "suspension_time1": (time1, (0.2, 0.3, 0.37), 0.005),
+        "center_shear_0.04": (
+            PerturbedHandle(time1, 0.04, CenterShear()), (0.2, 0.3, 0.37), 0.004
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["cat_map", "suspension_time1", "center_shear_0.04"])
+def test_refinement_matches_recursive_bisection(case):
+    sys, x, spacing = _refinement_cases()[case]
+    # the reference leaf: the eigenline for the unperturbed map
+    ref = sys.reference if isinstance(sys, PerturbedHandle) else sys
+    seg = unstable_segment(ref, np.array(x), 0.05)
+    pts = seg.points
+    for _ in range(4):
+        expect, index = reference_push(sys, pts, spacing)
+        for center in (0, pts.shape[0] // 3, pts.shape[0] - 1):
+            got, new_center = refine(sys, pts, center, spacing)
+            assert np.array_equal(got, expect)
+            assert new_center == index[center]
+        pts = expect
+    grown = grow_segment(sys, seg, 4, spacing)
+    assert np.array_equal(grown.points, pts)
+    chords = sys.space.distance(pts[:-1], pts[1:])
+    assert np.array_equal(grown.arc_coords, np.concatenate([[0.0], np.cumsum(chords)]))
