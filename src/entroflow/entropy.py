@@ -10,7 +10,6 @@ smallest delta of the schedule.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -127,11 +126,8 @@ def dn_distance(sys: SystemHandle, x, y, n):
 
 
 def _require_same_space(sys, cloud):
-    if cloud.space is not sys.space and cloud.space.__dict__ != sys.space.__dict__:
-        if getattr(cloud.space, "kind", None) != getattr(sys.space, "kind", None) or (
-            cloud.space.dim != sys.space.dim
-        ):
-            raise ValueError("cloud and system live in different spaces")
+    if cloud.space is not sys.space and cloud.space.describe() != sys.space.describe():
+        raise ValueError("cloud and system live in different spaces")
 
 
 def max_separated(sys: SystemHandle, cloud: SampleCloud, n, delta, order_seed=0):
@@ -334,7 +330,6 @@ def entropy_estimate(
         slope, stderr = 0.0, 0.0
         window = (n_schedule[0], n_schedule[0])
         diagnostics["affine_window_found"] = False
-    counts_at_dmin = [r[2] for r in rows if r[1] == d_min]
     if len(set(r[2] for r in rows)) == 1:
         slope, stderr = 0.0, 0.0  # degenerate: all counts equal
     rate = max(slope, 0.0)

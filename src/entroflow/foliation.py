@@ -16,7 +16,7 @@ arclength is flow time (the chart flow moves at unit vertical speed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,10 +41,8 @@ __all__ = [
     "unstable_segment",
     "stable_segment",
     "center_segment",
-    "center_arc_to_image",
     "center_holonomy",
     "holonomy_equivariance_gap",
-    "holonomy_extent",
     "center_nonexpansion_check",
     "build_product_box",
     "density_check",
@@ -133,14 +131,21 @@ def _quad_interp(xs, ys, q):
 # leaf segments
 
 
+def _chords(space, pts):
+    """Chord length of every edge of a polyline."""
+    return np.atleast_1d(space.distance(pts[:-1], pts[1:]))
+
+
 @dataclass
 class LeafSegment:
     """Polyline approximation of a one-dimensional leaf piece.
 
     points hold canonical chart coordinates.  arc_coords[i] is the
     cumulative arclength at vertex i: chord sums for unstable and stable
-    segments, flow time for center segments.  Consecutive vertices stay
-    within spacing_bound.  Treated as immutable after construction.
+    segments, flow time for center segments.  chords[i] is the chord from
+    vertex i to vertex i + 1, measured at construction when not given;
+    every chord stays within spacing_bound.  Treated as immutable after
+    construction.
     """
 
     kind: str
@@ -149,6 +154,7 @@ class LeafSegment:
     spacing_bound: float
     space: object
     refine_gaps: tuple = ()
+    chords: np.ndarray = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -159,13 +165,12 @@ class LeafSegment:
             raise ValueError("arc_coords and points disagree in length")
         if self.arc_coords[0] != 0.0:
             raise ValueError("arc coordinates must start at 0")
+        if self.chords is None:
+            self.chords = _chords(self.space, self.points)
         if self.points.shape[0] > 1:
             if np.any(np.diff(self.arc_coords) <= 0):
                 raise ValueError("arc coordinates must be strictly increasing")
-            chords = np.atleast_1d(
-                self.space.distance(self.points[:-1], self.points[1:])
-            )
-            if float(np.max(chords)) > self.spacing_bound * (1 + 1e-9) + 1e-12:
+            if float(np.max(self.chords)) > self.spacing_bound * (1 + 1e-9) + 1e-12:
                 raise ValueError("consecutive vertices exceed the spacing bound")
 
     @property
@@ -177,31 +182,38 @@ class LeafSegment:
         return self.points.shape[0]
 
     def point_at(self, arc):
-        """Chart point at cumulative arclength `arc` (clipped to range)."""
-        if self.points.shape[0] == 1:
-            return self.points[0].copy()
-        a = float(np.clip(arc, 0.0, self.arclength))
-        i = int(np.searchsorted(self.arc_coords, a, side="right")) - 1
-        i = min(max(i, 0), self.points.shape[0] - 2)
-        w = (a - self.arc_coords[i]) / (self.arc_coords[i + 1] - self.arc_coords[i])
-        return self.space.lerp(self.points[i], self.points[i + 1], w)
+        """Chart point at cumulative arclength `arc` (clipped to range).
 
-    def midpoint(self):
-        return self.point_at(self.arclength / 2.0)
+        A scalar arc gives one point of shape (dim,); an array of k arcs
+        gives the k points as a (k, dim) array.
+        """
+        scalar = np.ndim(arc) == 0
+        a = np.clip(np.atleast_1d(np.asarray(arc, dtype=float)), 0.0, self.arclength)
+        if self.points.shape[0] == 1:
+            out = np.repeat(self.points, a.size, axis=0)
+        else:
+            i = np.searchsorted(self.arc_coords, a, side="right") - 1
+            i = np.clip(i, 0, self.points.shape[0] - 2)
+            lo, hi = self.arc_coords[i], self.arc_coords[i + 1]
+            w = (a - lo) / (hi - lo)
+            out = self.space.lerp(self.points[i], self.points[i + 1], w[:, None])
+        return out[0] if scalar else out
 
     def table(self):
         """Plot-ready array: arc coordinate first, chart coordinates after."""
         return np.column_stack([self.arc_coords, self.points])
 
 
-def _segment(kind, space, pts, spacing_bound, arc_coords=None, refine_gaps=()):
+def _segment(
+    kind, space, pts, spacing_bound, arc_coords=None, refine_gaps=(), chords=None
+):
+    """Leaf segment through canonicalized points; arc coordinates default
+    to chord sums, and chords measured by the caller are reused."""
     pts = space.canonicalize(np.atleast_2d(np.asarray(pts, dtype=float)))
+    if chords is None:
+        chords = _chords(space, pts)
     if arc_coords is None:
-        if pts.shape[0] == 1:
-            arc_coords = np.zeros(1)
-        else:
-            chords = np.atleast_1d(space.distance(pts[:-1], pts[1:]))
-            arc_coords = np.concatenate([[0.0], np.cumsum(chords)])
+        arc_coords = np.concatenate([[0.0], np.cumsum(chords)])
     return LeafSegment(
         kind,
         pts,
@@ -209,6 +221,7 @@ def _segment(kind, space, pts, spacing_bound, arc_coords=None, refine_gaps=()):
         float(spacing_bound),
         space,
         tuple(refine_gaps),
+        chords,
     )
 
 
@@ -382,92 +395,114 @@ def stable_segment(sys, x, radius, spacing=None):
 
 
 # --------------------------------------------------------------------------
+# polyline refinement
+
+
+class VertexBudgetExceeded(RuntimeError):
+    """Raised when refinement would push a grown polyline past the budget.
+
+    Attributes record how far the growth got so callers can shorten the
+    schedule instead of guessing.
+    """
+
+    def __init__(self, step_index, needed, budget):
+        self.reached_step = int(step_index) - 1
+        self.step_index = int(step_index)
+        self.needed = int(needed)
+        self.budget = int(budget)
+        super().__init__(
+            f"vertex budget {budget} exceeded at growth step {step_index} "
+            f"(needs {needed} vertices); completed {self.reached_step} steps"
+        )
+
+
+def refine_step(sys, pts, spacing, budget=None, step_index=1):
+    """One forward step of a polyline with adaptive midpoint insertion.
+
+    Every pre-image edge whose image chord exceeds `spacing` is bisected
+    at its parameter midpoint and the midpoint is mapped forward, so the
+    refined polyline stays on the image curve and chord error is set by
+    the local stretch of the map, not by curvature estimates.  Image gaps
+    halve each pass, so the loop ends after about log2 of the expansion
+    factor passes; only the edges a pass creates are measured.
+
+    Returns (images, chords, index): the refined image polyline, its edge
+    chords, and the position in `images` of every input vertex.  Raises
+    VertexBudgetExceeded, tagged with step_index, when the refined
+    polyline would need more than `budget` vertices.
+    """
+    space = sys.space
+    imgs = np.atleast_2d(sys.step(pts))
+    chords = _chords(space, imgs)
+    index = np.arange(imgs.shape[0])
+    for _ in range(64):
+        bad = np.flatnonzero(chords > spacing)
+        if bad.size == 0:
+            return imgs, chords, index
+        if budget is not None and imgs.shape[0] + bad.size > budget:
+            raise VertexBudgetExceeded(step_index, imgs.shape[0] + bad.size, budget)
+        mids = space.lerp(pts[bad], pts[bad + 1], 0.5)
+        mid_imgs = np.atleast_2d(sys.step(mids))
+        left = np.atleast_1d(space.distance(imgs[bad], mid_imgs))
+        right = np.atleast_1d(space.distance(mid_imgs, imgs[bad + 1]))
+        chords[bad] = left
+        chords = np.insert(chords, bad + 1, right)
+        imgs = np.insert(imgs, bad + 1, mid_imgs, axis=0)
+        pts = np.insert(pts, bad + 1, mids, axis=0)
+        index = index + np.searchsorted(bad, index)
+    raise RuntimeError("midpoint refinement failed to settle in 64 passes")
+
+
+# --------------------------------------------------------------------------
 # graph transform for perturbed unstable leaves
 
 
-def _push_refined(sys, pts, center_idx, spacing):
-    """One forward step of a polyline with midpoint insertion.
-
-    Inserted vertices come from mapping parameter midpoints of the
-    pre-image, so the refined polyline stays on the image curve instead of
-    cutting chords.
-    """
-    space = sys.space
-    imgs = sys.step(pts)
-
-    def chain(pre_a, img_a, pre_b, img_b, depth):
-        if float(space.distance(img_a, img_b)) <= spacing or depth >= 24:
-            return [img_b]
-        mid_pre = space.lerp(pre_a, pre_b, 0.5)
-        mid_img = sys.step(mid_pre[None, :])[0]
-        left = chain(pre_a, img_a, mid_pre, mid_img, depth + 1)
-        right = chain(mid_pre, mid_img, pre_b, img_b, depth + 1)
-        return left + right
-
-    out = [imgs[0]]
-    new_center = 0
-    for i in range(pts.shape[0] - 1):
-        out.extend(chain(pts[i], imgs[i], pts[i + 1], imgs[i + 1], 0))
-        if i + 1 == center_idx:
-            new_center = len(out) - 1
-    return np.stack(out), new_center
-
-
-def _trim_polyline(space, pts, center_idx, radius):
+def _trim_polyline(space, pts, chords, center_idx, radius):
     """Clip to chord arclength `radius` on both sides of a center vertex.
 
     End vertices are interpolated onto the radius.  Returns (points,
-    center_index, reached_both_sides).
+    chords, center_index, reached_both_sides).
     """
 
-    def walk(direction):
-        collected = []
-        acc = 0.0
-        i = center_idx
-        while 0 <= i + direction < pts.shape[0] and acc < radius - 1e-12:
-            a, b = pts[i], pts[i + direction]
-            d = float(space.distance(a, b))
-            if acc + d >= radius:
-                w = (radius - acc) / d
-                collected.append(space.lerp(a, b, w))
-                acc = radius
-            else:
-                collected.append(b)
-                acc += d
-            i += direction
-        return collected, acc >= radius - 1e-9
+    def side(direction):
+        """Outward vertices and chords from the center, with the reach flag."""
+        if direction > 0:
+            idx = np.arange(center_idx + 1, pts.shape[0])
+            d = chords[center_idx:]
+        else:
+            idx = np.arange(center_idx - 1, -1, -1)
+            d = chords[:center_idx][::-1]
+        acc = np.cumsum(d)
+        stop = int(np.searchsorted(acc, radius - 1e-12))
+        if stop == d.size:
+            reach = acc[-1] if acc.size else 0.0
+            return pts[idx], d, reach >= radius - 1e-9
+        if acc[stop] < radius:
+            return pts[idx[: stop + 1]], d[: stop + 1], True
+        before = acc[stop - 1] if stop else 0.0
+        inner = pts[idx[stop] - direction]
+        end = space.lerp(inner, pts[idx[stop]], (radius - before) / d[stop])
+        end_chord = float(space.distance(inner, end))
+        pts_out = np.concatenate([pts[idx[:stop]], end[None, :]])
+        return pts_out, np.append(d[:stop], end_chord), True
 
-    left, ok_l = walk(-1)
-    right, ok_r = walk(+1)
-    merged = list(reversed(left)) + [pts[center_idx]] + right
-    return np.stack(merged), len(left), ok_l and ok_r
-
-
-def _matched_arc_gap(space, a_pts, a_center, b_pts, b_center, radius):
-    """Sup distance between two polylines at matched signed arclength from
-    their center vertices; tight for nearby curves through the same point."""
-
-    def rel_arcs(pts, center):
-        chords = np.atleast_1d(space.distance(pts[:-1], pts[1:]))
-        arcs = np.concatenate([[0.0], np.cumsum(chords)])
-        return arcs - arcs[center]
-
-    arcs_a = rel_arcs(a_pts, a_center)
-    arcs_b = rel_arcs(b_pts, b_center)
-    lo = max(arcs_a[0], arcs_b[0])
-    hi = min(arcs_a[-1], arcs_b[-1])
-    gap = 0.0
-    for s in np.linspace(lo, hi, 65):
-        pa = _interp_polyline(space, a_pts, arcs_a, s)
-        pb = _interp_polyline(space, b_pts, arcs_b, s)
-        gap = max(gap, float(space.distance(pa, pb)))
-    return gap
+    left, left_chords, ok_l = side(-1)
+    right, right_chords, ok_r = side(+1)
+    merged = np.concatenate([left[::-1], pts[center_idx : center_idx + 1], right])
+    merged_chords = np.concatenate([left_chords[::-1], right_chords])
+    return merged, merged_chords, left.shape[0], bool(ok_l and ok_r)
 
 
-def _interp_polyline(space, pts, arcs, s):
-    i = int(np.clip(np.searchsorted(arcs, s, side="right") - 1, 0, len(arcs) - 2))
-    w = (s - arcs[i]) / (arcs[i + 1] - arcs[i])
-    return space.lerp(pts[i], pts[i + 1], float(np.clip(w, 0.0, 1.0)))
+def _matched_arc_gap(a, a_center, b, b_center):
+    """Sup distance between two leaf segments at matched signed arclength
+    from their center vertices; tight for nearby curves through the same
+    point."""
+    ca, cb = a.arc_coords[a_center], b.arc_coords[b_center]
+    lo = max(-ca, -cb)
+    hi = min(a.arclength - ca, b.arclength - cb)
+    s = np.linspace(lo, hi, 65)
+    gaps = np.atleast_1d(a.space.distance(a.point_at(ca + s), b.point_at(cb + s)))
+    return float(np.max(gaps))
 
 
 def _graph_transform_unstable(sys, x, radius, spacing, config):
@@ -485,7 +520,6 @@ def _graph_transform_unstable(sys, x, radius, spacing, config):
     gaps = []
     prev = None
     xk = x.copy()
-    cand_pts = cand_center = None
     for depth in range(1, config.max_refinements + 1):
         xk = sys.step_back(xk[None, :])[0]
         seed_r = max(radius * margin / per_step ** depth, 6.0 * spacing)
@@ -497,9 +531,9 @@ def _graph_transform_unstable(sys, x, radius, spacing, config):
             center = int(np.argmin(np.atleast_1d(sys.distance(pts, xk[None, :]))))
             ok = True
             for _j in range(depth):
-                pts, center = _push_refined(sys, pts, center, spacing)
-                pts, center, reached = _trim_polyline(
-                    sys.space, pts, center, radius * margin
+                imgs, chords, index = refine_step(sys, pts, spacing)
+                pts, chords, center, reached = _trim_polyline(
+                    sys.space, imgs, chords, index[center], radius * margin
                 )
                 if not reached:
                     ok = False
@@ -509,17 +543,16 @@ def _graph_transform_unstable(sys, x, radius, spacing, config):
             seed_r *= 1.7
         else:
             raise RuntimeError("graph transform could not cover the radius")
-        cand_pts, cand_center, _ = _trim_polyline(sys.space, pts, center, radius)
+        cand_pts, cand_chords, cand_center, _ = _trim_polyline(
+            sys.space, pts, chords, center, radius
+        )
+        cand = _segment("unstable", sys.space, cand_pts, spacing, chords=cand_chords)
         if prev is not None:
-            gap = _matched_arc_gap(
-                sys.space, cand_pts, cand_center, prev[0], prev[1], radius
-            )
+            gap = _matched_arc_gap(cand, cand_center, *prev)
             gaps.append(gap)
             if gap < config.refine_tol:
-                return _segment(
-                    "unstable", sys.space, cand_pts, spacing, refine_gaps=gaps
-                )
-        prev = (cand_pts, cand_center)
+                return replace(cand, refine_gaps=tuple(gaps))
+        prev = (cand, cand_center)
     raise RuntimeError(
         f"graph transform did not converge in {config.max_refinements} "
         f"refinements; last gap {gaps[-1] if gaps else float('nan'):.3g}"
@@ -561,23 +594,6 @@ def center_segment(sys, x, length, spacing=None, config=DEFAULT_CONFIG):
     times = np.linspace(0.0, length, count + 1)
     pts = np.stack([fl.flow(x, t) for t in times])
     return _segment("center", sys.space, pts, spacing, arc_coords=np.abs(times))
-
-
-def center_arc_to_image(sys, x, spacing=None, config=DEFAULT_CONFIG):
-    """Arc along the center leaf from x to its image under the map.
-
-    The arclength is the flow time carrying x to sys.step(x): exactly t
-    for time-t maps, shifted by at most epsilon times the profile bound
-    under an admissible height shear.
-    """
-    _require_center(sys)
-    x = _canonical_point(sys, x)
-    fl = sys.reference_flow
-    y = sys.step(x[None, :])[0]
-    t = fl.center_time(x, y)
-    if t is None:
-        raise ValueError("image does not sit on the center leaf through x")
-    return center_segment(sys, x, t, spacing=spacing, config=config)
 
 
 # --------------------------------------------------------------------------
@@ -693,19 +709,6 @@ def holonomy_equivariance_gap(sys, x, y, u_points, depth, config=DEFAULT_CONFIG)
         config=config,
     )
     return float(np.max(np.atleast_1d(sys.distance(a, b))))
-
-
-def holonomy_extent(sys, x, y, radius, depth, config=DEFAULT_CONFIG):
-    """Measured inner and outer eigenline radii of the transported image of
-    an unstable piece; both shrink with the input radius and c1 <= c2."""
-    x = _canonical_point(sys, x)
-    y = _canonical_point(sys, y)
-    seg = unstable_segment(sys, x, radius, config=config)
-    ends = np.stack([seg.point_at(0.0), seg.point_at(seg.arclength)])
-    out = center_holonomy(sys, x, y, ends, depth, config=config)
-    v = sys.reference_flow.base_map.unstable_direction
-    tau = np.abs(_chart_rel(sys.space, y, out)[:, :2] @ v)
-    return float(np.min(tau)), float(np.max(tau))
 
 
 # --------------------------------------------------------------------------
@@ -848,7 +851,7 @@ def build_product_box(sys, x, delta, samples_per_axis, config=DEFAULT_CONFIG):
     c_offs = _axis_offsets(delta, k)
     s_offs = _axis_offsets(delta, k)
     u_leaf = unstable_segment(sys, x, delta, spacing=delta / 20.0, config=config)
-    x_u = np.stack([u_leaf.point_at(u_leaf.arclength / 2.0 + t) for t in u_offs])
+    x_u = u_leaf.point_at(u_leaf.arclength / 2.0 + u_offs)
     a_rows = []
     worst = 0.0
     for j, c in enumerate(c_offs):

@@ -17,50 +17,9 @@ import numpy as np
 
 from . import foliation
 from .entropy import SampleCloud, _ols_line, entropy_estimate
+from .foliation import VertexBudgetExceeded
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
-
-
-class VertexBudgetExceeded(RuntimeError):
-    """Raised when refinement would push a grown polyline past the budget.
-
-    Attributes record how far the growth got so callers can shorten the
-    schedule instead of guessing.
-    """
-
-    def __init__(self, step_index, needed, budget):
-        self.reached_step = int(step_index) - 1
-        self.step_index = int(step_index)
-        self.needed = int(needed)
-        self.budget = int(budget)
-        super().__init__(
-            f"vertex budget {budget} exceeded at growth step {step_index} "
-            f"(needs {needed} vertices); completed {self.reached_step} steps"
-        )
-
-
-def _advance(sys, pts, spacing, budget, step_index):
-    """One forward step of a polyline with adaptive midpoint insertion.
-
-    New vertices come from bisecting the pre-image chain and mapping the
-    midpoint forward, so chord error stays controlled by the local
-    stretch of the map rather than by curvature estimates.  Image gaps
-    halve each pass, so the loop ends after about log2 of the expansion
-    factor passes.
-    """
-    space = sys.space
-    imgs = np.atleast_2d(sys.step(pts))
-    for _ in range(64):
-        gaps = np.atleast_1d(space.distance(imgs[:-1], imgs[1:]))
-        bad = np.flatnonzero(gaps > spacing)
-        if bad.size == 0:
-            return imgs
-        if imgs.shape[0] + bad.size > budget:
-            raise VertexBudgetExceeded(step_index, imgs.shape[0] + bad.size, budget)
-        mids = space.lerp(pts[bad], pts[bad + 1], 0.5)
-        imgs = np.insert(imgs, bad + 1, np.atleast_2d(sys.step(mids)), axis=0)
-        pts = np.insert(pts, bad + 1, mids, axis=0)
-    raise RuntimeError("midpoint refinement failed to settle in 64 passes")
 
 
 def grow_segment(
@@ -83,8 +42,10 @@ def grow_segment(
         return seg
     pts = seg.points
     for step_index in range(1, steps + 1):
-        pts = _advance(sys, pts, spacing, vertex_budget, step_index)
-    return foliation._segment("unstable", sys.space, pts, spacing)
+        pts, chords, _ = foliation.refine_step(
+            sys, pts, spacing, vertex_budget, step_index
+        )
+    return foliation._segment("unstable", sys.space, pts, spacing, chords=chords)
 
 
 def disk_center_arcs(arclength, two_delta):
@@ -109,8 +70,7 @@ def count_disjoint_disks(seg, two_delta):
     arcs = disk_center_arcs(seg.arclength, two_delta)
     if arcs.size == 0:
         return 0, np.empty((0, seg.points.shape[1]))
-    centers = np.stack([seg.point_at(a) for a in arcs])
-    return int(arcs.size), centers
+    return int(arcs.size), seg.point_at(arcs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +227,7 @@ def disk_vs_box_comparison(
         restriction="product_box",
     )
     seg = foliation.unstable_segment(sys, x, delta, config=config)
-    arcsample = np.linspace(0.0, seg.arclength, int(disk_samples))
-    disk_pts = np.stack([seg.point_at(a) for a in arcsample])
+    disk_pts = seg.point_at(np.linspace(0.0, seg.arclength, int(disk_samples)))
     disk_cloud = SampleCloud(
         sys.space,
         disk_pts,

@@ -107,10 +107,6 @@ _SIDE_TABLES = {
 }
 
 
-def record_path(out_dir, record_id):
-    return Path(out_dir) / record_id / "record.json"
-
-
 def write_record(record, out_dir):
     """Persist a record and its CSV side tables; returns the directory."""
     rdir = Path(out_dir) / record.id

@@ -126,9 +126,7 @@ def _run_foliation(cfg, workers):
     fl = handle.reference_flow
     x = np.asarray(cfg.x, dtype=float)
     seg = foliation.unstable_segment(handle, x, cfg.leaf_radius)
-    u_pts = np.stack(
-        [seg.point_at(a) for a in np.linspace(0.0, seg.arclength, 7)]
-    )
+    u_pts = seg.point_at(np.linspace(0.0, seg.arclength, 7))
     y = fl.flow(x, cfg.holonomy_offset)
     out_d = foliation.center_holonomy(handle, x, y, u_pts, cfg.holonomy_depth)
     out_d1 = foliation.center_holonomy(handle, x, y, u_pts, cfg.holonomy_depth + 1)

@@ -21,7 +21,6 @@ __all__ = [
     "wrap_unit",
     "wrap_diff",
     "torus_distance",
-    "apply_automorphism",
     "ToralAutomorphism",
     "HyperbolicityReport",
     "verify_hyperbolicity",
@@ -29,8 +28,6 @@ __all__ = [
     "Roof",
     "SuspensionFlow",
     "MappingTorusSpace",
-    "suspension_distance",
-    "flow",
     "time_t_map",
     "SystemHandle",
     "ToralMapHandle",
@@ -116,14 +113,6 @@ class ToralAutomorphism:
         pts = np.asarray(pts, dtype=float)
         return wrap_unit(pts @ self.inverse_matrix.T.astype(float))
 
-    def power(self, k):
-        """Integer matrix power A^k (k may be negative)."""
-        base = self.matrix if k >= 0 else self.inverse_matrix
-        out = np.eye(self.dim, dtype=np.int64)
-        for _ in range(abs(int(k))):
-            out = out @ base
-        return out
-
     @property
     def expansion_factor(self):
         above = self.moduli[self.moduli > 1.0 + _EIG_TOL]
@@ -163,14 +152,6 @@ class ToralAutomorphism:
         if below.size == 0:
             raise ValueError("matrix has no contracting eigenvalue")
         return self._real_eigvec(float(np.max(below)))
-
-
-def apply_automorphism(auto, pts):
-    """Apply an integer toral map to canonical points (vectorized)."""
-    if isinstance(auto, ToralAutomorphism):
-        return auto.apply(pts)
-    m = np.asarray(auto, dtype=float)
-    return wrap_unit(np.asarray(pts, dtype=float) @ m.T)
 
 
 @dataclass(frozen=True)
@@ -213,14 +194,13 @@ class TorusSpace:
             raise ValueError("torus dimension must be 1, 2 or 3")
         self.dim = dim
 
+    def describe(self):
+        return ("torus", self.dim)
+
     def canonicalize(self, pts):
         return wrap_unit(pts)
 
     def distance(self, p, q):
-        return torus_distance(p, q)
-
-    def chord(self, p, q):
-        """Alias for distance; wrap-aware chord between nearby points."""
         return torus_distance(p, q)
 
     def lerp(self, p, q, frac):
@@ -294,15 +274,6 @@ class Roof:
         for kvec, amp in self.terms:
             phase = 2.0 * math.pi * (base @ np.asarray(kvec, dtype=float))
             out = out + amp * np.cos(phase)
-        return out
-
-    def gradient(self, base):
-        base = np.asarray(base, dtype=float)
-        out = np.zeros(base.shape)
-        for kvec, amp in self.terms:
-            k = np.asarray(kvec, dtype=float)
-            phase = 2.0 * math.pi * (base @ k)
-            out = out - (2.0 * math.pi * amp * np.sin(phase))[..., None] * k
         return out
 
     def lipschitz(self):
@@ -421,38 +392,6 @@ class SuspensionFlow:
                     best = t
         return best
 
-    def center_times(self, P, Q, max_crossings=12, tol=1e-8):
-        """Vectorized center_time over paired arrays; entries may be nan."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        out = np.full(P.shape[0], np.nan)
-        base = P[:, :2].copy()
-        acc = np.zeros(P.shape[0])
-        for k in range(0, max_crossings + 1):
-            hit = torus_distance(base, Q[:, :2]) < tol
-            if np.any(hit):
-                t = Q[hit, 2] - P[hit, 2] + acc[hit]
-                cur = out[hit]
-                take = np.isnan(cur) | (np.abs(t) < np.abs(cur))
-                cur[take] = t[take]
-                out[hit] = cur
-            acc += self.roof.value(base)
-            base = self.base_map.apply(base)
-        base = P[:, :2].copy()
-        acc = np.zeros(P.shape[0])
-        for _ in range(max_crossings):
-            base = self.base_map.apply_inverse(base)
-            acc -= self.roof.value(base)
-            hit = torus_distance(base, Q[:, :2]) < tol
-            if np.any(hit):
-                t = Q[hit, 2] - P[hit, 2] + acc[hit]
-                cur = out[hit]
-                take = np.isnan(cur) | (np.abs(t) < np.abs(cur))
-                cur[take] = t[take]
-                out[hit] = cur
-        return out
-
-
 class MappingTorusSpace:
     """Chart metric on the mapping torus of a hyperbolic base map.
 
@@ -468,6 +407,9 @@ class MappingTorusSpace:
     def __init__(self, flow):
         self.flow = flow
         self.dim = 3
+
+    def describe(self):
+        return ("mapping_torus", self.flow.describe())
 
     def canonicalize(self, pts):
         return self.flow.canonicalize(pts)
@@ -520,8 +462,6 @@ class MappingTorusSpace:
             return float(out[0])
         return out
 
-    chord = distance
-
     def lerp(self, p, q, frac):
         """Interpolate toward the lift of q nearest p; canonicalize after."""
         p = np.asarray(p, dtype=float)
@@ -566,18 +506,8 @@ class MappingTorusSpace:
         return np.concatenate([base, h[:, None]], axis=1)
 
 
-def suspension_distance(flow, p, q):
-    """Distance on the mapping torus of `flow` (see MappingTorusSpace)."""
-    return flow.space.distance(p, q)
-
-
-def flow(susp, pts, t):
-    """Module-level alias for SuspensionFlow.flow."""
-    return susp.flow(pts, t)
-
-
 class SystemHandle:
-    """Uniform interface: step, step_back, jacobian, distance, orbits."""
+    """Uniform interface: step, step_back, distance, orbits."""
 
     space = None
     invertible = True
@@ -592,9 +522,6 @@ class SystemHandle:
         raise NotImplementedError
 
     def step_back(self, pts):
-        raise NotImplementedError
-
-    def jacobian(self, p):
         raise NotImplementedError
 
     def distance(self, p, q):
@@ -645,9 +572,6 @@ class ToralMapHandle(SystemHandle):
             raise ValueError("map is not invertible (|det| != 1)")
         return self.automorphism.apply_inverse(pts)
 
-    def jacobian(self, p):
-        return self.matrix.astype(float)
-
 
 class TimeTMapHandle(SystemHandle):
     """Time-t map of a suspension flow."""
@@ -673,46 +597,6 @@ class TimeTMapHandle(SystemHandle):
 
     def step_back(self, pts):
         return self.suspension.flow(pts, -self.t)
-
-    def jacobian(self, p):
-        return _flow_jacobian(self.suspension, np.asarray(p, dtype=float), self.t)
-
-
-def _flow_jacobian(susp, p, t):
-    """Chart derivative of the time-t flow at p, away from crossing times.
-
-    Crossing the ceiling multiplies by [[A, 0], [-grad roof, 1]]; crossing
-    the floor by the inverse block.  Height translation itself has identity
-    derivative.
-    """
-    base = wrap_unit(p[:2].copy())
-    h = float(p[2]) + t
-    A = susp.base_map.matrix.astype(float)
-    Ainv = susp.base_map.inverse_matrix.astype(float)
-    D = np.eye(3)
-    for _ in range(10_000):
-        r = float(susp.roof.value(base))
-        if h < r:
-            break
-        g = susp.roof.gradient(base)
-        block = np.eye(3)
-        block[:2, :2] = A
-        block[2, :2] = -g
-        D = block @ D
-        h -= r
-        base = susp.base_map.apply(base)
-    for _ in range(10_000):
-        if h >= 0:
-            break
-        base = susp.base_map.apply_inverse(base)
-        r = float(susp.roof.value(base))
-        g = susp.roof.gradient(base)
-        block = np.eye(3)
-        block[:2, :2] = Ainv
-        block[2, :2] = g @ Ainv
-        D = block @ D
-        h += r
-    return D
 
 
 def time_t_map(susp_flow, t):
@@ -897,22 +781,6 @@ class PerturbedHandle(SystemHandle):
 
     def step_back(self, pts):
         return self.shear_inverse(self.reference.step_back(pts))
-
-    def jacobian(self, p):
-        p = np.asarray(p, dtype=float)
-        c = self.reference.suspension.roof.constant
-        mid = self.shear(p)[0]
-        Dref = self.reference.jacobian(mid)
-        if self.shape.shape_id == "center_shear":
-            tau = float(self.epsilon * self.shape.profile(c, p[2]))
-            Dflow = _flow_jacobian(self.reference.suspension, p, tau)
-            grad_tau = np.array([0.0, 0.0, self.epsilon * float(self.shape.profile_deriv(c, p[2]))])
-            Dshear = Dflow + np.outer(np.array([0.0, 0.0, 1.0]), grad_tau)
-        else:
-            du = float(self.epsilon * self.shape.profile_deriv(c, p[2]))
-            Dshear = np.eye(3)
-            Dshear[:2, 2] = du * np.asarray(self.shape.direction)
-        return Dref @ Dshear
 
 
 def perturbed_map(reference, epsilon, shape):

@@ -214,6 +214,23 @@ def test_cloud_rejects_mismatched_dimension():
         SampleCloud(CAT.space, np.zeros((4, 3)))
 
 
+def test_cloud_on_another_suspension_is_rejected(time1, rng):
+    # same kind and dimension as the constant-roof chart, but another roof
+    other = systems.SuspensionFlow(
+        systems.ToralAutomorphism([[2, 1], [1, 1]]),
+        systems.Roof(1.0, [((1, 0), 0.3)]),
+    )
+    cloud = SampleCloud(other.space, other.random_points(rng, 50))
+    with pytest.raises(ValueError, match="different spaces"):
+        max_separated(time1, cloud, 2, 0.1)
+    with pytest.raises(ValueError, match="different spaces"):
+        min_spanning_greedy(time1, cloud, 2, 0.1)
+    # an equal flow built separately is the same space
+    same = systems.SuspensionFlow(systems.ToralAutomorphism([[2, 1], [1, 1]]), 1.0)
+    cloud = SampleCloud(same.space, same.random_points(rng, 50))
+    assert max_separated(time1, cloud, 2, 0.1).count > 0
+
+
 def test_cloud_drops_duplicates():
     pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, 0.4]])
     assert len(SampleCloud(CAT.space, pts)) == 2

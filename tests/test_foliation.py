@@ -194,5 +194,30 @@ def test_point_at_matches_reference(space, radius, cat, time1):
     arcs = np.concatenate(
         [[-0.1, -1e-18, 0.0], seg.arc_coords, np.linspace(0.0, L, 7), [L, L + 1e-9, 2.0]]
     )
-    for a in arcs:
-        assert np.array_equal(seg.point_at(a), reference_point_at(seg, a))
+    stacked = np.stack([seg.point_at(a) for a in arcs])
+    for a, p in zip(arcs, stacked):
+        assert np.array_equal(p, reference_point_at(seg, a))
+    assert np.array_equal(seg.point_at(arcs), stacked)
+    # two arcs with distinct weights on the 2-torus: a (k,) weight vector
+    # would broadcast across the coordinates instead of the rows
+    pair = np.array([0.3, 0.7]) * L
+    expect = np.stack([seg.point_at(a) for a in pair])
+    assert np.array_equal(seg.point_at(pair), expect)
+    assert seg.point_at(arcs[:1]).shape == (1, seg.points.shape[1])
+
+
+@pytest.mark.parametrize("kind", ["eigenline", "graph_transform", "center"])
+def test_segment_chords_match_vertices(kind, cat, time1):
+    x = np.array([0.2, 0.3, 0.37])
+    if kind == "eigenline":
+        sys, seg = cat, unstable_segment(cat, x[:2], 0.05)
+    elif kind == "graph_transform":
+        sys = PerturbedHandle(time1, 0.04, CenterShear())
+        seg = unstable_segment(sys, x, 0.05)
+    else:
+        sys, seg = time1, center_segment(time1, x, 0.5)
+    chords = sys.space.distance(seg.points[:-1], seg.points[1:])
+    assert np.array_equal(seg.chords, chords)
+    if kind == "graph_transform":
+        assert seg.refine_gaps
+        assert np.array_equal(seg.arc_coords, np.concatenate([[0.0], np.cumsum(chords)]))

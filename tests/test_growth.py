@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import systems
+from entroflow import foliation, systems
 from entroflow.foliation import unstable_segment
 from entroflow.growth import (
     GrowthCurve,
@@ -234,11 +234,11 @@ def reference_push(sys, pts, spacing):
     return np.stack(out), np.array(index)
 
 
-def refine(sys, pts, center, spacing):
-    """The graph transform's refinement step: (images, new center index)."""
-    from entroflow import foliation
-
-    return foliation._push_refined(sys, pts, center, spacing)
+def refine(sys, pts, spacing):
+    """The shared refinement step, its chords re-measured for the check."""
+    imgs, chords, index = foliation.refine_step(sys, pts, spacing)
+    assert np.array_equal(chords, sys.space.distance(imgs[:-1], imgs[1:]))
+    return imgs, index
 
 
 def _refinement_cases():
@@ -263,11 +263,10 @@ def test_refinement_matches_recursive_bisection(case):
     seg = unstable_segment(ref, np.array(x), 0.05)
     pts = seg.points
     for _ in range(4):
-        expect, index = reference_push(sys, pts, spacing)
-        for center in (0, pts.shape[0] // 3, pts.shape[0] - 1):
-            got, new_center = refine(sys, pts, center, spacing)
-            assert np.array_equal(got, expect)
-            assert new_center == index[center]
+        expect, expect_index = reference_push(sys, pts, spacing)
+        got, index = refine(sys, pts, spacing)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(index, expect_index)
         pts = expect
     grown = grow_segment(sys, seg, 4, spacing)
     assert np.array_equal(grown.points, pts)
