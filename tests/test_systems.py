@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entroflow import systems
+from entroflow.foliation import unstable_segment
 from entroflow.systems import (
     BaseShear,
     CenterShear,
@@ -185,3 +186,35 @@ def test_automorphism_apply_matches_matrix(rng):
 def test_toral_handle_rejects_non_integer_matrix():
     with pytest.raises(ValueError):
         ToralMapHandle([[1.5, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 2, 3], [4, 5, 6]], "matrix must be square"),
+        (np.eye(4, dtype=int).tolist(), "torus dimension must be 1, 2 or 3"),
+        ([[2, 1.5], [1, 1]], "matrix entries must be integers"),
+        ([[1, 2], [2, 4]], "matrix must be nonsingular"),
+    ],
+)
+def test_toral_handle_validation_messages(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        ToralMapHandle(matrix)
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ([[3, 1], [1, 1]], r"matrix must have determinant \+/-1, got 2"),
+        ([[1]], "suspension base must act on T\\^2"),
+        ([[1, 1], [0, 1]], "suspension base must be hyperbolic"),
+    ],
+)
+def test_suspension_base_validation_messages(base, message):
+    with pytest.raises(ValueError, match=message):
+        SuspensionFlow(base)
+
+
+def test_leaf_segment_needs_invertible_hyperbolic_map():
+    with pytest.raises(ValueError, match="invertible hyperbolic"):
+        unstable_segment(systems.circle_doubling(), np.array([0.3]), 0.05)
