@@ -3,152 +3,4 @@ and their perturbations."""
 
 __version__ = "0.1.0"
 
-from .systems import (
-    BaseShear,
-    CenterShear,
-    MappingTorusSpace,
-    PerturbedHandle,
-    Roof,
-    SuspensionFlow,
-    SystemHandle,
-    TimeTMapHandle,
-    ToralAutomorphism,
-    ToralMapHandle,
-    TorusSpace,
-    cat_map,
-    circle_doubling,
-    perturbed_map,
-    time_t_map,
-    torus_distance,
-    verify_hyperbolicity,
-)
-from .entropy import (
-    EntropyEstimate,
-    SampleCloud,
-    SeparatedSet,
-    count_table_violations,
-    dn_distance,
-    entropy_estimate,
-    exhaustive_max_separated,
-    grid_cloud,
-    max_separated,
-    min_spanning_greedy,
-    random_cloud,
-)
-from .foliation import (
-    CenterExpansionReport,
-    DensityReport,
-    FoliationConfig,
-    LeafSegment,
-    ProductBox,
-    build_product_box,
-    center_holonomy,
-    center_nonexpansion_check,
-    center_segment,
-    density_check,
-    holonomy_equivariance_gap,
-    stable_segment,
-    unstable_segment,
-)
-from .growth import (
-    ContinuityCurve,
-    DiskBoxReport,
-    GrowthCurve,
-    VertexBudgetExceeded,
-    continuity_probe,
-    count_disjoint_disks,
-    disk_vs_box_comparison,
-    grow_segment,
-    unstable_rate_estimate,
-)
-from .config import (
-    ContinuityConfig,
-    EstimateConfig,
-    FoliationCheckConfig,
-    GrowthConfig,
-    SweepConfig,
-    SystemConfig,
-    parse_config,
-    serialize_config,
-    system_from_config,
-)
-from .records import (
-    ExperimentRecord,
-    VerifyReport,
-    config_hash,
-    load_record,
-    verify_record,
-    write_record,
-)
-from .runner import run, run_config, sweep
-
-__all__ = [
-    "BaseShear",
-    "CenterExpansionReport",
-    "CenterShear",
-    "ContinuityConfig",
-    "ContinuityCurve",
-    "DensityReport",
-    "DiskBoxReport",
-    "EntropyEstimate",
-    "EstimateConfig",
-    "ExperimentRecord",
-    "FoliationCheckConfig",
-    "FoliationConfig",
-    "GrowthConfig",
-    "GrowthCurve",
-    "LeafSegment",
-    "MappingTorusSpace",
-    "PerturbedHandle",
-    "ProductBox",
-    "Roof",
-    "SampleCloud",
-    "SeparatedSet",
-    "SuspensionFlow",
-    "SweepConfig",
-    "SystemConfig",
-    "SystemHandle",
-    "TimeTMapHandle",
-    "ToralAutomorphism",
-    "ToralMapHandle",
-    "TorusSpace",
-    "VertexBudgetExceeded",
-    "VerifyReport",
-    "build_product_box",
-    "cat_map",
-    "center_holonomy",
-    "center_nonexpansion_check",
-    "center_segment",
-    "circle_doubling",
-    "config_hash",
-    "continuity_probe",
-    "count_disjoint_disks",
-    "count_table_violations",
-    "density_check",
-    "disk_vs_box_comparison",
-    "dn_distance",
-    "entropy_estimate",
-    "exhaustive_max_separated",
-    "grid_cloud",
-    "grow_segment",
-    "holonomy_equivariance_gap",
-    "load_record",
-    "max_separated",
-    "min_spanning_greedy",
-    "parse_config",
-    "perturbed_map",
-    "random_cloud",
-    "run",
-    "run_config",
-    "serialize_config",
-    "stable_segment",
-    "sweep",
-    "system_from_config",
-    "time_t_map",
-    "torus_distance",
-    "unstable_rate_estimate",
-    "unstable_segment",
-    "verify_hyperbolicity",
-    "verify_record",
-    "write_record",
-]
+from . import _kernels, config, entropy, foliation, growth, records, runner, systems

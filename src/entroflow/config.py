@@ -308,8 +308,8 @@ def system_from_config(cfg: SystemConfig):
             cfg.roof_constant,
             [(tuple(m), float(a)) for m, a in cfg.roof_terms],
         )
-        flow = systems.SuspensionFlow(systems.ToralAutomorphism(matrix), roof)
-        reference = systems.time_t_map(flow, cfg.t)
+        flow = systems.SuspensionFlow(matrix, roof)
+        reference = systems.TimeTMapHandle(flow, cfg.t)
         if cfg.kind == "time_t":
             return reference
         shape = _build_shape(cfg.shape, cfg.harmonics, cfg.direction)

@@ -27,7 +27,6 @@ from .systems import (
     SystemHandle,
     TimeTMapHandle,
     ToralMapHandle,
-    wrap_diff,
     wrap_unit,
 )
 
@@ -76,29 +75,6 @@ DEFAULT_CONFIG = FoliationConfig()
 
 def _canonical_point(sys, x):
     return sys.space.canonicalize(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-
-def _chart_rel(space, origin, pts):
-    """Displacement of each point from `origin`, toward its nearest lift.
-
-    Valid while displacements stay below half the wrap scale, which every
-    caller enforces through the chart-radius cap.
-    """
-    origin = np.asarray(origin, dtype=float)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if getattr(space, "kind", None) == "mapping_torus":
-        reps = space.lift_reps(pts)  # (N, 3, 3)
-        diffs = np.concatenate(
-            [
-                wrap_diff(reps[:, :, :2], origin[:2]),
-                (reps[:, :, 2] - origin[2])[:, :, None],
-            ],
-            axis=2,
-        )
-        norms = np.linalg.norm(diffs, axis=2)
-        pick = np.argmin(norms, axis=1)
-        return diffs[np.arange(pts.shape[0]), pick]
-    return wrap_diff(pts, origin)
 
 
 def _flow_each(fl, pts, ts):
@@ -236,7 +212,7 @@ def _leaf_height_offset(fl, b0, offsets, direction, eig, backward):
     offsets = np.asarray(offsets, dtype=float)
     if fl.roof.is_constant:
         return np.zeros(offsets.shape)
-    auto = fl.base_map
+    base_map = fl.base_map
     lip = fl.roof.lipschitz()
     omax = float(np.max(np.abs(offsets))) if offsets.size else 0.0
     out = np.zeros(offsets.shape)
@@ -244,7 +220,7 @@ def _leaf_height_offset(fl, b0, offsets, direction, eig, backward):
     scale = 1.0
     for _ in range(400):
         if backward:
-            bj = auto.apply_inverse(bj)
+            bj = base_map.step_back(bj)
             scale /= eig
         if lip * omax * abs(scale) < 1e-13:
             break
@@ -252,20 +228,20 @@ def _leaf_height_offset(fl, b0, offsets, direction, eig, backward):
         diff = fl.roof.value(bj)[0] - fl.roof.value(disp)
         out = out + (diff if backward else -diff)
         if not backward:
-            bj = auto.apply(bj)
+            bj = base_map.step(bj)
             scale *= eig
     return out
 
 
-def _signed_eigenvalue(auto, v):
-    return float(v @ (auto.matrix.astype(float) @ v))
+def _signed_eigenvalue(base_map, v):
+    return float(v @ (base_map.matrix.astype(float) @ v))
 
 
 def _suspension_leaf_points(fl, x, taus, stable=False):
     """Chart points of the (un)stable leaf through x at eigenline offsets."""
-    auto = fl.base_map
-    v = auto.stable_direction if stable else auto.unstable_direction
-    eig = _signed_eigenvalue(auto, v)
+    base_map = fl.base_map
+    v = base_map.stable_direction if stable else base_map.unstable_direction
+    eig = _signed_eigenvalue(base_map, v)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     base = wrap_unit(x[None, :2] + taus[:, None] * v[None, :])
     h = x[2] + _leaf_height_offset(fl, x[:2], taus, v, eig, backward=not stable)
@@ -277,12 +253,11 @@ def _eigenline_segment(sys, fl, x, radius, spacing, stable):
     variable-roof height series stretches arclength past the parameter."""
     kind = "stable" if stable else "unstable"
     if fl is None:  # plain torus: the eigenline itself
-        auto = sys.automorphism
-        if auto is None or not auto.hyperbolic:
+        if not (sys.invertible and sys.hyperbolic):
             raise ValueError(
                 "leaf segments need an invertible hyperbolic integer matrix"
             )
-        v = auto.stable_direction if stable else auto.unstable_direction
+        v = sys.stable_direction if stable else sys.unstable_direction
         count = int(math.ceil(2.0 * radius / spacing))
         taus = np.linspace(-radius, radius, count + 1)
         pts = wrap_unit(x[None, :] + taus[:, None] * v[None, :])
@@ -609,7 +584,7 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
     Returns (met points, flow times, worst residual).
     """
     v = fl.base_map.unstable_direction
-    rel_leaf = _chart_rel(space, origin, leaf.points)
+    rel_leaf = space.displacement(origin, leaf.points)
     taus_leaf = rel_leaf[:, :2] @ v
     if taus_leaf[0] > taus_leaf[-1]:
         taus_leaf = taus_leaf[::-1]
@@ -621,7 +596,7 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
     res = None
     for _ in range(12):
         W = _flow_each(fl, pts, ts)
-        rel = _chart_rel(space, origin, W)
+        rel = space.displacement(origin, W)
         tau = rel[:, :2] @ v
         pad = 0.02 * (taus_leaf[-1] - taus_leaf[0])
         if np.any(tau < taus_leaf[0] - pad) or np.any(tau > taus_leaf[-1] + pad):
@@ -678,7 +653,7 @@ def center_holonomy(sys, x, y, u_points, depth, config=DEFAULT_CONFIG):
     # size the target leaf from the flown points' eigenline extent
     v = fl.base_map.unstable_direction
     W0 = _flow_each(fl, ud, np.full(ud.shape[0], t0))
-    tau0 = _chart_rel(sys.space, yd, W0)[:, :2] @ v
+    tau0 = sys.space.displacement(yd, W0)[:, :2] @ v
     leaf_r = 1.5 * float(np.max(np.abs(tau0))) + 32.0 * 1e-6
     if leaf_r > config.chart_radius:
         raise ValueError(

@@ -13,7 +13,7 @@ suspension chart (x1, x2, height).  All mod-1 reductions go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +21,16 @@ __all__ = [
     "wrap_unit",
     "wrap_diff",
     "torus_distance",
-    "ToralAutomorphism",
-    "HyperbolicityReport",
-    "verify_hyperbolicity",
     "TorusSpace",
     "Roof",
     "SuspensionFlow",
     "MappingTorusSpace",
-    "time_t_map",
     "SystemHandle",
     "ToralMapHandle",
     "TimeTMapHandle",
     "PerturbedHandle",
     "CenterShear",
     "BaseShear",
-    "perturbed_map",
     "circle_doubling",
     "cat_map",
 ]
@@ -75,115 +70,6 @@ def torus_distance(p, q):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-class ToralAutomorphism:
-    """Integer matrix with |det| = 1 acting on T^d, d in {1, 2, 3}."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        d = m.shape[0]
-        if d not in (1, 2, 3):
-            raise ValueError(f"dimension {d} not supported (need 1, 2 or 3)")
-        if not np.all(m == np.round(m)):
-            raise ValueError("matrix entries must be integers")
-        m = np.round(m).astype(np.int64)
-        det = int(round(np.linalg.det(m.astype(float))))
-        if abs(det) != 1:
-            raise ValueError(f"matrix must have determinant +/-1, got {det}")
-        inv = np.rint(np.linalg.inv(m.astype(float))).astype(np.int64)
-        if not np.array_equal(m @ inv, np.eye(d, dtype=np.int64)):
-            raise ValueError("failed to build exact integer inverse")
-        self.matrix = m
-        self.inverse_matrix = inv
-        self.dim = d
-        self.determinant = det
-        self.eigenvalues = np.linalg.eigvals(m.astype(float))
-        self.moduli = np.abs(self.eigenvalues)
-        self.hyperbolic = bool(np.all(np.abs(self.moduli - 1.0) > _EIG_TOL))
-
-    def __repr__(self):
-        return f"ToralAutomorphism({self.matrix.tolist()})"
-
-    def apply(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return wrap_unit(pts @ self.matrix.T.astype(float))
-
-    def apply_inverse(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return wrap_unit(pts @ self.inverse_matrix.T.astype(float))
-
-    @property
-    def expansion_factor(self):
-        above = self.moduli[self.moduli > 1.0 + _EIG_TOL]
-        if above.size == 0:
-            return None
-        return float(np.min(above))
-
-    @property
-    def log_expansion(self):
-        f = self.expansion_factor
-        return None if f is None else math.log(f)
-
-    def _real_eigvec(self, target_modulus):
-        vals, vecs = np.linalg.eig(self.matrix.astype(float))
-        idx = int(np.argmin(np.abs(np.abs(vals) - target_modulus)))
-        v = vecs[:, idx]
-        if np.max(np.abs(v.imag)) > 1e-12:
-            raise ValueError("eigenvector is not real")
-        v = v.real
-        v = v / np.linalg.norm(v)
-        # deterministic sign: first nonzero component positive
-        nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
-        if v[nz] < 0:
-            v = -v
-        return v
-
-    @property
-    def unstable_direction(self):
-        f = self.expansion_factor
-        if f is None:
-            raise ValueError("matrix has no expanding eigenvalue")
-        return self._real_eigvec(f)
-
-    @property
-    def stable_direction(self):
-        below = self.moduli[self.moduli < 1.0 - _EIG_TOL]
-        if below.size == 0:
-            raise ValueError("matrix has no contracting eigenvalue")
-        return self._real_eigvec(float(np.max(below)))
-
-
-@dataclass(frozen=True)
-class HyperbolicityReport:
-    moduli: tuple
-    hyperbolic: bool
-    expansion_factor: float | None
-    contraction_factor: float | None
-    log_expansion: float | None
-
-
-def verify_hyperbolicity(matrix) -> HyperbolicityReport:
-    """Eigenvalue certificate for an integer |det|=1 matrix.
-
-    The flag is set iff no eigenvalue modulus falls within 1e-9 of 1.
-    A non-hyperbolic matrix yields a report, not an error.
-    """
-    auto = matrix if isinstance(matrix, ToralAutomorphism) else ToralAutomorphism(matrix)
-    moduli = tuple(sorted(float(m) for m in auto.moduli))
-    below = [m for m in moduli if m < 1.0 - _EIG_TOL]
-    above = [m for m in moduli if m > 1.0 + _EIG_TOL]
-    expansion = min(above) if above else None
-    contraction = max(below) if below else None
-    return HyperbolicityReport(
-        moduli=moduli,
-        hyperbolic=auto.hyperbolic,
-        expansion_factor=expansion,
-        contraction_factor=contraction,
-        log_expansion=None if expansion is None else math.log(expansion),
-    )
-
-
 class TorusSpace:
     """T^d with the flat wrap metric; also provides grids and cell-index data."""
 
@@ -203,11 +89,14 @@ class TorusSpace:
     def distance(self, p, q):
         return torus_distance(p, q)
 
+    def displacement(self, p, q):
+        """Chart step from p to the lift of q nearest p."""
+        return wrap_diff(q, p)
+
     def lerp(self, p, q, frac):
         """Interpolate toward the lift of q nearest p, then canonicalize."""
         p = np.asarray(p, dtype=float)
-        step = wrap_diff(q, p)
-        return wrap_unit(p + np.asarray(frac) * step)
+        return self.canonicalize(p + np.asarray(frac) * self.displacement(p, q))
 
     def random_points(self, rng, count):
         return rng.random((count, self.dim))
@@ -289,13 +178,19 @@ class Roof:
 class SuspensionFlow:
     """Suspension of a hyperbolic toral automorphism under a roof function.
 
-    Chart points are (x1, x2, h) with 0 <= h < roof(x); the identification
-    (x, roof(x)) ~ (A x, 0) is applied eagerly by :meth:`canonicalize`.
+    base_map is a ToralMapHandle or its integer matrix; it must act on T^2
+    with |det| = 1 and be hyperbolic.  Chart points are (x1, x2, h) with
+    0 <= h < roof(x); the identification (x, roof(x)) ~ (A x, 0) is
+    applied eagerly by :meth:`canonicalize`.
     """
 
     def __init__(self, base_map, roof=None):
-        if not isinstance(base_map, ToralAutomorphism):
-            base_map = ToralAutomorphism(base_map)
+        if not isinstance(base_map, ToralMapHandle):
+            base_map = ToralMapHandle(base_map)
+        if not base_map.invertible:
+            raise ValueError(
+                f"matrix must have determinant +/-1, got {base_map.determinant}"
+            )
         if base_map.dim != 2:
             raise ValueError("suspension base must act on T^2")
         if not base_map.hyperbolic:
@@ -328,14 +223,14 @@ class SuspensionFlow:
             if not np.any(over):
                 break
             h[over] -= r[over]
-            base[over] = self.base_map.apply(base[over])
+            base[over] = self.base_map.step(base[over])
         else:  # pragma: no cover
             raise ValueError("height too far above the roof to canonicalize")
         for _ in range(10_000):
             under = h < 0
             if not np.any(under):
                 break
-            base[under] = self.base_map.apply_inverse(base[under])
+            base[under] = self.base_map.step_back(base[under])
             h[under] += self.roof.value(base[under])
         else:  # pragma: no cover
             raise ValueError("height too far below zero to canonicalize")
@@ -349,12 +244,6 @@ class SuspensionFlow:
         out[:, 2] += t
         out = self.canonicalize(out)
         return out[0] if single else out
-
-    def time_t_map(self, t):
-        return TimeTMapHandle(self, t)
-
-    def distance(self, p, q):
-        return self.space.distance(p, q)
 
     def random_points(self, rng, count):
         base = rng.random((count, 2))
@@ -380,11 +269,11 @@ class SuspensionFlow:
                 if best is None or abs(t) < abs(best):
                     best = t
             acc += float(self.roof.value(base))
-            base = self.base_map.apply(base)
+            base = self.base_map.step(base)
         base = p[:2].copy()
         acc = 0.0
         for _ in range(max_crossings):
-            base = self.base_map.apply_inverse(base)
+            base = self.base_map.step_back(base)
             acc -= float(self.roof.value(base))
             if torus_distance(base, q[:2]) < tol:
                 t = q[2] - p[2] + acc
@@ -425,9 +314,9 @@ class MappingTorusSpace:
         base = pts[:, :2]
         h = pts[:, 2]
         fl = self.flow
-        down_base = fl.base_map.apply(base)
+        down_base = fl.base_map.step(base)
         down = np.concatenate([down_base, (h - fl.roof.value(base))[:, None]], axis=1)
-        up_base = fl.base_map.apply_inverse(base)
+        up_base = fl.base_map.step_back(base)
         up = np.concatenate([up_base, (h + fl.roof.value(up_base))[:, None]], axis=1)
         return np.stack([pts, down, up], axis=1)
 
@@ -443,10 +332,9 @@ class MappingTorusSpace:
         dh = p[..., None, 2] - reps[..., 2]
         return np.sqrt(np.sum(d * d, axis=-1) + dh * dh)
 
-    def distance(self, p, q):
-        """Symmetrized lift distance (min over lifts of either argument)."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
+    @staticmethod
+    def _rows(p, q):
+        """Both point arrays as (N, 3) rows; a single row is broadcast."""
         if p.shape[-1] != 3 or q.shape[-1] != 3:
             raise ValueError("suspension points have 3 chart coordinates")
         p2 = np.atleast_2d(p)
@@ -455,6 +343,13 @@ class MappingTorusSpace:
             p2 = np.broadcast_to(p2, q2.shape)
         if q2.shape[0] == 1 and p2.shape[0] > 1:
             q2 = np.broadcast_to(q2, p2.shape)
+        return p2, q2
+
+    def distance(self, p, q):
+        """Symmetrized lift distance (min over lifts of either argument)."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        p2, q2 = self._rows(p, q)
         dq = self._chart_dist(p2, self.lift_reps(q2)).min(axis=-1)
         dp = self._chart_dist(q2, self.lift_reps(p2)).min(axis=-1)
         out = np.minimum(dq, dp)
@@ -462,17 +357,11 @@ class MappingTorusSpace:
             return float(out[0])
         return out
 
-    def lerp(self, p, q, frac):
-        """Interpolate toward the lift of q nearest p; canonicalize after."""
+    def displacement(self, p, q):
+        """Chart step from p to the lift of q nearest p, row by row."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        single = p.ndim == 1 and q.ndim == 1
-        p2 = np.atleast_2d(p)
-        q2 = np.atleast_2d(q)
-        if p2.shape[0] == 1 and q2.shape[0] > 1:
-            p2 = np.broadcast_to(p2, q2.shape)
-        if q2.shape[0] == 1 and p2.shape[0] > 1:
-            q2 = np.broadcast_to(q2, p2.shape)
+        p2, q2 = self._rows(p, q)
         reps = self.lift_reps(q2)
         # compare in the chart with base wrap handled by wrap_diff
         diffs = np.concatenate(
@@ -484,11 +373,18 @@ class MappingTorusSpace:
         )
         norms = np.linalg.norm(diffs, axis=2)
         step = diffs[np.arange(p2.shape[0]), np.argmin(norms, axis=1)]
+        if p.ndim == 1 and q.ndim == 1:
+            return step[0]
+        return step
+
+    def lerp(self, p, q, frac):
+        """Interpolate toward the lift of q nearest p; canonicalize after."""
+        p = np.asarray(p, dtype=float)
         frac = np.asarray(frac, dtype=float)
         if frac.ndim == 1:
             frac = frac[:, None]
-        out = self.canonicalize(p2 + frac * step)
-        if single and frac.ndim == 0:
+        out = self.canonicalize(p + frac * self.displacement(p, q))
+        if p.ndim == 1 and np.ndim(q) == 1 and frac.ndim == 0:
             return out[0]
         return out
 
@@ -543,7 +439,12 @@ class SystemHandle:
 
 
 class ToralMapHandle(SystemHandle):
-    """Integer-matrix map on T^d; invertible only when |det| = 1."""
+    """Integer matrix acting on T^d, d in {1, 2, 3}.
+
+    The map is invertible only when |det| = 1, through the exact integer
+    inverse.  It is hyperbolic iff no eigenvalue modulus falls within 1e-9
+    of 1; a non-hyperbolic matrix is accepted and flagged.
+    """
 
     def __init__(self, matrix):
         m = np.asarray(matrix)
@@ -555,11 +456,18 @@ class ToralMapHandle(SystemHandle):
         det = int(round(np.linalg.det(m.astype(float))))
         if det == 0:
             raise ValueError("matrix must be nonsingular")
+        self.space = TorusSpace(m.shape[0])
         self.matrix = m
         self.determinant = det
-        self.space = TorusSpace(m.shape[0])
         self.invertible = abs(det) == 1
-        self.automorphism = ToralAutomorphism(m) if self.invertible else None
+        self.inverse_matrix = None
+        if self.invertible:
+            inv = np.rint(np.linalg.inv(m.astype(float))).astype(np.int64)
+            if not np.array_equal(m @ inv, np.eye(m.shape[0], dtype=np.int64)):
+                raise ValueError("failed to build exact integer inverse")
+            self.inverse_matrix = inv
+        self.moduli = np.abs(np.linalg.eigvals(m.astype(float)))
+        self.hyperbolic = bool(np.all(np.abs(self.moduli - 1.0) > _EIG_TOL))
 
     def describe(self):
         return ("toral", tuple(map(tuple, self.matrix.tolist())))
@@ -570,7 +478,44 @@ class ToralMapHandle(SystemHandle):
     def step_back(self, pts):
         if not self.invertible:
             raise ValueError("map is not invertible (|det| != 1)")
-        return self.automorphism.apply_inverse(pts)
+        return wrap_unit(
+            np.asarray(pts, dtype=float) @ self.inverse_matrix.T.astype(float)
+        )
+
+    @property
+    def expansion_factor(self):
+        above = self.moduli[self.moduli > 1.0 + _EIG_TOL]
+        if above.size == 0:
+            return None
+        return float(np.min(above))
+
+    def _real_eigvec(self, target_modulus):
+        vals, vecs = np.linalg.eig(self.matrix.astype(float))
+        idx = int(np.argmin(np.abs(np.abs(vals) - target_modulus)))
+        v = vecs[:, idx]
+        if np.max(np.abs(v.imag)) > 1e-12:
+            raise ValueError("eigenvector is not real")
+        v = v.real
+        v = v / np.linalg.norm(v)
+        # deterministic sign: first nonzero component positive
+        nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
+        if v[nz] < 0:
+            v = -v
+        return v
+
+    @property
+    def unstable_direction(self):
+        f = self.expansion_factor
+        if f is None:
+            raise ValueError("matrix has no expanding eigenvalue")
+        return self._real_eigvec(f)
+
+    @property
+    def stable_direction(self):
+        below = self.moduli[self.moduli < 1.0 - _EIG_TOL]
+        if below.size == 0:
+            raise ValueError("matrix has no contracting eigenvalue")
+        return self._real_eigvec(float(np.max(below)))
 
 
 class TimeTMapHandle(SystemHandle):
@@ -597,10 +542,6 @@ class TimeTMapHandle(SystemHandle):
 
     def step_back(self, pts):
         return self.suspension.flow(pts, -self.t)
-
-
-def time_t_map(susp_flow, t):
-    return TimeTMapHandle(susp_flow, t)
 
 
 @dataclass(frozen=True)
@@ -781,11 +722,6 @@ class PerturbedHandle(SystemHandle):
 
     def step_back(self, pts):
         return self.shear_inverse(self.reference.step_back(pts))
-
-
-def perturbed_map(reference, epsilon, shape):
-    """Admissible perturbation of a time-t map; errors above the threshold."""
-    return PerturbedHandle(reference, epsilon, shape)
 
 
 def cat_map():

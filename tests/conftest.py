@@ -22,21 +22,21 @@ def doubling():
 @pytest.fixture(scope="session")
 def flow_const():
     return systems.SuspensionFlow(
-        systems.ToralAutomorphism([[2, 1], [1, 1]]), systems.Roof(1.0)
+        systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0)
     )
 
 
 @pytest.fixture(scope="session")
 def flow_trig():
     return systems.SuspensionFlow(
-        systems.ToralAutomorphism([[2, 1], [1, 1]]),
+        systems.ToralMapHandle([[2, 1], [1, 1]]),
         systems.Roof(1.0, [((1, 0), 0.2)]),
     )
 
 
 @pytest.fixture(scope="session")
 def time1(flow_const):
-    return systems.time_t_map(flow_const, 1.0)
+    return systems.TimeTMapHandle(flow_const, 1.0)
 
 
 @pytest.fixture()

@@ -29,7 +29,7 @@ from entroflow.entropy import (
 from entroflow.foliation import center_nonexpansion_check
 from entroflow.growth import disk_vs_box_comparison, unstable_rate_estimate
 from entroflow.records import canonical_json, verify_record
-from entroflow.systems import Roof, SuspensionFlow, ToralAutomorphism, time_t_map
+from entroflow.systems import Roof, SuspensionFlow, TimeTMapHandle
 
 from conftest import LOG_LAMBDA
 
@@ -129,7 +129,7 @@ def test_criterion_3_flow_family_linearity(flow_const):
     t0 = time.perf_counter()
     rates = {}
     for t, schedule in sorted(T_SCHEDULES.items()):
-        handle = time_t_map(flow_const, t)
+        handle = TimeTMapHandle(flow_const, t)
         curve = unstable_rate_estimate(handle, (0.2, 0.3, 0.37), 0.02, schedule)
         rates[t] = curve.rate
     elapsed = time.perf_counter() - t0
@@ -225,7 +225,7 @@ def test_criterion_7_foliation_suite(foliation_run, flow_trig):
     assert nonexp["max_ratio_forward"] <= nonexp["roof_ratio_bound"]
     assert nonexp["horizon"] == 50
 
-    trig_handle = time_t_map(flow_trig, 1.0)
+    trig_handle = TimeTMapHandle(flow_trig, 1.0)
     trig = center_nonexpansion_check(trig_handle, samples=60, horizon=50)
     trig_bound = flow_trig.roof.roof_max / flow_trig.roof.roof_min + 0.01
     assert trig.max_ratio_forward <= trig_bound

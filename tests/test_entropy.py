@@ -217,7 +217,7 @@ def test_cloud_rejects_mismatched_dimension():
 def test_cloud_on_another_suspension_is_rejected(time1, rng):
     # same kind and dimension as the constant-roof chart, but another roof
     other = systems.SuspensionFlow(
-        systems.ToralAutomorphism([[2, 1], [1, 1]]),
+        systems.ToralMapHandle([[2, 1], [1, 1]]),
         systems.Roof(1.0, [((1, 0), 0.3)]),
     )
     cloud = SampleCloud(other.space, other.random_points(rng, 50))
@@ -226,7 +226,7 @@ def test_cloud_on_another_suspension_is_rejected(time1, rng):
     with pytest.raises(ValueError, match="different spaces"):
         min_spanning_greedy(time1, cloud, 2, 0.1)
     # an equal flow built separately is the same space
-    same = systems.SuspensionFlow(systems.ToralAutomorphism([[2, 1], [1, 1]]), 1.0)
+    same = systems.SuspensionFlow(systems.ToralMapHandle([[2, 1], [1, 1]]), 1.0)
     cloud = SampleCloud(same.space, same.random_points(rng, 50))
     assert max_separated(time1, cloud, 2, 0.1).count > 0
 
@@ -300,8 +300,8 @@ KERNEL_SYSTEMS = {
     ),
     "cat_map": lambda: (CAT, lambda s, seed: random_cloud(s, 80, seed)),
     "suspension_time1": lambda: (
-        systems.time_t_map(
-            systems.SuspensionFlow(systems.ToralAutomorphism([[2, 1], [1, 1]]), systems.Roof(1.0)),
+        systems.TimeTMapHandle(
+            systems.SuspensionFlow(systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0)),
             1.0,
         ),
         _seam_cloud,

@@ -15,7 +15,7 @@ from entroflow.foliation import (
     stable_segment,
     unstable_segment,
 )
-from entroflow.systems import CenterShear, PerturbedHandle, time_t_map
+from entroflow.systems import CenterShear, PerturbedHandle, TimeTMapHandle
 
 from conftest import LOG_LAMBDA
 
@@ -130,7 +130,7 @@ def test_nonexpansion_time_t_exact(time1):
 
 
 def test_nonexpansion_variable_roof_within_roof_ratio(flow_trig):
-    handle = time_t_map(flow_trig, 1.0)
+    handle = TimeTMapHandle(flow_trig, 1.0)
     report = center_nonexpansion_check(handle, samples=40, horizon=50)
     bound = flow_trig.roof.roof_max / flow_trig.roof.roof_min + 0.01
     assert max(report.max_ratio_forward, report.max_ratio_backward) <= bound

@@ -243,9 +243,9 @@ def refine(sys, pts, spacing):
 
 def _refinement_cases():
     flow = systems.SuspensionFlow(
-        systems.ToralAutomorphism([[2, 1], [1, 1]]), systems.Roof(1.0)
+        systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0)
     )
-    time1 = systems.time_t_map(flow, 1.0)
+    time1 = systems.TimeTMapHandle(flow, 1.0)
     return {
         "cat_map": (CAT, (0.2, 0.3), 0.005),
         "suspension_time1": (time1, (0.2, 0.3, 0.37), 0.005),

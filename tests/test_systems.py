@@ -11,11 +11,9 @@ from entroflow.systems import (
     PerturbedHandle,
     Roof,
     SuspensionFlow,
-    ToralAutomorphism,
+    TimeTMapHandle,
     ToralMapHandle,
-    time_t_map,
     torus_distance,
-    verify_hyperbolicity,
 )
 
 from conftest import LOG_LAMBDA
@@ -42,17 +40,17 @@ def test_cat_map_inverse_roundtrip(cat, rng):
 
 
 def test_hyperbolicity_report_cat():
-    rep = verify_hyperbolicity([[2, 1], [1, 1]])
-    assert rep.hyperbolic
-    assert rep.log_expansion == pytest.approx(LOG_LAMBDA, abs=1e-12)
-    assert rep.expansion_factor == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
-    assert rep.contraction_factor == pytest.approx(2 / (3 + math.sqrt(5)), abs=1e-12)
+    handle = ToralMapHandle([[2, 1], [1, 1]])
+    assert handle.hyperbolic
+    assert math.log(handle.expansion_factor) == pytest.approx(LOG_LAMBDA, abs=1e-12)
+    assert handle.expansion_factor == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
+    assert float(min(handle.moduli)) == pytest.approx(2 / (3 + math.sqrt(5)), abs=1e-12)
 
 
 def test_hyperbolicity_report_parabolic():
-    rep = verify_hyperbolicity([[1, 1], [0, 1]])
-    assert not rep.hyperbolic
-    assert rep.log_expansion is None
+    handle = ToralMapHandle([[1, 1], [0, 1]])
+    assert not handle.hyperbolic
+    assert handle.expansion_factor is None
 
 
 def test_doubling_forward_only(doubling):
@@ -102,7 +100,7 @@ def test_time_one_map_advances_base(time1):
 
 
 def test_time_t_roundtrip_variable_roof(flow_trig, rng):
-    handle = time_t_map(flow_trig, 0.7)
+    handle = TimeTMapHandle(flow_trig, 0.7)
     pts = flow_trig.random_points(rng, 40)
     back = handle.step_back(handle.step(pts))
     assert float(np.max(handle.space.distance(back, pts))) < 1e-10
@@ -138,7 +136,7 @@ def test_perturbed_rejects_epsilon_above_threshold(time1):
 
 def test_perturbed_requires_constant_roof(flow_trig):
     with pytest.raises(ValueError, match="constant roof"):
-        PerturbedHandle(time_t_map(flow_trig, 1.0), 0.01, CenterShear())
+        PerturbedHandle(TimeTMapHandle(flow_trig, 1.0), 0.01, CenterShear())
 
 
 def test_perturbed_roundtrip_both_shapes(time1, rng):
@@ -171,16 +169,16 @@ def test_mapping_torus_seam_identification(flow_const):
     space = flow_const.space
     # a point just below the roof is near its glued image just above 0
     p = np.array([0.2, 0.3, 0.999])
-    q_base = systems.ToralAutomorphism([[2, 1], [1, 1]]).apply(np.array([0.2, 0.3]))
+    q_base = ToralMapHandle([[2, 1], [1, 1]]).step(np.array([0.2, 0.3]))
     q = np.array([q_base[0], q_base[1], 0.001])
     assert float(space.distance(p, q)) < 0.01
 
 
 def test_automorphism_apply_matches_matrix(rng):
-    auto = ToralAutomorphism([[2, 1], [1, 1]])
+    handle = ToralMapHandle([[2, 1], [1, 1]])
     pts = rng.random((20, 2))
     expect = (pts @ np.array([[2, 1], [1, 1]]).T) % 1.0
-    assert np.allclose(auto.apply(pts), expect, atol=1e-12)
+    assert np.allclose(handle.step(pts), expect, atol=1e-12)
 
 
 def test_toral_handle_rejects_non_integer_matrix():
@@ -218,3 +216,39 @@ def test_suspension_base_validation_messages(base, message):
 def test_leaf_segment_needs_invertible_hyperbolic_map():
     with pytest.raises(ValueError, match="invertible hyperbolic"):
         unstable_segment(systems.circle_doubling(), np.array([0.3]), 0.05)
+
+
+def _int_det(m):
+    """Exact determinant of a small integer matrix by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _fixed_point_count(matrix, n):
+    """#Fix(A^n) = |det(A^n - I)| in exact integer arithmetic."""
+    d = len(matrix)
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(n):
+        power = [
+            [sum(power[i][k] * matrix[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+    return abs(_int_det([[power[i][j] - int(i == j) for j in range(d)] for i in range(d)]))
+
+
+@pytest.mark.parametrize(
+    "matrix, n, tol",
+    [
+        ([[2, 1], [1, 1]], 12, 1e-5),
+        # one expanding eigenvalue, the plastic number 1.3247...
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 40, 1e-3),
+    ],
+)
+def test_periodic_points_match_expansion_factor(matrix, n, tol):
+    handle = ToralMapHandle(matrix)
+    count = _fixed_point_count(handle.matrix.tolist(), n)
+    assert abs(math.log(count) / n - math.log(handle.expansion_factor)) < tol
