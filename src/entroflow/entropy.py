@@ -28,6 +28,8 @@ __all__ = [
     "max_separated",
     "min_spanning_greedy",
     "entropy_estimate",
+    "fit_count_table",
+    "count_table_violations",
     "exhaustive_max_separated",
     "grid_cloud",
     "random_cloud",
@@ -310,29 +312,11 @@ def entropy_estimate(
             for delta in delta_schedule
         ]
     rows = [row for column in columns for row in column]
-    d_min = delta_schedule[-1]
-    fit_rows = [r for r in rows if r[1] == d_min and not r[3]]
-    diagnostics = {"saturated_any": any(r[3] for r in rows), "affine_window_found": True}
-    if len(fit_rows) >= 3:
-        ns = [r[0] for r in fit_rows]
-        logs = [math.log(r[2]) for r in fit_rows]
-        i, j, slope, stderr, found = _affine_window(ns, logs)
-        window = (ns[i], ns[j])
-        diagnostics["affine_window_found"] = found
-    elif len(fit_rows) == 2:
-        ns = [r[0] for r in fit_rows]
-        logs = [math.log(r[2]) for r in fit_rows]
-        slope = (logs[1] - logs[0]) / (ns[1] - ns[0])
-        stderr = 0.0
-        window = (ns[0], ns[1])
-        diagnostics["affine_window_found"] = False
-    else:
-        slope, stderr = 0.0, 0.0
-        window = (n_schedule[0], n_schedule[0])
-        diagnostics["affine_window_found"] = False
-    if len(set(r[2] for r in rows)) == 1:
-        slope, stderr = 0.0, 0.0  # degenerate: all counts equal
-    rate = max(slope, 0.0)
+    rate, stderr, window, found = fit_count_table(rows)
+    diagnostics = {
+        "saturated_any": any(r[3] for r in rows),
+        "affine_window_found": found,
+    }
     # per-delta slopes over unsaturated rows, for diagnostics
     per_delta = {}
     for delta in delta_schedule:
@@ -353,6 +337,36 @@ def entropy_estimate(
         counts=tuple(rows),
         diagnostics=diagnostics,
     )
+
+
+def fit_count_table(rows):
+    """Rate fit of a count table of (n, delta, count, saturated) rows.
+
+    Fits log(count) against n over the unsaturated rows at the smallest
+    delta: an affine window when there are at least three, the line
+    through both when there are two.  The rate is the slope clipped at 0,
+    and 0 when every count is equal.  Returns (rate, slope_stderr,
+    fit_window, affine_window_found).
+    """
+    d_min = min(r[1] for r in rows)
+    fit_rows = [r for r in rows if r[1] == d_min and not r[3]]
+    ns = [r[0] for r in fit_rows]
+    logs = [math.log(r[2]) for r in fit_rows]
+    found = False
+    if len(fit_rows) >= 3:
+        i, j, slope, stderr, found = _affine_window(ns, logs)
+        window = (ns[i], ns[j])
+    elif len(fit_rows) == 2:
+        slope = (logs[1] - logs[0]) / (ns[1] - ns[0])
+        stderr = 0.0
+        window = (ns[0], ns[1])
+    else:
+        slope, stderr = 0.0, 0.0
+        n_first = min(r[0] for r in rows)
+        window = (n_first, n_first)
+    if len(set(r[2] for r in rows)) == 1:
+        slope, stderr = 0.0, 0.0  # degenerate: all counts equal
+    return max(slope, 0.0), stderr, window, found
 
 
 def count_table_violations(rows):

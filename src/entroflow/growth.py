@@ -110,6 +110,17 @@ class GrowthCurve:
         return rows
 
 
+def fit_packing_counts(counts):
+    """Rate fit of (N, count) packing rows: the least-squares slope of
+    log(count) against N over the positive counts, and its stderr; both
+    are 0 with fewer than two positive counts."""
+    fit = [(n, math.log(c)) for n, c in counts if c > 0]
+    if len(fit) < 2:
+        return 0.0, 0.0
+    rate, _, stderr, _ = _ols_line([f[0] for f in fit], [f[1] for f in fit])
+    return rate, stderr
+
+
 def unstable_rate_estimate(
     sys,
     x,
@@ -163,11 +174,7 @@ def unstable_rate_estimate(
         lengths.append((n, seg.arclength))
         centers.append(pts)
         arcs.append(disk_center_arcs(seg.arclength, two_delta))
-    fit = [(n, math.log(c)) for n, c in counts if c > 0]
-    if len(fit) >= 2:
-        rate, _, stderr, _ = _ols_line([f[0] for f in fit], [f[1] for f in fit])
-    else:
-        rate, stderr = 0.0, 0.0
+    rate, stderr = fit_packing_counts(counts)
     return GrowthCurve(
         base_point=tuple(float(v) for v in x),
         delta=delta,

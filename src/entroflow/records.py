@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import count_table_violations
+from .entropy import count_table_violations, fit_count_table
+from .growth import fit_packing_counts
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -171,12 +172,33 @@ def _require(results, key, failures):
     return results[key]
 
 
+def _replay(results, expected, source, failures):
+    """Compare recorded fields with the values replayed from `source`.
+
+    Floats survive the JSON round trip, so the comparison is exact.
+    """
+    for key, want in expected.items():
+        got = _require(results, key, failures)
+        if got is not None and got != want:
+            failures.append(f"results.{key}: recorded {got!r} but {source} give {want!r}")
+
+
 def _verify_estimate(results, failures):
     rows = _require(results, "counts", failures)
     if rows is None:
         return
     rows = [tuple(r) for r in rows]
     failures.extend(count_table_violations(rows))
+    if any(r[2] < 1 for r in rows):
+        failures.append("counts: a count below 1, which no nonempty cloud gives")
+    elif rows:
+        rate, stderr, window, _found = fit_count_table(rows)
+        _replay(
+            results,
+            {"rate": rate, "stderr": stderr, "window": list(window)},
+            "counts",
+            failures,
+        )
     size = results.get("cloud_size")
     if size is not None:
         for n, delta, count, sat in rows:
@@ -190,11 +212,13 @@ def _verify_estimate(results, failures):
                 )
 
 
-def _verify_growth(results, failures, delta=None):
+def _verify_growth(results, failures):
     table = _require(results, "growth_table", failures)
     if table is None:
         return
     counts = [(int(r[0]), int(r[1])) for r in table]
+    rate, stderr = fit_packing_counts(counts)
+    _replay(results, {"rate": rate, "rate_stderr": stderr}, "growth_table counts", failures)
     for (n0, c0), (n1, c1) in zip(counts, counts[1:]):
         if c1 < c0:
             failures.append(
@@ -204,8 +228,7 @@ def _verify_growth(results, failures, delta=None):
         n, c, logc = int(row[0]), int(row[1]), float(row[2])
         if c > 0 and abs(logc - math.log(c)) > 1e-9:
             failures.append(f"growth_table: log_count mismatch at N={n}")
-    if delta is None:
-        delta = results.get("delta")
+    delta = results.get("delta")
     arcs = results.get("center_arcs")
     if arcs is not None and delta is not None:
         gap = 4.0 * float(delta) - 1e-9
@@ -234,13 +257,19 @@ def _verify_continuity(results, failures):
         )
     member_counts = results.get("member_counts")
     if member_counts is not None:
-        for (eps, _, _), rows in zip(entries, member_counts):
+        for (eps, rate, stderr), rows in zip(entries, member_counts):
             cs = [int(r[1]) for r in rows]
             for a, b in zip(cs, cs[1:]):
                 if b < a:
                     failures.append(
                         f"member_counts: count drops from {a} to {b} at epsilon={eps}"
                     )
+            want = fit_packing_counts([(int(r[0]), int(r[1])) for r in rows])
+            if (rate, stderr) != want:
+                failures.append(
+                    f"entries: (rate, stderr) at epsilon={eps} recorded as "
+                    f"{(rate, stderr)!r} but member_counts give {want!r}"
+                )
 
 
 def _verify_foliation(results, failures):

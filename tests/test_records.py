@@ -8,6 +8,7 @@ import pytest
 
 from entroflow import cli, runner
 from entroflow.config import (
+    ContinuityConfig,
     EstimateConfig,
     GrowthConfig,
     SweepConfig,
@@ -31,6 +32,7 @@ SMALL_ESTIMATE = EstimateConfig(
     resolution=48, n_schedule=(1, 2, 3, 4), delta_schedule=(0.2, 0.1)
 )
 SMALL_GROWTH = GrowthConfig(delta=0.05, N_schedule=(1, 2, 3, 4, 5, 6))
+SMALL_CONTINUITY = ContinuityConfig(eps_schedule=(0.0, 0.02), N_schedule=(1, 2, 3, 4))
 
 
 def run_small(cfg, out_dir, **kw):
@@ -169,6 +171,91 @@ def test_verify_catches_center_arc_crowding(growth_run, tmp_path):
     report = verify_record(clone)
     assert not report.passed
     assert any("apart in arc" in f for f in report.failures)
+
+
+@pytest.fixture(scope="module")
+def continuity_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("con")
+    record = run_small(SMALL_CONTINUITY, out, workers=1)
+    return record, out / record.id
+
+
+def _clone_with_results(rdir, clone, edit):
+    """Copy a record directory, applying `edit` to its results payload."""
+    data = json.loads((rdir / "record.json").read_text())
+    edit(data["results"])
+    clone.mkdir()
+    (clone / "record.json").write_text(json.dumps(data))
+    for table in rdir.glob("*.csv"):
+        (clone / table.name).write_bytes(table.read_bytes())
+    return data
+
+
+def _nudge(value):
+    """The next float above value: a change only an exact replay can see."""
+    return math.nextafter(float(value), math.inf)
+
+
+@pytest.mark.parametrize("key", ["rate", "stderr", "window"])
+def test_verify_replays_estimate_fit(estimate_run, tmp_path, key):
+    record, rdir = estimate_run
+    assert verify_record(rdir).passed
+
+    def edit(results):
+        if key == "window":
+            results["window"][0] += 1
+        else:
+            results[key] = _nudge(results[key])
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert any(f.startswith(f"results.{key}:") for f in report.failures), report.failures
+
+
+def test_verify_reports_a_zero_count(estimate_run, tmp_path):
+    record, rdir = estimate_run
+
+    def edit(results):
+        results["counts"][0][2] = 0
+
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "counts.csv")
+    write_csv(tmp_path / "clone" / "counts.csv", header, data["results"]["counts"])
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert any(f.startswith("counts: a count below 1") for f in report.failures)
+
+
+@pytest.mark.parametrize("key", ["rate", "rate_stderr"])
+def test_verify_replays_growth_fit(growth_run, tmp_path, key):
+    record, rdir = growth_run
+    assert verify_record(rdir).passed
+
+    def edit(results):
+        results[key] = _nudge(results[key])
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert any(f.startswith(f"results.{key}:") for f in report.failures), report.failures
+
+
+def test_verify_replays_continuity_rates(continuity_run, tmp_path):
+    record, rdir = continuity_run
+    assert verify_record(rdir).passed
+
+    def edit(results):
+        results["entries"][1][1] = _nudge(results["entries"][1][1])
+
+    # the CSV twin carries the same edit, so only the replay can object
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "continuity.csv")
+    write_csv(tmp_path / "clone" / "continuity.csv", header, data["results"]["entries"])
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert [f for f in report.failures if f.startswith("entries:")], report.failures
+    assert all("csv" not in f and "modulus" not in f for f in report.failures)
 
 
 def test_identity_system_estimate_rate_zero(tmp_path):
