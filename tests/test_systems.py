@@ -252,3 +252,170 @@ def test_periodic_points_match_expansion_factor(matrix, n, tol):
     handle = ToralMapHandle(matrix)
     count = _fixed_point_count(handle.matrix.tolist(), n)
     assert abs(math.log(count) / n - math.log(handle.expansion_factor)) < tol
+
+
+# --------------------------------------------------------------------------
+# mapping-torus distance and displacement against the six-lift reference
+
+
+def _reference_rows(p, q):
+    p2, q2 = np.atleast_2d(p), np.atleast_2d(q)
+    n = max(p2.shape[0], q2.shape[0])
+    return np.broadcast_to(p2, (n, 3)), np.broadcast_to(q2, (n, 3))
+
+
+def _reference_chart_dist(p, reps):
+    d = np.abs(p[..., None, :2] - reps[..., :2])
+    d = np.minimum(d, 1.0 - d)
+    dh = p[..., None, 2] - reps[..., 2]
+    return np.sqrt(np.sum(d * d, axis=-1) + dh * dh)
+
+
+def _reference_distance(space, p, q):
+    """Minimum chart distance over the three lifts of either argument."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p2, q2 = _reference_rows(p, q)
+    dq = _reference_chart_dist(p2, space.lift_reps(q2)).min(axis=-1)
+    dp = _reference_chart_dist(q2, space.lift_reps(p2)).min(axis=-1)
+    out = np.minimum(dq, dp)
+    return float(out[0]) if p.ndim == 1 and q.ndim == 1 else out
+
+
+def _reference_displacement(space, p, q):
+    """Chart step from p to the lift of q with the smallest norm (argmin)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p2, q2 = _reference_rows(p, q)
+    reps = space.lift_reps(q2)
+    diffs = np.concatenate(
+        [
+            systems.wrap_diff(reps[:, :, :2], p2[:, None, :2]),
+            reps[:, :, 2:] - p2[:, None, 2:],
+        ],
+        axis=2,
+    )
+    norms = np.linalg.norm(diffs, axis=2)
+    step = diffs[np.arange(p2.shape[0]), np.argmin(norms, axis=1)]
+    return step[0] if p.ndim == 1 and q.ndim == 1 else step
+
+
+def _pair_families(fl, rng, count=400):
+    """(p, q) row pairs: seam straddles, base wraps, random near pairs,
+    pairs whose nearest copy is a seam lift, and pairs either side of the
+    roof_min screen bound."""
+    roof = fl.roof
+    base = rng.random((count, 2))
+    families = {}
+
+    h_top = roof.value(base) - rng.uniform(1e-4, 2e-3, count)
+    over = fl.base_map.step(base) + rng.normal(0.0, 1e-3, (count, 2))
+    families["seam"] = (
+        np.column_stack([base, h_top]),
+        fl.canonicalize(np.column_stack([over, rng.uniform(1e-4, 2e-3, count)])),
+    )
+
+    edge = np.column_stack([rng.uniform(0.999, 1.0, count), rng.random(count)])
+    h = rng.random(count) * roof.roof_min
+    families["base_wrap"] = (
+        fl.canonicalize(np.column_stack([edge, h])),
+        fl.canonicalize(
+            np.column_stack([edge + rng.uniform(1e-4, 3e-3, (count, 2)), h + 1e-3])
+        ),
+    )
+
+    p = fl.random_points(rng, count)
+    step = rng.normal(size=(count, 3))
+    step *= (rng.uniform(0.0, 0.5, count) / np.linalg.norm(step, axis=1))[:, None]
+    families["random"] = (p, fl.canonicalize(p + step))
+
+    # q sits one sheet up from p's base: its down lift shares p's base
+    q_base = fl.base_map.step_back(base)
+    families["lift_wins"] = (
+        np.column_stack([base, rng.uniform(0.0, 0.3, count) * roof.value(base)]),
+        np.column_stack(
+            [q_base, rng.uniform(0.6, 0.95, count) * roof.value(q_base)]
+        ),
+    )
+
+    # identity distance plus height gap within a few 1e-9 of roof_min,
+    # down to single ulps around roof_min / 2
+    rel = np.concatenate(
+        [np.linspace(-5e-9, 5e-9, 41), [-1e-12, -1e-15, 0.0, 1e-15, 1e-12]]
+    )
+    gap = 0.5 * roof.roof_min * (1.0 + rel)
+    gap = np.concatenate(
+        [gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)]
+    )
+    b = rng.random((gap.size, 2)) * 0.5
+    h0 = 0.01 * rng.random(gap.size)
+    families["bound"] = (
+        np.column_stack([b, h0]),
+        np.column_stack([b, h0 + gap]),
+    )
+    tilt = rng.uniform(0.0, 0.2, gap.size)
+    families["bound_tilted"] = (
+        np.column_stack([b, h0]),
+        np.column_stack([b + np.column_stack([tilt, 0 * tilt]) * 1e-3, h0 + gap]),
+    )
+
+    # q one sheet up with the height gap g chosen so that the identity
+    # distance sqrt(D^2 + g^2) equals the down lift's R - g: the two tie
+    # on the bound, and small moves of g decide which one is nearer
+    q_base = fl.base_map.step_back(base)
+    D2 = np.sum(systems.wrap_diff(q_base, base) ** 2, axis=1)
+    R = roof.value(q_base)
+    g = (R * R - D2) / (2.0 * R)
+    g = np.concatenate(
+        [g * (1.0 + r) for r in (-1e-8, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-8)]
+    )
+    b = np.tile(base, (7, 1))
+    h0 = 0.01 * rng.random(g.size)
+    families["bound_tie"] = (
+        fl.canonicalize(np.column_stack([b, h0])),
+        fl.canonicalize(np.column_stack([np.tile(q_base, (7, 1)), h0 + g])),
+    )
+    return families
+
+
+@pytest.mark.parametrize("flow_name", ["flow_const", "flow_trig"])
+def test_mapping_torus_distance_matches_six_lift_reference(flow_name, request, rng):
+    fl = request.getfixturevalue(flow_name)
+    space = fl.space
+    for name, (p, q) in _pair_families(fl, rng).items():
+        for a, b in ((p, q), (q, p)):
+            assert np.array_equal(
+                space.distance(a, b), _reference_distance(space, a, b)
+            ), name
+            assert np.array_equal(
+                space.displacement(a, b), _reference_displacement(space, a, b)
+            ), name
+        # 1-D against 1-D, one row broadcast against many, both ways
+        for i in (0, len(p) // 2, len(p) - 1):
+            assert space.distance(p[i], q[i]) == _reference_distance(space, p[i], q[i])
+            assert np.array_equal(
+                space.displacement(p[i], q[i]),
+                _reference_displacement(space, p[i], q[i]),
+            )
+            for a, b in ((p[i], q), (p, q[i]), (p[i : i + 1], q), (p, q[i : i + 1])):
+                assert np.array_equal(
+                    space.distance(a, b), _reference_distance(space, a, b)
+                ), name
+                assert np.array_equal(
+                    space.displacement(a, b), _reference_displacement(space, a, b)
+                ), name
+
+
+def test_mapping_torus_distance_nan_rows_stay_nan(flow_const):
+    space = flow_const.space
+    p = np.array([[0.2, 0.3, 0.5], [np.nan, 0.3, 0.5], [0.2, 0.3, np.nan]])
+    q = np.array([[0.21, 0.3, 0.5], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+    for a, b in ((p, q), (q, p)):
+        assert np.array_equal(
+            space.distance(a, b), _reference_distance(space, a, b), equal_nan=True
+        )
+        assert np.array_equal(
+            space.displacement(a, b),
+            _reference_displacement(space, a, b),
+            equal_nan=True,
+        )
