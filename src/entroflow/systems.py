@@ -339,40 +339,80 @@ class MappingTorusSpace:
             raise ValueError("suspension points have 3 chart coordinates")
         p2 = np.atleast_2d(p)
         q2 = np.atleast_2d(q)
-        if p2.shape[0] == 1 and q2.shape[0] > 1:
+        n, m = p2.shape[0], q2.shape[0]
+        if n != m and n != 1 and m != 1:
+            raise ValueError(f"row counts differ: {n} points against {m}")
+        if n == 1 and m != 1:
             p2 = np.broadcast_to(p2, q2.shape)
-        if q2.shape[0] == 1 and p2.shape[0] > 1:
+        if m == 1 and n != 1:
             q2 = np.broadcast_to(q2, p2.shape)
         return p2, q2
 
+    def _lifted_rows(self, p2, q2, d0):
+        """Indices of the rows where a seam lift might beat the identity value d0.
+
+        Every seam lift moves one point's height by a roof value, and
+        Roof guarantees roof(x) >= roof_min > 0, so each lifted chart
+        value is at least roof_min - |p_h - q_h|.  Where d0 + |p_h - q_h|
+        is below roof_min, d0 is therefore the strict minimum of the six
+        lifted values and argmin picks the identity.  The slack, 1e-9
+        times the heights and roof_max involved, covers the rounding of
+        the lifted values, which is a few ulps of the same magnitudes.
+        Rows that fail the test, NaN rows among them, take the full path.
+        """
+        roof = self.flow.roof
+        ph, qh = p2[:, 2], q2[:, 2]
+        slack = 1e-9 * (roof.roof_max + np.abs(ph) + np.abs(qh))
+        return np.flatnonzero(~(d0 + np.abs(ph - qh) + slack < roof.roof_min))
+
     def distance(self, p, q):
-        """Symmetrized lift distance (min over lifts of either argument)."""
+        """Symmetrized lift distance (min over lifts of either argument).
+
+        Only rows picked by _lifted_rows build the three lifts of each
+        point; elsewhere the identity value is the minimum.  It is the
+        same float from either side, because |a - b| = |b - a| exactly,
+        so the result is bitwise the six-lift minimum.
+        """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         p2, q2 = self._rows(p, q)
-        dq = self._chart_dist(p2, self.lift_reps(q2)).min(axis=-1)
-        dp = self._chart_dist(q2, self.lift_reps(p2)).min(axis=-1)
-        out = np.minimum(dq, dp)
+        out = self._chart_dist(p2, q2[:, None, :])[:, 0]
+        far = self._lifted_rows(p2, q2, out)
+        if far.size:
+            pf, qf = p2[far], q2[far]
+            dq = self._chart_dist(pf, self.lift_reps(qf)).min(axis=-1)
+            dp = self._chart_dist(qf, self.lift_reps(pf)).min(axis=-1)
+            out[far] = np.minimum(dq, dp)
         if p.ndim == 1 and q.ndim == 1:
             return float(out[0])
         return out
 
     def displacement(self, p, q):
-        """Chart step from p to the lift of q nearest p, row by row."""
+        """Chart step from p to the lift of q nearest p, row by row.
+
+        As in distance, only rows picked by _lifted_rows compare the three
+        lifts of q; elsewhere the identity step is the argmin.
+        """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         p2, q2 = self._rows(p, q)
-        reps = self.lift_reps(q2)
         # compare in the chart with base wrap handled by wrap_diff
-        diffs = np.concatenate(
-            [
-                wrap_diff(reps[:, :, :2], p2[:, None, :2]),
-                reps[:, :, 2:] - p2[:, None, 2:],
-            ],
-            axis=2,
+        step = np.concatenate(
+            [wrap_diff(q2[:, :2], p2[:, :2]), q2[:, 2:] - p2[:, 2:]], axis=1
         )
-        norms = np.linalg.norm(diffs, axis=2)
-        step = diffs[np.arange(p2.shape[0]), np.argmin(norms, axis=1)]
+        far = self._lifted_rows(p2, q2, np.linalg.norm(step, axis=1))
+        if far.size:
+            pf = p2[far]
+            reps = self.lift_reps(q2[far])
+            diffs = np.concatenate(
+                [
+                    wrap_diff(reps[:, :, :2], pf[:, None, :2]),
+                    reps[:, :, 2:] - pf[:, None, 2:],
+                ],
+                axis=2,
+            )
+            norms = np.linalg.norm(diffs, axis=2)
+            step[far] = diffs[np.arange(far.size), np.argmin(norms, axis=1)]
         if p.ndim == 1 and q.ndim == 1:
             return step[0]
         return step

@@ -419,3 +419,63 @@ def test_mapping_torus_distance_nan_rows_stay_nan(flow_const):
             _reference_displacement(space, a, b),
             equal_nan=True,
         )
+
+
+def _count_lifts(monkeypatch):
+    """Wrap MappingTorusSpace.lift_reps; returns the list of lifted row counts."""
+    calls = []
+    lift_reps = systems.MappingTorusSpace.lift_reps
+
+    def counted(self, pts):
+        calls.append(np.atleast_2d(pts).shape[0])
+        return lift_reps(self, pts)
+
+    monkeypatch.setattr(systems.MappingTorusSpace, "lift_reps", counted)
+    return calls
+
+
+def test_constant_height_polyline_builds_no_lifts(time1, monkeypatch):
+    from entroflow.growth import grow_segment
+
+    calls = _count_lifts(monkeypatch)
+    seg = unstable_segment(time1, np.array([0.2, 0.3, 0.5]), 0.05, spacing=0.005)
+    grown = grow_segment(time1, seg, 3, 0.01)
+    assert np.all((grown.points[:, 2] > 0.1) & (grown.points[:, 2] < 0.9))
+    grown.point_at(np.linspace(0.0, grown.arclength, 50))
+    pts = grown.points
+    time1.space.displacement(pts[:-1], pts[1:])
+    time1.space.distance(pts[0], pts)
+    assert calls == []
+
+
+def test_only_seam_straddling_rows_are_lifted(flow_const, monkeypatch):
+    space = flow_const.space
+    base = np.array([[0.2, 0.3], [0.6, 0.1], [0.45, 0.8], [0.05, 0.5]])
+    near_p = np.column_stack([base, [0.5, 0.2, 0.7, 0.4]])
+    near_q = near_p + 0.003
+    top = np.column_stack([base[:2], [0.999, 0.9995]])
+    glued = np.column_stack([flow_const.base_map.step(base[:2]), [0.001, 0.0005]])
+    p = np.concatenate([near_p[:2], top[:1], near_p[2:], top[1:]])
+    q = np.concatenate([near_q[:2], glued[:1], near_q[2:], glued[1:]])
+    calls = _count_lifts(monkeypatch)
+    d = space.distance(p, q)
+    assert calls == [2, 2]
+    assert np.all(d[[2, 5]] < 0.01)
+    calls.clear()
+    space.displacement(p, q)
+    assert calls == [2]
+    calls.clear()
+    space.distance(near_p, near_q)
+    space.displacement(near_p, near_q)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["distance", "displacement"])
+def test_mapping_torus_row_count_mismatch(flow_const, rng, method):
+    space = flow_const.space
+    p = flow_const.random_points(rng, 4)
+    q = flow_const.random_points(rng, 3)
+    with pytest.raises(ValueError, match="row counts differ: 4 points against 3"):
+        getattr(space, method)(p, q)
+    with pytest.raises(ValueError, match="row counts differ: 3 points against 4"):
+        getattr(space, method)(q, p)
