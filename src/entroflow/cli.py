@@ -60,6 +60,11 @@ def _headline(record):
     return ""
 
 
+def _compute_time(record):
+    seconds = record.timings.get("compute_seconds")
+    return "-" if seconds is None else f"{seconds:.2f}s"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
@@ -110,7 +115,10 @@ def main(argv=None):
             except ValueError as exc:
                 print(f"{path.parent.name[:12]}  (unreadable: {exc})")
                 continue
-            print(f"{record.id[:12]}  {record.experiment:<16} {_headline(record)}")
+            print(
+                f"{record.id[:12]}  {record.experiment:<16} "
+                f"{_compute_time(record):>8}  {_headline(record)}"
+            )
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

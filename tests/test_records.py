@@ -349,6 +349,16 @@ def test_cli_run_verify_list_roundtrip(tmp_path, capsys):
     assert cli.main(["list", "--out", str(out)]) == 0
     listing = capsys.readouterr().out
     assert record_id[:12] in listing and "growth" in listing
+    record_json = out / record_id / "record.json"
+    seconds = json.loads(record_json.read_text())["timings"]["compute_seconds"]
+    assert f" {seconds:.2f}s  rate=" in listing
+
+    # a record without the timing field shows a dash in its place
+    data = json.loads(record_json.read_text())
+    data["timings"] = {}
+    record_json.write_text(json.dumps(data))
+    assert cli.main(["list", "--out", str(out)]) == 0
+    assert "       -  rate=" in capsys.readouterr().out
 
 
 def test_cli_verify_reports_failure(tmp_path, capsys):
