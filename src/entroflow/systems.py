@@ -354,8 +354,8 @@ class MappingTorusSpace:
         Every seam lift moves one point's height by a roof value, and
         Roof guarantees roof(x) >= roof_min > 0, so each lifted chart
         value is at least roof_min - |p_h - q_h|.  Where d0 + |p_h - q_h|
-        is below roof_min, d0 is therefore the strict minimum of the six
-        lifted values and argmin picks the identity.  The slack, 1e-9
+        is below roof_min, d0 is therefore below every lifted value: it
+        is the minimum and argmin picks the identity.  The slack, 1e-9
         times the heights and roof_max involved, covers the rounding of
         the lifted values, which is a few ulps of the same magnitudes.
         Rows that fail the test, NaN rows among them, take the full path.

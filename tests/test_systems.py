@@ -5,6 +5,7 @@ import pytest
 
 from entroflow import systems
 from entroflow.foliation import unstable_segment
+from entroflow.growth import grow_segment
 from entroflow.systems import (
     BaseShear,
     CenterShear,
@@ -435,8 +436,6 @@ def _count_lifts(monkeypatch):
 
 
 def test_constant_height_polyline_builds_no_lifts(time1, monkeypatch):
-    from entroflow.growth import grow_segment
-
     calls = _count_lifts(monkeypatch)
     seg = unstable_segment(time1, np.array([0.2, 0.3, 0.5]), 0.05, spacing=0.005)
     grown = grow_segment(time1, seg, 3, 0.01)
