@@ -47,7 +47,7 @@ class SampleCloud:
     computed once per (system, n) and shared read-only.
     """
 
-    def __init__(self, space, points, provenance="unspecified", restriction="whole_space"):
+    def __init__(self, space, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.size == 0:
             raise ValueError("sample cloud must be nonempty")
@@ -61,8 +61,6 @@ class SampleCloud:
         keep.sort()
         self.points = points[keep]
         self.space = space
-        self.provenance = provenance
-        self.restriction = restriction
         self._orbit_cache = {}
 
     def __len__(self):
@@ -187,12 +185,6 @@ class EntropyEstimate:
     counts: tuple
     diagnostics: dict = field(default_factory=dict, compare=False)
 
-    def count(self, n, delta):
-        for row in self.counts:
-            if row[0] == n and row[1] == delta:
-                return row[2]
-        raise KeyError((n, delta))
-
 
 def _ols_line(xs, ys):
     """Least squares line fit: slope, intercept, slope stderr, max |residual|."""
@@ -313,10 +305,7 @@ def entropy_estimate(
         ]
     rows = [row for column in columns for row in column]
     rate, stderr, window, found = fit_count_table(rows)
-    diagnostics = {
-        "saturated_any": any(r[3] for r in rows),
-        "affine_window_found": found,
-    }
+    diagnostics = {"affine_window_found": found}
     # per-delta slopes over unsaturated rows, for diagnostics
     per_delta = {}
     for delta in delta_schedule:
@@ -325,7 +314,6 @@ def entropy_estimate(
             s, _, _, _ = _ols_line([x for x, _ in sel], [y for _, y in sel])
             per_delta[delta] = s
     diagnostics["per_delta_slopes"] = per_delta
-    diagnostics["monotonicity_violations"] = count_table_violations(rows)
     return EntropyEstimate(
         rate=rate,
         slope_stderr=stderr,
@@ -423,13 +411,13 @@ def exhaustive_max_separated(dn_matrix, delta):
     return best
 
 
-def grid_cloud(sys: SystemHandle, resolution, provenance="grid"):
+def grid_cloud(sys: SystemHandle, resolution):
     """Uniform grid cloud; resolution floor is delta >= 4 * grid step."""
     pts = sys.space.grid(int(resolution))
-    return SampleCloud(sys.space, pts, provenance=provenance)
+    return SampleCloud(sys.space, pts)
 
 
-def random_cloud(sys: SystemHandle, count, seed, provenance="random"):
+def random_cloud(sys: SystemHandle, count, seed):
     rng = np.random.default_rng(seed)
     pts = sys.space.random_points(rng, int(count))
-    return SampleCloud(sys.space, pts, provenance=provenance)
+    return SampleCloud(sys.space, pts)

@@ -21,18 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .systems import (
-    PerturbedHandle,
-    SuspensionFlow,
-    SystemHandle,
-    TimeTMapHandle,
-    ToralMapHandle,
-    wrap_unit,
-)
+from .systems import PerturbedHandle, TimeTMapHandle, ToralMapHandle, wrap_unit
 
 __all__ = [
-    "FoliationConfig",
-    "DEFAULT_CONFIG",
     "LeafSegment",
     "ProductBox",
     "CenterExpansionReport",
@@ -48,25 +39,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FoliationConfig:
-    """Constants for leaf construction and the foliation checks.
+# The caps and bounds have no canonical values; these are the ones the
+# test suite and the packaged experiments run with.
 
-    The caps and bounds have no canonical values; the defaults here are
-    the ones the test suite and the packaged experiments run with.
-    """
-
-    center_radius_cap: float = 2.0  # longest center arc handed out
-    center_length_min: float = 0.5  # expected lower bound on image arcs
-    center_length_max: float = 2.0  # expected upper bound on image arcs
-    box_delta_cap: float = 0.05  # product boxes refuse larger radii
-    density_radius_bound: float = 0.1  # covering-radius target
-    chart_radius: float = 0.2  # local-chart validity scale
-    refine_tol: float = 1e-7  # graph-transform convergence gap
-    max_refinements: int = 60
-
-
-DEFAULT_CONFIG = FoliationConfig()
+#: longest center arc handed out
+CENTER_RADIUS_CAP = 2.0
+#: expected lower and upper bounds on image center arcs
+CENTER_LENGTH_MIN = 0.5
+CENTER_LENGTH_MAX = 2.0
+#: product boxes refuse larger radii
+BOX_DELTA_CAP = 0.05
+#: covering-radius target of the density check
+DENSITY_RADIUS_BOUND = 0.1
+#: local-chart validity scale of the center holonomy
+CHART_RADIUS = 0.2
+#: graph-transform convergence gap, reached within MAX_REFINEMENTS depths
+REFINE_TOL = 1e-7
+MAX_REFINEMENTS = 60
 
 
 # --------------------------------------------------------------------------
@@ -75,13 +64,6 @@ DEFAULT_CONFIG = FoliationConfig()
 
 def _canonical_point(sys, x):
     return sys.space.canonicalize(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-
-def _flow_each(fl, pts, ts):
-    """Flow each chart point by its own time (vectorized height shift)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-    pts[:, 2] += np.asarray(ts, dtype=float)
-    return fl.canonicalize(pts)
 
 
 def _quad_interp(xs, ys, q):
@@ -174,10 +156,6 @@ class LeafSegment:
             w = (a - lo) / (hi - lo)
             out = self.space.lerp(self.points[i], self.points[i + 1], w[:, None])
         return out[0] if scalar else out
-
-    def table(self):
-        """Plot-ready array: arc coordinate first, chart coordinates after."""
-        return np.column_stack([self.arc_coords, self.points])
 
 
 def _segment(
@@ -313,13 +291,13 @@ def _arc_march(curve, space, radius, spacing):
     return np.array(neg[:0:-1] + pos)
 
 
-def unstable_segment(sys, x, radius, spacing=None, config=DEFAULT_CONFIG):
+def unstable_segment(sys, x, radius, spacing=None):
     """Unstable-leaf piece of arclength 2*radius centered at x.
 
     Toral and time-t suspension handles use the closed form (eigenline plus
     height series); perturbed handles refine the reference leaf through a
     backward graph transform until successive candidates agree below
-    config.refine_tol.
+    REFINE_TOL.
     """
     radius = float(radius)
     if radius < 0:
@@ -342,7 +320,7 @@ def unstable_segment(sys, x, radius, spacing=None, config=DEFAULT_CONFIG):
             return _eigenline_segment(
                 sys, sys.reference_flow, x, radius, spacing, stable=False
             )
-        return _graph_transform_unstable(sys, x, radius, spacing, config)
+        return _graph_transform_unstable(sys, x, radius, spacing)
     raise ValueError("system exposes no unstable direction")
 
 
@@ -480,13 +458,13 @@ def _matched_arc_gap(a, a_center, b, b_center):
     return float(np.max(gaps))
 
 
-def _graph_transform_unstable(sys, x, radius, spacing, config):
+def _graph_transform_unstable(sys, x, radius, spacing):
     """Backward graph transform for the unstable leaf of a perturbed map.
 
     Seeds with the reference leaf along the backward orbit of x, pushes it
     forward with refinement and trimming, and deepens until successive
-    candidates agree below config.refine_tol.  Raises after
-    config.max_refinements with the last gap when contraction fails.
+    candidates agree below REFINE_TOL.  Raises after MAX_REFINEMENTS
+    with the last gap when contraction fails.
     """
     fl = sys.reference_flow
     t_ref = sys.reference.t
@@ -495,7 +473,7 @@ def _graph_transform_unstable(sys, x, radius, spacing, config):
     gaps = []
     prev = None
     xk = x.copy()
-    for depth in range(1, config.max_refinements + 1):
+    for depth in range(1, MAX_REFINEMENTS + 1):
         xk = sys.step_back(xk[None, :])[0]
         seed_r = max(radius * margin / per_step ** depth, 6.0 * spacing)
         for _ in range(10):
@@ -525,11 +503,11 @@ def _graph_transform_unstable(sys, x, radius, spacing, config):
         if prev is not None:
             gap = _matched_arc_gap(cand, cand_center, *prev)
             gaps.append(gap)
-            if gap < config.refine_tol:
+            if gap < REFINE_TOL:
                 return replace(cand, refine_gaps=tuple(gaps))
         prev = (cand, cand_center)
     raise RuntimeError(
-        f"graph transform did not converge in {config.max_refinements} "
+        f"graph transform did not converge in {MAX_REFINEMENTS} "
         f"refinements; last gap {gaps[-1] if gaps else float('nan'):.3g}"
     )
 
@@ -546,7 +524,7 @@ def _require_center(sys):
         )
 
 
-def center_segment(sys, x, length, spacing=None, config=DEFAULT_CONFIG):
+def center_segment(sys, x, length):
     """Center-leaf arc: the flow segment from x of the requested arclength.
 
     Center arclength equals flow time, so vertices sit at evenly spaced
@@ -554,17 +532,13 @@ def center_segment(sys, x, length, spacing=None, config=DEFAULT_CONFIG):
     """
     _require_center(sys)
     length = float(length)
-    if abs(length) > config.center_radius_cap + 1e-12:
-        raise ValueError(
-            f"center arcs are capped at length {config.center_radius_cap}"
-        )
+    if abs(length) > CENTER_RADIUS_CAP + 1e-12:
+        raise ValueError(f"center arcs are capped at length {CENTER_RADIUS_CAP}")
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
     if length == 0:
         return _segment("center", sys.space, x[None, :], 1.0)
-    if spacing is None:
-        spacing = abs(length) / 16.0
-    spacing = min(spacing, fl.roof.roof_min / 4.0)
+    spacing = min(abs(length) / 16.0, fl.roof.roof_min / 4.0)
     count = int(math.ceil(abs(length) / spacing))
     times = np.linspace(0.0, length, count + 1)
     pts = np.stack([fl.flow(x, t) for t in times])
@@ -595,7 +569,7 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
     ts = np.full(pts.shape[0], float(t0))
     res = None
     for _ in range(12):
-        W = _flow_each(fl, pts, ts)
+        W = fl.flow(pts, ts)
         rel = space.displacement(origin, W)
         tau = rel[:, :2] @ v
         pad = 0.02 * (taus_leaf[-1] - taus_leaf[0])
@@ -608,12 +582,12 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
         if float(np.max(np.abs(res[:, 2]))) < 1e-12:
             break
         ts = ts - res[:, 2]
-    W = _flow_each(fl, pts, ts)
+    W = fl.flow(pts, ts)
     worst = float(np.max(np.linalg.norm(res, axis=1))) if res is not None else 0.0
     return W, ts, worst
 
 
-def center_holonomy(sys, x, y, u_points, depth, config=DEFAULT_CONFIG):
+def center_holonomy(sys, x, y, u_points, depth):
     """Transport points on the unstable leaf of x to the unstable leaf of
     y, for y on the center leaf through x.
 
@@ -642,26 +616,26 @@ def center_holonomy(sys, x, y, u_points, depth, config=DEFAULT_CONFIG):
     # the chart constrains the unstable data, not the center separation:
     # sliding along flow lines is globally defined
     spread = float(np.max(np.atleast_1d(sys.distance(ud, xd[None, :]))))
-    if spread > config.chart_radius:
+    if spread > CHART_RADIUS:
         raise ValueError(
             f"pulled-back unstable spread {spread:.3g} exceeds the local "
-            f"chart radius {config.chart_radius}; increase depth"
+            f"chart radius {CHART_RADIUS}; increase depth"
         )
     t0 = fl.center_time(xd, yd)
     if t0 is None:
         raise RuntimeError("center pairing lost while pulling back")
     # size the target leaf from the flown points' eigenline extent
     v = fl.base_map.unstable_direction
-    W0 = _flow_each(fl, ud, np.full(ud.shape[0], t0))
+    W0 = fl.flow(ud, np.full(ud.shape[0], t0))
     tau0 = sys.space.displacement(yd, W0)[:, :2] @ v
     leaf_r = 1.5 * float(np.max(np.abs(tau0))) + 32.0 * 1e-6
-    if leaf_r > config.chart_radius:
+    if leaf_r > CHART_RADIUS:
         raise ValueError(
             f"transported unstable extent {leaf_r:.3g} exceeds the local "
-            f"chart radius {config.chart_radius}; increase depth"
+            f"chart radius {CHART_RADIUS}; increase depth"
         )
     leaf_r = max(leaf_r, 1e-4)
-    leaf = unstable_segment(sys, yd, leaf_r, spacing=leaf_r / 40.0, config=config)
+    leaf = unstable_segment(sys, yd, leaf_r, spacing=leaf_r / 40.0)
     met, _ts, _res = _slide_to_leaf(fl, sys.space, ud, leaf, yd, t0)
     out = met
     for _ in range(depth):
@@ -669,19 +643,18 @@ def center_holonomy(sys, x, y, u_points, depth, config=DEFAULT_CONFIG):
     return sys.space.canonicalize(out)
 
 
-def holonomy_equivariance_gap(sys, x, y, u_points, depth, config=DEFAULT_CONFIG):
+def holonomy_equivariance_gap(sys, x, y, u_points, depth):
     """Max distance between map-then-transport and transport-then-map."""
     x = _canonical_point(sys, x)
     y = _canonical_point(sys, y)
     u = sys.space.canonicalize(np.atleast_2d(np.asarray(u_points, dtype=float)))
-    a = sys.step(center_holonomy(sys, x, y, u, depth, config=config))
+    a = sys.step(center_holonomy(sys, x, y, u, depth))
     b = center_holonomy(
         sys,
         sys.step(x[None, :])[0],
         sys.step(y[None, :])[0],
         sys.step(u),
         depth,
-        config=config,
     )
     return float(np.max(np.atleast_1d(sys.distance(a, b))))
 
@@ -700,9 +673,7 @@ class CenterExpansionReport:
     passed: bool
 
 
-def center_nonexpansion_check(
-    sys, samples=100, horizon=50, rng_seed=0, config=DEFAULT_CONFIG
-):
+def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
     """Worst center-arclength ratio of nearby center-leaf pairs under
     iteration, both forward and backward.
 
@@ -712,13 +683,13 @@ def center_nonexpansion_check(
     height-sheared maps).  Tracking the offset instead of re-pairing two
     float orbits keeps the ratios meaningful over long horizons, where
     independently iterated orbits would decorrelate.  Report-only: the
-    passed flag compares against center_length_max / center_length_min.
+    passed flag compares against CENTER_LENGTH_MAX / CENTER_LENGTH_MIN.
     """
     _require_center(sys)
     fl = sys.reference_flow
     rng = np.random.default_rng(rng_seed)
     X = fl.random_points(rng, samples)
-    offs = rng.uniform(0.05, config.center_length_min, samples)
+    offs = rng.uniform(0.05, CENTER_LENGTH_MIN, samples)
     offs *= rng.choice([-1.0, 1.0], samples)
     base = np.abs(offs)
     eps = float(getattr(sys, "epsilon", 0.0))
@@ -759,7 +730,7 @@ def center_nonexpansion_check(
 
     fwd = sweep(True)
     bwd = sweep(False)
-    bound = config.center_length_max / config.center_length_min
+    bound = CENTER_LENGTH_MAX / CENTER_LENGTH_MIN
     return CenterExpansionReport(
         max_ratio_forward=fwd,
         max_ratio_backward=bwd,
@@ -801,7 +772,7 @@ def _axis_offsets(delta, count):
     return np.linspace(-delta, delta, count)
 
 
-def build_product_box(sys, x, delta, samples_per_axis, config=DEFAULT_CONFIG):
+def build_product_box(sys, x, delta, samples_per_axis):
     """Sample the local product structure at x with radius delta.
 
     Intersections are found by sliding center leaves onto tabulated
@@ -812,10 +783,10 @@ def build_product_box(sys, x, delta, samples_per_axis, config=DEFAULT_CONFIG):
     delta = float(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if delta > config.box_delta_cap + 1e-12:
+    if delta > BOX_DELTA_CAP + 1e-12:
         raise ValueError(
             f"delta {delta} is above the product-box cap "
-            f"{config.box_delta_cap}; use a smaller delta"
+            f"{BOX_DELTA_CAP}; use a smaller delta"
         )
     k = int(samples_per_axis)
     if k < 1:
@@ -825,22 +796,20 @@ def build_product_box(sys, x, delta, samples_per_axis, config=DEFAULT_CONFIG):
     u_offs = _axis_offsets(delta, k)
     c_offs = _axis_offsets(delta, k)
     s_offs = _axis_offsets(delta, k)
-    u_leaf = unstable_segment(sys, x, delta, spacing=delta / 20.0, config=config)
+    u_leaf = unstable_segment(sys, x, delta, spacing=delta / 20.0)
     x_u = u_leaf.point_at(u_leaf.arclength / 2.0 + u_offs)
     a_rows = []
     worst = 0.0
     for j, c in enumerate(c_offs):
         x_c = fl.flow(x, c)
-        leaf_j = unstable_segment(
-            sys, x_c, 1.4 * delta + 1e-4, spacing=delta / 20.0, config=config
-        )
+        leaf_j = unstable_segment(sys, x_c, 1.4 * delta + 1e-4, spacing=delta / 20.0)
         met, _ts, res = _slide_to_leaf(fl, sys.space, x_u, leaf_j, x_c, c)
         worst = max(worst, res)
         a_rows.append(met)
     # a_samples ordered with the unstable index major, center index minor
     a_samples = np.stack(a_rows, axis=1).reshape(k * k, -1)
     fibers = [
-        _stable_fiber(fl, a, s_offs) for a in a_samples
+        _suspension_leaf_points(fl, a, s_offs, stable=True) for a in a_samples
     ]
     d_samples = np.concatenate(fibers, axis=0)
     if worst > 1e-8:
@@ -860,10 +829,6 @@ def build_product_box(sys, x, delta, samples_per_axis, config=DEFAULT_CONFIG):
     )
 
 
-def _stable_fiber(fl, p, sigmas):
-    return _suspension_leaf_points(fl, np.asarray(p, dtype=float), sigmas, stable=True)
-
-
 # --------------------------------------------------------------------------
 # density of center-saturated unstable leaves
 
@@ -880,23 +845,20 @@ class DensityReport:
     passed: bool
 
 
-def density_check(
-    sys, x, center_radius, leaf_radius, probe_points,
-    spacing=None, config=DEFAULT_CONFIG,
-):
+def density_check(sys, x, center_radius, leaf_radius, probe_points):
     """Covering radius of the center-saturated unstable leaf over a probe
     grid; the finite surrogate for density of the center-unstable plaque.
 
-    Samples sit at integer multiples of the spacing along the eigenline
-    and the flow, so sample sets are nested across leaf radii and the
-    covering radius cannot increase when the leaf grows.  Distances are
-    Euclidean over the wrap and seam lifts of every sample.
+    Samples sit at integer multiples of the spacing, a quarter of
+    DENSITY_RADIUS_BOUND, along the eigenline and the flow, so sample sets
+    are nested across leaf radii and the covering radius cannot increase
+    when the leaf grows.  Distances are Euclidean over the wrap and seam
+    lifts of every sample.
     """
     _require_center(sys)
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
-    if spacing is None:
-        spacing = config.density_radius_bound / 4.0
+    spacing = DENSITY_RADIUS_BOUND / 4.0
     ku = int(math.floor(leaf_radius / spacing + 1e-9))
     kc = int(math.floor(center_radius / spacing + 1e-9))
     taus = np.arange(-ku, ku + 1) * spacing
@@ -921,6 +883,6 @@ def density_check(
         leaf_radius=float(leaf_radius),
         center_radius=float(center_radius),
         spacing=float(spacing),
-        bound=config.density_radius_bound,
-        passed=cov <= config.density_radius_bound + 1e-12,
+        bound=DENSITY_RADIUS_BOUND,
+        passed=cov <= DENSITY_RADIUS_BOUND + 1e-12,
     )

@@ -128,16 +128,12 @@ def unstable_rate_estimate(
     N_schedule,
     spacing=None,
     vertex_budget=DEFAULT_VERTEX_BUDGET,
-    seed_segment=None,
-    config=foliation.DEFAULT_CONFIG,
 ):
     """Grow the radius-delta unstable disk at x and fit a rate to disk counts.
 
     At every N in the increasing schedule the grown segment is packed by
     disjoint radius-2*delta disks in the leaf metric; the rate is the
     least-squares slope of log(count) against N over the positive counts.
-    seed_segment overrides the closed-form unstable segment when the
-    caller wants to grow a hand-built polyline.
     """
     schedule = [int(n) for n in N_schedule]
     if not schedule:
@@ -153,10 +149,7 @@ def unstable_rate_estimate(
     if spacing > delta / 10.0 + 1e-12:
         raise ValueError("spacing must be at most delta/10 to resolve the packing")
     x = np.asarray(x, dtype=float)
-    if seed_segment is not None:
-        seg = seed_segment
-    else:
-        seg = foliation.unstable_segment(sys, x, delta, config=config)
+    seg = foliation.unstable_segment(sys, x, delta)
     two_delta = 2.0 * delta
     counts, lengths, centers, arcs = [], [], [], []
     prev = 0
@@ -206,41 +199,28 @@ def disk_vs_box_comparison(
     x,
     delta,
     n_schedule,
-    delta_schedule=None,
     samples_per_axis=10,
     disk_samples=1000,
     order_seed=0,
     tolerance=0.1,
-    config=foliation.DEFAULT_CONFIG,
 ):
     """Compare separated-set rates of a product box and an unstable disk.
 
     Both clouds are anchored at x with scale delta: the box cloud is the
     full product-box sample grid, the disk cloud samples the radius-delta
     unstable segment uniformly in arclength.  Each cloud runs through the
-    same entropy estimate schedules; counts default to separation scale
+    same entropy estimate schedules; counts run at separation scale
     delta/2, one notch below the box scale, so the box interior is
     resolved.  The report passes when the two rates differ by at most
     the tolerance.
     """
     x = np.asarray(x, dtype=float)
-    if delta_schedule is None:
-        delta_schedule = (float(delta) / 2.0,)
-    box = foliation.build_product_box(sys, x, delta, samples_per_axis, config)
-    box_cloud = SampleCloud(
-        sys.space,
-        box.d_samples,
-        provenance=f"product box at scale {delta:g}",
-        restriction="product_box",
-    )
-    seg = foliation.unstable_segment(sys, x, delta, config=config)
+    delta_schedule = (float(delta) / 2.0,)
+    box = foliation.build_product_box(sys, x, delta, samples_per_axis)
+    box_cloud = SampleCloud(sys.space, box.d_samples)
+    seg = foliation.unstable_segment(sys, x, delta)
     disk_pts = seg.point_at(np.linspace(0.0, seg.arclength, int(disk_samples)))
-    disk_cloud = SampleCloud(
-        sys.space,
-        disk_pts,
-        provenance=f"unstable disk at scale {delta:g}",
-        restriction="unstable_disk",
-    )
+    disk_cloud = SampleCloud(sys.space, disk_pts)
     disk_est = entropy_estimate(sys, disk_cloud, n_schedule, delta_schedule, order_seed)
     box_est = entropy_estimate(sys, box_cloud, n_schedule, delta_schedule, order_seed)
     diff = box_est.rate - disk_est.rate
@@ -264,39 +244,22 @@ class ContinuityCurve:
     modulus: float
     curves: tuple
 
-    def table(self):
-        """Rows (epsilon, rate, stderr)."""
-        return [tuple(row) for row in self.entries]
 
-
-_ESTIMATOR_KEYS = {"x", "delta", "N_schedule", "spacing", "vertex_budget"}
-
-
-def continuity_probe(family, eps_schedule, estimator_config):
+def continuity_probe(family, eps_schedule, x, delta, N_schedule):
     """Rate curve of a one-parameter family of systems.
 
     family maps a parameter value to a system handle; every member is
-    probed by unstable_rate_estimate from the same base chart
-    coordinates, which for the built-in families is the nearest-point
-    transport between perturbed systems.  The modulus is the largest
-    rate jump between consecutive parameter values.
+    probed by unstable_rate_estimate at (x, delta, N_schedule) from the
+    same base chart coordinates, which for the built-in families is the
+    nearest-point transport between perturbed systems.  The modulus is
+    the largest rate jump between consecutive parameter values.
     """
     eps_values = [float(e) for e in eps_schedule]
     if not eps_values:
         raise ValueError("eps_schedule must be nonempty")
-    cfg = dict(estimator_config)
-    unknown = set(cfg) - _ESTIMATOR_KEYS
-    if unknown:
-        raise ValueError(f"unknown estimator_config key: {sorted(unknown)[0]!r}")
-    for key in ("x", "delta", "N_schedule"):
-        if key not in cfg:
-            raise ValueError(f"estimator_config missing required key {key!r}")
-    x = np.asarray(cfg.pop("x"), dtype=float)
-    delta = float(cfg.pop("delta"))
-    schedule = cfg.pop("N_schedule")
     entries, curves = [], []
     for eps in eps_values:
-        curve = unstable_rate_estimate(family(eps), x, delta, schedule, **cfg)
+        curve = unstable_rate_estimate(family(eps), x, delta, N_schedule)
         entries.append((eps, curve.rate, curve.rate_stderr))
         curves.append(curve)
     rates = [row[1] for row in entries]

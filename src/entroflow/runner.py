@@ -105,11 +105,9 @@ def _run_continuity(cfg, workers):
     curve = growth.continuity_probe(
         lambda eps: systems.PerturbedHandle(reference, eps, shape),
         list(cfg.eps_schedule),
-        {
-            "x": np.asarray(cfg.x, dtype=float),
-            "delta": cfg.delta,
-            "N_schedule": list(cfg.N_schedule),
-        },
+        np.asarray(cfg.x, dtype=float),
+        cfg.delta,
+        list(cfg.N_schedule),
     )
     results = {
         "entries": [list(row) for row in curve.entries],

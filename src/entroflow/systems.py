@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 _EIG_TOL = 1e-9
+#: center_time scans this many roof crossings each way and matches bases
+#: within the tolerance
+_CENTER_TIME_CROSSINGS = 12
+_CENTER_TIME_TOL = 1e-8
+#: PerturbedHandle rejects a shear whose derivative determinant reaches the
+#: floor on a chart grid of this step
+_DET_GRID_STEP = 1.0 / 64.0
+_DET_FLOOR = 0.1
 
 
 def wrap_unit(x):
@@ -250,7 +258,7 @@ class SuspensionFlow:
         h = rng.random(count) * self.roof.value(base)
         return np.concatenate([base, h[:, None]], axis=1)
 
-    def center_time(self, p, q, max_crossings=12, tol=1e-8):
+    def center_time(self, p, q):
         """Flow time t with flow(p, t) = q, or None if q is off the flow line.
 
         Candidates are the crossing counts k with A^k base(p) = base(q);
@@ -263,8 +271,8 @@ class SuspensionFlow:
         best = None
         base = p[:2].copy()
         acc = 0.0  # sum of roofs crossed going up
-        for k in range(0, max_crossings + 1):
-            if torus_distance(base, q[:2]) < tol:
+        for k in range(0, _CENTER_TIME_CROSSINGS + 1):
+            if torus_distance(base, q[:2]) < _CENTER_TIME_TOL:
                 t = q[2] - p[2] + acc
                 if best is None or abs(t) < abs(best):
                     best = t
@@ -272,10 +280,10 @@ class SuspensionFlow:
             base = self.base_map.step(base)
         base = p[:2].copy()
         acc = 0.0
-        for _ in range(max_crossings):
+        for _ in range(_CENTER_TIME_CROSSINGS):
             base = self.base_map.step_back(base)
             acc -= float(self.roof.value(base))
-            if torus_distance(base, q[:2]) < tol:
+            if torus_distance(base, q[:2]) < _CENTER_TIME_TOL:
                 t = q[2] - p[2] + acc
                 if best is None or abs(t) < abs(best):
                     best = t
@@ -684,7 +692,6 @@ class PerturbedHandle(SystemHandle):
         self.reference = reference
         self.epsilon = epsilon
         self.shape = shape
-        self.eps_max = eps_max
         self.space = reference.space
         self.preserves_center_leaves = shape.shape_id == "center_shear"
         self._check_determinant_grid()
@@ -701,11 +708,11 @@ class PerturbedHandle(SystemHandle):
             self.shape.describe(),
         )
 
-    def _check_determinant_grid(self, step=1.0 / 64.0, floor=0.1):
+    def _check_determinant_grid(self):
         """Shear derivative determinant on a chart grid with step 1/64."""
         c = self.reference.suspension.roof.constant
-        ax = np.arange(0.0, 1.0, step)
-        hs = np.arange(0.0, c, step * c)
+        ax = np.arange(0.0, 1.0, _DET_GRID_STEP)
+        hs = np.arange(0.0, c, _DET_GRID_STEP * c)
         if self.shape.shape_id == "center_shear":
             # det D(shear) = 1 + eps sigma'(s); x-independent but evaluated
             # on the full lattice per the verification-grid contract
@@ -714,11 +721,10 @@ class PerturbedHandle(SystemHandle):
         else:
             dets = np.ones((ax.size * ax.size, hs.size))
         m = float(np.min(dets))
-        if m <= floor:
+        if m <= _DET_FLOOR:
             raise ValueError(
-                f"shear derivative determinant reaches {m:.3g} <= {floor} on the check grid"
+                f"shear derivative determinant reaches {m:.3g} <= {_DET_FLOOR} on the check grid"
             )
-        self.min_shear_determinant = m
 
     # --- shear and its inverse --------------------------------------------
     def shear(self, pts):

@@ -5,7 +5,6 @@ import pytest
 
 from entroflow import systems
 from entroflow.foliation import (
-    FoliationConfig,
     build_product_box,
     center_holonomy,
     center_nonexpansion_check,
@@ -166,12 +165,6 @@ def test_density_covering_radius_shrinks(time1):
 def test_unstable_segment_radius_validation(cat):
     with pytest.raises(ValueError, match=">= 0"):
         unstable_segment(cat, np.array([0.2, 0.3]), -0.1)
-
-
-def test_config_is_frozen():
-    cfg = FoliationConfig()
-    with pytest.raises(Exception):
-        cfg.chart_radius = 1.0
 
 
 def reference_point_at(seg, arc):

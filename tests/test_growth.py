@@ -185,7 +185,9 @@ def test_continuity_probe_commuting_family_flat(time1):
     curve = continuity_probe(
         lambda eps: PerturbedHandle(time1, eps, shape),
         (0.0, 0.02),
-        {"x": (0.2, 0.3, 0.37), "delta": 0.05, "N_schedule": [1, 2, 3, 4, 5]},
+        (0.2, 0.3, 0.37),
+        0.05,
+        [1, 2, 3, 4, 5],
     )
     rates = [row[1] for row in curve.entries]
     assert rates[0] == pytest.approx(rates[1], abs=1e-12)
@@ -199,12 +201,10 @@ def test_continuity_probe_validation(time1):
     shape = CenterShear()
     family = lambda eps: PerturbedHandle(time1, eps, shape)
     with pytest.raises(ValueError, match="nonempty"):
-        continuity_probe(family, (), {"x": (0.2, 0.3, 0.37), "delta": 0.05, "N_schedule": [1, 2]})
-    with pytest.raises(ValueError, match="wrong_key"):
+        continuity_probe(family, (), (0.2, 0.3, 0.37), 0.05, [1, 2])
+    with pytest.raises(TypeError, match="wrong_key"):
         continuity_probe(
-            family,
-            (0.0,),
-            {"x": (0.2, 0.3, 0.37), "delta": 0.05, "N_schedule": [1, 2], "wrong_key": 1},
+            family, (0.0,), x=(0.2, 0.3, 0.37), delta=0.05, N_schedule=[1, 2], wrong_key=1
         )
 
 

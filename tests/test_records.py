@@ -258,6 +258,34 @@ def test_verify_replays_continuity_rates(continuity_run, tmp_path):
     assert all("csv" not in f and "modulus" not in f for f in report.failures)
 
 
+def test_verify_replays_growth_log_count(growth_run, tmp_path):
+    record, rdir = growth_run
+
+    def edit(results):
+        row = results["growth_table"][-1]
+        row[2] = _nudge(row[2])
+
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "growth.csv")
+    write_csv(tmp_path / "clone" / "growth.csv", header, data["results"]["growth_table"])
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    n = data["results"]["growth_table"][-1][0]
+    assert list(report.failures) == [f"growth_table: log_count mismatch at N={n}"]
+
+
+def test_verify_replays_continuity_modulus(continuity_run, tmp_path):
+    record, rdir = continuity_run
+
+    def edit(results):
+        results["modulus"] = _nudge(results["modulus"])
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert [f for f in report.failures if f.startswith("modulus:")], report.failures
+
+
 def test_identity_system_estimate_rate_zero(tmp_path):
     cfg = EstimateConfig(
         system=SystemConfig(matrix=((1,),)),

@@ -83,11 +83,17 @@ def test_roof_rejects_bad_coefficients():
         Roof(1.0, [((1, 0), 0.6), ((0, 1), 0.5)])
 
 
-def test_flow_additivity(flow_trig, rng):
+def test_flow_additivity(flow_const, flow_trig, rng):
     pts = flow_trig.random_points(rng, 40)
     one = flow_trig.flow(flow_trig.flow(pts, 0.4), 0.7)
     two = flow_trig.flow(pts, 1.1)
     assert float(np.max(flow_trig.space.distance(one, two))) < 1e-10
+    # a per-point time array flows each row as the scalar call would
+    for fl in (flow_const, flow_trig):
+        pts = fl.random_points(rng, 500)
+        ts = rng.uniform(-3.0, 3.0, 500)
+        rows = np.stack([fl.flow(p, t) for p, t in zip(pts, ts)])
+        assert np.array_equal(fl.flow(pts, ts), rows)
 
 
 def test_flow_zero_is_identity(flow_const, rng):
