@@ -250,13 +250,35 @@ def _column_counts(system, cloud, n_schedule, delta, order_seed):
     return rows
 
 
-#: read by forked column workers; set just before the pool starts
-_COLUMN_STATE = None
+#: the function forked workers apply; set just before a pool starts
+_FORK_FN = None
 
 
-def _forked_column(delta):  # pragma: no cover - runs inside worker processes
-    system, cloud, n_schedule, order_seed = _COLUMN_STATE
-    return _column_counts(system, cloud, n_schedule, delta, order_seed)
+def _forked_call(item):  # pragma: no cover - runs inside worker processes
+    return _FORK_FN(item)
+
+
+def _fork_map(fn, items, workers):
+    """[fn(item) for item in items], farmed to forked worker processes.
+
+    With workers > 1 (capped at the item count) and the fork start method
+    available, workers inherit fn and everything it reads copy-on-write,
+    so fn may be a closure; only items and results are pickled.  Results
+    come back in item order, so a deterministic fn gives the same list for
+    any worker count.
+    """
+    global _FORK_FN
+    items = list(items)
+    use_workers = min(int(workers), len(items))
+    if use_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    _FORK_FN = fn
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=use_workers, mp_context=ctx) as pool:
+            return list(pool.map(_forked_call, items))
+    finally:
+        _FORK_FN = None
 
 
 def entropy_estimate(
@@ -288,21 +310,11 @@ def entropy_estimate(
     # warm the caches once; forked workers inherit the tables copy-on-write
     cloud.rep_table(sys, n_max)
     N = len(cloud)
-    use_workers = min(int(workers), len(delta_schedule))
-    if use_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        global _COLUMN_STATE
-        _COLUMN_STATE = (sys, cloud, list(n_schedule), order_seed)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=use_workers, mp_context=ctx) as pool:
-                columns = list(pool.map(_forked_column, delta_schedule))
-        finally:
-            _COLUMN_STATE = None
-    else:
-        columns = [
-            _column_counts(sys, cloud, n_schedule, delta, order_seed)
-            for delta in delta_schedule
-        ]
+    columns = _fork_map(
+        lambda delta: _column_counts(sys, cloud, n_schedule, delta, order_seed),
+        delta_schedule,
+        workers,
+    )
     rows = [row for column in columns for row in column]
     rate, stderr, window, found = fit_count_table(rows)
     diagnostics = {"affine_window_found": found}

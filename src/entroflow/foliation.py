@@ -368,6 +368,11 @@ class VertexBudgetExceeded(RuntimeError):
             f"(needs {needed} vertices); completed {self.reached_step} steps"
         )
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so that the error
+        # survives the pickling back from a forked worker
+        return type(self), (self.step_index, self.needed, self.budget)
+
 
 def refine_step(sys, pts, spacing, budget=None, step_index=1):
     """One forward step of a polyline with adaptive midpoint insertion.
@@ -379,31 +384,140 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     halve each pass, so the loop ends after about log2 of the expansion
     factor passes; only the edges a pass creates are measured.
 
+    Passes only append: vertex ids number the input vertices, then each
+    pass's midpoints, and an edge is a pair of ids.  The vertices are put
+    in polyline order once at the end, by a dyadic key: the input edge a
+    vertex lies on, then its position along that edge as a 64-bit binary
+    fraction.
+
     Returns (images, chords, index): the refined image polyline, its edge
     chords, and the position in `images` of every input vertex.  Raises
     VertexBudgetExceeded, tagged with step_index, when the refined
     polyline would need more than `budget` vertices.
     """
+    img, keys, finals = _bisection_passes(sys, pts, spacing, budget, step_index)
+    n0 = img.parts[0].shape[0]
+    order = np.lexsort(
+        (np.concatenate([f for _, f in keys]), np.concatenate([e for e, _ in keys]))
+    )
+    keys.clear()  # drop the key parts before the gather
+    imgs = np.take(img.pop_concatenated(), order, axis=0)
+    # a final chord is filed under the id of its edge's first vertex
+    by_id = np.empty(order.size)
+    for ids, part in finals:
+        by_id[ids] = part
+    # the input vertices keep their relative order
+    return imgs, np.take(by_id, order[:-1]), np.flatnonzero(order < n0)
+
+
+def _bisection_passes(sys, pts, spacing, budget, step_index):
+    """The passes of refine_step, with every vertex kept in pass order.
+
+    Returns the images by id (_Parts), the (input edge, fraction) key
+    parts of the input vertices and of each pass's midpoints, and the
+    (first vertex ids, chords) of the edges each pass left whole.
+    """
     space = sys.space
-    imgs = np.atleast_2d(sys.step(pts))
-    chords = _chords(space, imgs)
-    index = np.arange(imgs.shape[0])
+    pre = _Parts(pts)
+    img = _Parts(np.atleast_2d(sys.step(pts)))
+    n0 = img.total
+    keys = [(np.arange(n0), np.zeros(n0, dtype=np.uint64))]
+    finals = []
+    # the edges this pass may bisect: at first edge j joins vertices j and
+    # j + 1; later they are the halves of the last pass's bisected edges,
+    # all of dyadic width 2 * half
+    chords = _chords(space, img.parts[0])
+    halves = None
+    half = np.uint64(1 << 63)
     for _ in range(64):
-        bad = np.flatnonzero(chords > spacing)
+        over = chords > spacing
+        bad, good = np.flatnonzero(over), np.flatnonzero(~over)
+        if halves is None:
+            finals.append((good, chords[good]))
+            lo, hi, edge, frac = bad, bad + 1, bad, np.zeros(bad.size, np.uint64)
+        else:
+            finals.append((halves.lo_ids(good), chords[good]))
+            lo, hi, edge, frac = halves.edges(bad)
         if bad.size == 0:
-            return imgs, chords, index
-        if budget is not None and imgs.shape[0] + bad.size > budget:
-            raise VertexBudgetExceeded(step_index, imgs.shape[0] + bad.size, budget)
-        mids = space.lerp(pts[bad], pts[bad + 1], 0.5)
+            return img, keys, finals
+        if budget is not None and img.total + bad.size > budget:
+            raise VertexBudgetExceeded(step_index, img.total + bad.size, budget)
+        mids = space.lerp(pre.rows(lo), pre.rows(hi), 0.5)
         mid_imgs = np.atleast_2d(sys.step(mids))
-        left = np.atleast_1d(space.distance(imgs[bad], mid_imgs))
-        right = np.atleast_1d(space.distance(mid_imgs, imgs[bad + 1]))
-        chords[bad] = left
-        chords = np.insert(chords, bad + 1, right)
-        imgs = np.insert(imgs, bad + 1, mid_imgs, axis=0)
-        pts = np.insert(pts, bad + 1, mids, axis=0)
-        index = index + np.searchsorted(bad, index)
+        left = np.atleast_1d(space.distance(img.rows(lo), mid_imgs))
+        right = np.atleast_1d(space.distance(mid_imgs, img.rows(hi)))
+        halves = _Halves(lo, hi, edge, frac, img.total, half)
+        keys.append((edge, frac + half))
+        pre.append(mids)
+        img.append(mid_imgs)
+        chords = np.empty(2 * bad.size)
+        chords[0::2], chords[1::2] = left, right
+        half >>= np.uint64(1)
     raise RuntimeError("midpoint refinement failed to settle in 64 passes")
+
+
+class _Parts:
+    """Append-only rows addressed by id: the first part's rows, then the
+    second's, and so on; nothing is copied until the end."""
+
+    def __init__(self, first):
+        self.parts = [first]
+        self.starts = [0]
+        self.total = first.shape[0]
+
+    def append(self, rows):
+        self.parts.append(rows)
+        self.starts.append(self.total)
+        self.total += rows.shape[0]
+
+    def rows(self, ids):
+        if len(self.parts) == 1:
+            return np.take(self.parts[0], ids, axis=0)
+        out = np.empty((ids.size, self.parts[0].shape[1]))
+        part_of = np.searchsorted(self.starts, ids, side="right") - 1
+        for i, (part, start) in enumerate(zip(self.parts, self.starts)):
+            sel = np.flatnonzero(part_of == i)
+            if sel.size:
+                out[sel] = np.take(part, ids[sel] - start, axis=0)
+        return out
+
+    def pop_concatenated(self):
+        """All rows in id order; the parts are dropped."""
+        out = np.concatenate(self.parts)
+        self.parts = []
+        return out
+
+
+class _Halves:
+    """The two halves of each edge a refinement pass bisected.
+
+    Edge i of the pass joined vertex ids lo[i] and hi[i] on input edge
+    edge[i], starting at dyadic fraction frac[i]; its midpoint got id
+    mid_start + i and fraction frac[i] + half.  Half 2i runs from lo[i]
+    to the midpoint, half 2i + 1 from the midpoint to hi[i].
+    """
+
+    def __init__(self, lo, hi, edge, frac, mid_start, half):
+        self.lo, self.hi, self.edge, self.frac = lo, hi, edge, frac
+        self.mid_start, self.half = mid_start, half
+
+    def lo_ids(self, j):
+        """Id of the first vertex of each of halves j."""
+        i = j >> 1
+        return np.where(j & 1, self.mid_start + i, self.lo[i])
+
+    def edges(self, j):
+        """(first ids, second ids, input edge, start fraction) of halves j."""
+        i = j >> 1
+        second = (j & 1).astype(bool)
+        mid = self.mid_start + i
+        frac = self.frac[i]
+        return (
+            np.where(second, mid, self.lo[i]),
+            np.where(second, self.hi[i], mid),
+            self.edge[i],
+            np.where(second, frac + self.half, frac),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -481,6 +595,10 @@ def _graph_transform_unstable(sys, x, radius, spacing):
                 sys, fl, xk, seed_r, min(spacing, seed_r / 12.0), stable=False
             )
             pts = seed.points
+            if pts.shape[0] % 2 == 0:
+                # an odd interval count puts no vertex on xk, and each push
+                # would stretch the offset of the nearest one: add xk
+                pts = np.insert(pts, pts.shape[0] // 2, xk, axis=0)
             center = int(np.argmin(np.atleast_1d(sys.distance(pts, xk[None, :]))))
             ok = True
             for _j in range(depth):

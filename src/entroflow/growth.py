@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import foliation
-from .entropy import SampleCloud, _ols_line, entropy_estimate
+from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
 from .foliation import VertexBudgetExceeded
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -245,7 +245,7 @@ class ContinuityCurve:
     curves: tuple
 
 
-def continuity_probe(family, eps_schedule, x, delta, N_schedule):
+def continuity_probe(family, eps_schedule, x, delta, N_schedule, workers=1):
     """Rate curve of a one-parameter family of systems.
 
     family maps a parameter value to a system handle; every member is
@@ -253,15 +253,20 @@ def continuity_probe(family, eps_schedule, x, delta, N_schedule):
     same base chart coordinates, which for the built-in families is the
     nearest-point transport between perturbed systems.  The modulus is
     the largest rate jump between consecutive parameter values.
+
+    Members are independent, so workers > 1 farms them to forked
+    processes; each is deterministic, hence the curve is identical for
+    any worker count.
     """
     eps_values = [float(e) for e in eps_schedule]
     if not eps_values:
         raise ValueError("eps_schedule must be nonempty")
-    entries, curves = [], []
-    for eps in eps_values:
-        curve = unstable_rate_estimate(family(eps), x, delta, N_schedule)
-        entries.append((eps, curve.rate, curve.rate_stderr))
-        curves.append(curve)
+    curves = _fork_map(
+        lambda eps: unstable_rate_estimate(family(eps), x, delta, N_schedule),
+        eps_values,
+        workers,
+    )
+    entries = [(eps, c.rate, c.rate_stderr) for eps, c in zip(eps_values, curves)]
     rates = [row[1] for row in entries]
     modulus = max(
         (abs(b - a) for a, b in zip(rates, rates[1:])), default=0.0

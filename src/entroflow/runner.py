@@ -108,6 +108,7 @@ def _run_continuity(cfg, workers):
         np.asarray(cfg.x, dtype=float),
         cfg.delta,
         list(cfg.N_schedule),
+        workers=workers,
     )
     results = {
         "entries": [list(row) for row in curve.entries],

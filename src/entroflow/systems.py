@@ -12,6 +12,7 @@ suspension chart (x1, x2, height).  All mod-1 reductions go through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,10 +54,16 @@ def wrap_unit(x):
     hair below an integer; those are clamped back to 0.0.  Adding 0.0 turns
     any -0.0 into +0.0 so canonical forms compare bitwise.
     """
-    x = np.asarray(x, dtype=float)
-    y = x - np.floor(x)
-    y = np.where(y >= 1.0, 0.0, y)
-    return y + 0.0
+    y = _wrap_in_place(np.array(x, dtype=float))
+    return y if y.ndim else y[()]
+
+
+def _wrap_in_place(y):
+    """wrap_unit on a float array the caller owns; overwrites and returns y."""
+    y -= np.floor(y)
+    y[y >= 1.0] = 0.0
+    y += 0.0
+    return y
 
 
 def wrap_diff(a, b):
@@ -219,27 +226,47 @@ class SuspensionFlow:
         )
 
     def canonicalize(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-        if pts.shape[-1] != 3:
-            raise ValueError("suspension points have 3 chart coordinates")
-        base = wrap_unit(pts[:, :2])
-        h = pts[:, 2].copy()
+        pts = _chart_rows(pts)
+        return self._settle(wrap_unit(pts[:, :2]), pts[:, 2].copy())
+
+    def _settle(self, base, h):
+        """Canonical (N, 3) points from wrapped bases and raw heights.
+
+        base (N, 2) and h (N,) are fresh arrays owned by the caller and
+        are updated in place.  A pass over the roof (or below zero) maps every
+        row at once when every row crosses, as the time-1 map of roof 1
+        makes them do, and boolean-indexes the crossing rows otherwise; a
+        constant roof is never evaluated.  Both do the same float
+        operations per row.
+        """
+        roof = self.roof
+        roof_at = (lambda b: roof.constant) if roof.is_constant else roof.value
         # push up through the ceiling
         for _ in range(10_000):
-            r = self.roof.value(base)
+            r = roof_at(base)
             over = h >= r
-            if not np.any(over):
+            crossing = np.count_nonzero(over)
+            if crossing == 0:
                 break
-            h[over] -= r[over]
-            base[over] = self.base_map.step(base[over])
+            if crossing == h.size:
+                h -= r
+                base = self.base_map.step(base)
+            else:
+                h[over] -= np.broadcast_to(r, h.shape)[over]
+                base[over] = self.base_map.step(base[over])
         else:  # pragma: no cover
             raise ValueError("height too far above the roof to canonicalize")
         for _ in range(10_000):
             under = h < 0
-            if not np.any(under):
+            crossing = np.count_nonzero(under)
+            if crossing == 0:
                 break
-            base[under] = self.base_map.step_back(base[under])
-            h[under] += self.roof.value(base[under])
+            if crossing == h.size:
+                base = self.base_map.step_back(base)
+                h += roof_at(base)
+            else:
+                base[under] = self.base_map.step_back(base[under])
+                h[under] += roof_at(base[under])
         else:  # pragma: no cover
             raise ValueError("height too far below zero to canonicalize")
         return np.concatenate([base, h[:, None]], axis=1)
@@ -247,11 +274,9 @@ class SuspensionFlow:
     def flow(self, pts, t):
         """Time-t flow map, vectorized over (N, 3) chart points."""
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        out = np.atleast_2d(pts).copy()
-        out[:, 2] += t
-        out = self.canonicalize(out)
-        return out[0] if single else out
+        rows = _chart_rows(pts)
+        out = self._settle(wrap_unit(rows[:, :2]), rows[:, 2] + t)
+        return out[0] if pts.ndim == 1 else out
 
     def random_points(self, rng, count):
         base = rng.random((count, 2))
@@ -288,6 +313,15 @@ class SuspensionFlow:
                 if best is None or abs(t) < abs(best):
                     best = t
         return best
+
+
+def _chart_rows(pts):
+    """Suspension chart points as (N, 3) float rows."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[-1] != 3:
+        raise ValueError("suspension points have 3 chart coordinates")
+    return pts
+
 
 class MappingTorusSpace:
     """Chart metric on the mapping torus of a hyperbolic base map.
@@ -521,14 +555,12 @@ class ToralMapHandle(SystemHandle):
         return ("toral", tuple(map(tuple, self.matrix.tolist())))
 
     def step(self, pts):
-        return wrap_unit(np.asarray(pts, dtype=float) @ self.matrix.T.astype(float))
+        return _wrap_in_place(_int_matmul(self.matrix, pts))
 
     def step_back(self, pts):
         if not self.invertible:
             raise ValueError("map is not invertible (|det| != 1)")
-        return wrap_unit(
-            np.asarray(pts, dtype=float) @ self.inverse_matrix.T.astype(float)
-        )
+        return _wrap_in_place(_int_matmul(self.inverse_matrix, pts))
 
     @property
     def expansion_factor(self):
@@ -538,6 +570,7 @@ class ToralMapHandle(SystemHandle):
         return float(np.min(above))
 
     def _real_eigvec(self, target_modulus):
+        """Unit eigenvector (read-only) of the eigenvalue nearest the modulus."""
         vals, vecs = np.linalg.eig(self.matrix.astype(float))
         idx = int(np.argmin(np.abs(np.abs(vals) - target_modulus)))
         v = vecs[:, idx]
@@ -549,21 +582,46 @@ class ToralMapHandle(SystemHandle):
         nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
         if v[nz] < 0:
             v = -v
+        v.setflags(write=False)
         return v
 
-    @property
+    @functools.cached_property
     def unstable_direction(self):
         f = self.expansion_factor
         if f is None:
             raise ValueError("matrix has no expanding eigenvalue")
         return self._real_eigvec(f)
 
-    @property
+    @functools.cached_property
     def stable_direction(self):
         below = self.moduli[self.moduli < 1.0 - _EIG_TOL]
         if below.size == 0:
             raise ValueError("matrix has no contracting eigenvalue")
         return self._real_eigvec(float(np.max(below)))
+
+
+def _int_matmul(m, pts):
+    """pts @ m.T for an integer matrix m, as an explicit sum of columns.
+
+    Row i is x[..., 0] * m[i, 0] + x[..., 1] * m[i, 1] + ..., each product
+    rounded and summed left to right, so no (N, d) @ (d, d) product goes
+    to BLAS and its threads.  That is bitwise what BLAS returns whenever
+    the products after the first column are exact (entries 0, ±1, ±2, as
+    in the cat map and its inverse); where a BLAS kernel fuses an inexact
+    product into the sum, the two can differ in the last bit, and this
+    result is the one every machine gives.  Returns a fresh array.
+    """
+    x = np.asarray(pts, dtype=float)
+    d = m.shape[1]
+    if x.shape[-1] != d:
+        raise ValueError(f"points have dimension {x.shape[-1]}, matrix has {d}")
+    out = np.empty(x.shape)
+    for i, row in enumerate(m.astype(float)):
+        acc = x[..., 0] * row[0]
+        for j in range(1, d):
+            acc += x[..., j] * row[j]
+        out[..., i] = acc
+    return out
 
 
 class TimeTMapHandle(SystemHandle):
@@ -728,16 +786,24 @@ class PerturbedHandle(SystemHandle):
 
     # --- shear and its inverse --------------------------------------------
     def shear(self, pts):
+        """The shear of chart points, as canonical (N, 3) points.
+
+        A center shear canonicalizes its output and has the roof constant
+        as period, so it commutes with the seam identification and takes
+        the points as they are: canonical ones, which is what every step
+        receives, would pass through a first canonicalization unchanged.
+        A base shear is defined on canonical points and canonicalizes them
+        first.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        pts = self.space.canonicalize(pts)
         c = self.reference.suspension.roof.constant
         if self.shape.shape_id == "center_shear":
             tau = self.epsilon * self.shape.profile(c, pts[:, 2])
-            out = pts.copy()
-            out[:, 2] += tau
-            return self.space.canonicalize(out)
-        out = pts.copy()
-        u = self.epsilon * self.shape.profile(c, pts[:, 2])
+            return self.reference.suspension._settle(
+                wrap_unit(pts[:, :2]), pts[:, 2] + tau
+            )
+        out = self.space.canonicalize(pts)
+        u = self.epsilon * self.shape.profile(c, out[:, 2])
         out[:, :2] = wrap_unit(out[:, :2] + u[:, None] * np.asarray(self.shape.direction))
         return out
 

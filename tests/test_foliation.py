@@ -5,6 +5,7 @@ import pytest
 
 from entroflow import systems
 from entroflow.foliation import (
+    REFINE_TOL,
     build_product_box,
     center_holonomy,
     center_nonexpansion_check,
@@ -214,3 +215,14 @@ def test_segment_chords_match_vertices(kind, cat, time1):
     if kind == "graph_transform":
         assert seg.refine_gaps
         assert np.array_equal(seg.arc_coords, np.concatenate([[0.0], np.cumsum(chords)]))
+
+
+def test_graph_transform_centres_an_odd_interval_seed(time1):
+    # radius 0.0561 with spacing 0.002 gives seeds with an odd interval
+    # count, which have no vertex on the backward iterate x_k
+    handle = PerturbedHandle(time1, 0.03, CenterShear())
+    x = np.array([0.2, 0.3, 0.4])
+    seg = unstable_segment(handle, x, 0.0561, spacing=0.002)
+    assert seg.refine_gaps and seg.refine_gaps[-1] < REFINE_TOL
+    assert seg.arclength == pytest.approx(2 * 0.0561, abs=1e-12)
+    assert float(handle.distance(seg.point_at(0.0561), x)) < 1e-12

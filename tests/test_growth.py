@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import foliation, systems
+from entroflow import entropy, foliation, systems
 from entroflow.foliation import unstable_segment
 from entroflow.growth import (
     GrowthCurve,
@@ -272,3 +272,94 @@ def test_refinement_matches_recursive_bisection(case):
     assert np.array_equal(grown.points, pts)
     chords = sys.space.distance(pts[:-1], pts[1:])
     assert np.array_equal(grown.arc_coords, np.concatenate([[0.0], np.cumsum(chords)]))
+
+
+def insert_refine_step(sys, pts, spacing, budget=None, step_index=1):
+    """Midpoint refinement that re-inserts the bisected edges into the
+    whole polyline on every pass (np.insert into chords, images and
+    pre-images)."""
+    space = sys.space
+    imgs = np.atleast_2d(sys.step(pts))
+    chords = np.atleast_1d(space.distance(imgs[:-1], imgs[1:]))
+    index = np.arange(imgs.shape[0])
+    for _ in range(64):
+        bad = np.flatnonzero(chords > spacing)
+        if bad.size == 0:
+            return imgs, chords, index
+        if budget is not None and imgs.shape[0] + bad.size > budget:
+            raise VertexBudgetExceeded(step_index, imgs.shape[0] + bad.size, budget)
+        mids = space.lerp(pts[bad], pts[bad + 1], 0.5)
+        mid_imgs = np.atleast_2d(sys.step(mids))
+        left = np.atleast_1d(space.distance(imgs[bad], mid_imgs))
+        right = np.atleast_1d(space.distance(mid_imgs, imgs[bad + 1]))
+        chords[bad] = left
+        chords = np.insert(chords, bad + 1, right)
+        imgs = np.insert(imgs, bad + 1, mid_imgs, axis=0)
+        pts = np.insert(pts, bad + 1, mids, axis=0)
+        index = index + np.searchsorted(bad, index)
+    raise RuntimeError("midpoint refinement failed to settle in 64 passes")
+
+
+@pytest.mark.parametrize("case", ["cat_map", "suspension_time1", "center_shear_0.04"])
+def test_refine_step_matches_insert_reference(case):
+    sys, x, spacing = _refinement_cases()[case]
+    # a grown segment: its chords sit anywhere up to spacing, so passes
+    # bisect scattered edges; shorter spacings force deeper passes
+    seg = grow_segment(sys, unstable_segment(sys, np.array(x), 0.02), 5, spacing)
+    for sp in (spacing, spacing / 7.0):
+        got = foliation.refine_step(sys, seg.points, sp)
+        expect = insert_refine_step(sys, seg.points, sp)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    # budget: the same refusal at the same vertex count
+    got_imgs = foliation.refine_step(sys, seg.points, spacing)[0]
+    budget = got_imgs.shape[0] - 1
+    with pytest.raises(VertexBudgetExceeded) as got_exc:
+        foliation.refine_step(sys, seg.points, spacing, budget, step_index=4)
+    with pytest.raises(VertexBudgetExceeded) as expect_exc:
+        insert_refine_step(sys, seg.points, spacing, budget, step_index=4)
+    assert str(got_exc.value) == str(expect_exc.value)
+    # one vertex and an already fine polyline
+    one = seg.points[:1]
+    for a, b in zip(
+        foliation.refine_step(sys, one, spacing), insert_refine_step(sys, one, spacing)
+    ):
+        assert np.array_equal(a, b)
+    fine = seg.points
+    for a, b in zip(
+        foliation.refine_step(sys, fine, 10.0), insert_refine_step(sys, fine, 10.0)
+    ):
+        assert np.array_equal(a, b)
+
+
+def test_continuity_probe_worker_count_does_not_change_curve(time1):
+    shape = CenterShear()
+    family = lambda eps: PerturbedHandle(time1, eps, shape)
+    args = ((0.0, 0.01, 0.03), (0.2, 0.3, 0.37), 0.05, [1, 2, 3, 4])
+    one = continuity_probe(family, *args)
+    two = continuity_probe(family, *args, workers=2)
+    assert one.entries == two.entries
+    assert one.modulus == two.modulus
+    for a, b in zip(one.curves, two.curves):
+        assert a.counts == b.counts
+        assert a.arclengths == b.arclengths
+        for x, y in zip(a.centers + a.center_arcs, b.centers + b.center_arcs):
+            assert np.array_equal(x, y)
+
+
+def _square(v):
+    return v * v
+
+
+def _over_budget(v):
+    raise VertexBudgetExceeded(3, 100 + v, 10)
+
+
+def test_fork_map_keeps_order_and_reraises_worker_errors():
+    assert entropy._fork_map(_square, range(7), 2) == [v * v for v in range(7)]
+    assert entropy._fork_map(lambda v: -v, [1, 2], 3) == [-1, -2]
+    with pytest.raises(VertexBudgetExceeded) as info:
+        entropy._fork_map(_over_budget, [1, 2], 2)
+    assert (info.value.step_index, info.value.needed, info.value.budget) == (3, 101, 10)
+    assert info.value.reached_step == 2

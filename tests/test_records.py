@@ -318,6 +318,22 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert canonical_json(a.results) == canonical_json(b.results)
 
 
+def test_continuity_worker_count_does_not_change_files(tmp_path):
+    a = run_small(SMALL_CONTINUITY, tmp_path / "w1", workers=1)
+    b = run_small(SMALL_CONTINUITY, tmp_path / "w2", workers=2)
+    assert a.id == b.id
+    da, db = tmp_path / "w1" / a.id, tmp_path / "w2" / b.id
+    ja = json.loads((da / "record.json").read_text())
+    jb = json.loads((db / "record.json").read_text())
+    ja.pop("timings")
+    jb.pop("timings")
+    assert ja == jb
+    csvs = sorted(p.name for p in da.glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in db.glob("*.csv"))
+    for name in csvs:
+        assert (da / name).read_bytes() == (db / name).read_bytes()
+
+
 def test_seed_override_changes_seeds_and_id(tmp_path):
     cfg = EstimateConfig(cloud="random", count=200, n_schedule=(1, 2, 3))
     base = run_small(cfg, tmp_path / "base", workers=1)

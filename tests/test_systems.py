@@ -484,3 +484,205 @@ def test_mapping_torus_row_count_mismatch(flow_const, rng, method):
         getattr(space, method)(p, q)
     with pytest.raises(ValueError, match="row counts differ: 3 points against 4"):
         getattr(space, method)(q, p)
+
+
+# --- fast paths against the loops and products they replaced ----------------
+
+
+def _reference_wrap_unit(x):
+    """wrap_unit as a chain of out-of-place operations."""
+    x = np.asarray(x, dtype=float)
+    y = x - np.floor(x)
+    y = np.where(y >= 1.0, 0.0, y)
+    return y + 0.0
+
+
+def _reference_matrix_step(matrix, pts):
+    """A toral step through the BLAS product pts @ M.T."""
+    m = np.asarray(matrix).astype(float)
+    return _reference_wrap_unit(np.asarray(pts, dtype=float) @ m.T)
+
+
+def _reference_canonicalize(fl, pts):
+    """Canonicalization by boolean-indexed passes that evaluate the roof
+    on every row, through the BLAS base steps."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+    bm = fl.base_map
+    base = _reference_wrap_unit(pts[:, :2])
+    h = pts[:, 2].copy()
+    for _ in range(10_000):
+        r = fl.roof.value(base)
+        over = h >= r
+        if not np.any(over):
+            break
+        h[over] -= r[over]
+        base[over] = _reference_matrix_step(bm.matrix, base[over])
+    for _ in range(10_000):
+        under = h < 0
+        if not np.any(under):
+            break
+        base[under] = _reference_matrix_step(bm.inverse_matrix, base[under])
+        h[under] += fl.roof.value(base[under])
+    return np.concatenate([base, h[:, None]], axis=1)
+
+
+def _same_bits(a, b):
+    """Equal shapes, types and bit patterns (so -0.0 differs from +0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_wrap_unit_matches_reference():
+    edge = [
+        -0.0, 0.0, -1e-18, -1e-300, math.nextafter(1.0, 0.0), 1.0, -1.0,
+        2.5, -2.5, 1e6 + 0.3, -7.0 - 1e-15, math.nextafter(-3.0, 0.0),
+    ]
+    for x in (np.array(edge), np.array(edge).reshape(3, 4), np.array(edge)[::2]):
+        assert _same_bits(systems.wrap_unit(x), _reference_wrap_unit(x))
+    out = systems.wrap_unit(np.array([np.nan, -0.5]))
+    assert np.isnan(out[0]) and out[1] == 0.5
+    for v in edge:
+        got = systems.wrap_unit(v)
+        assert type(got) is np.float64
+        assert _same_bits(got, _reference_wrap_unit(v))
+    x = np.array([1.5, -0.0])
+    systems.wrap_unit(x)
+    assert _same_bits(x, np.array([1.5, -0.0]))  # the input is untouched
+
+
+def _canonicalization_inputs(fl, rng):
+    n = 300
+    base = rng.random((n, 2))
+    canon = fl.random_points(rng, n)
+    top = fl.roof.roof_max
+    hair = math.nextafter(1.0, 0.0)
+    rows = {
+        "canonical": canon,
+        "roofs above": np.column_stack([base, rng.uniform(1.0, 6.0, n) * top]),
+        "roofs below": np.column_stack([base, -rng.uniform(0.0, 6.0, n) * top]),
+        "one up": canon + [0.0, 0.0, fl.roof.roof_min],
+        "one down": canon - [0.0, 0.0, top],
+        "off-chart bases": np.column_stack(
+            [rng.uniform(-3.0, 3.0, (n, 2)), canon[:, 2]]
+        ),
+        "signed zeros": np.array(
+            [[-0.0, 0.3, -0.0], [0.2, -0.0, 0.0], [-0.0, -0.0, 0.5], [0.0, 0.0, -0.0]]
+        ),
+        "hair below one": np.array(
+            [
+                [hair, 0.5, 0.2],
+                [0.5, hair, 0.2],
+                [-1e-18, 0.25, 0.1],
+                [0.3, 0.4, math.nextafter(fl.roof.roof_min, 0.0)],
+                [hair, hair, math.nextafter(0.0, -1.0)],
+                [0.1, 0.9, fl.roof.constant],
+            ]
+        ),
+    }
+    rows["mixed"] = np.concatenate(list(rows.values()))
+    return rows
+
+
+@pytest.mark.parametrize("flow_name", ["flow_const", "flow_trig"])
+def test_canonicalize_and_flow_match_reference(flow_name, request, rng):
+    fl = request.getfixturevalue(flow_name)
+    for name, pts in _canonicalization_inputs(fl, rng).items():
+        assert _same_bits(fl.canonicalize(pts), _reference_canonicalize(fl, pts)), name
+        assert _same_bits(fl.space.canonicalize(pts), fl.canonicalize(pts)), name
+        ts = rng.uniform(-3.0, 3.0, pts.shape[0])
+        for t in (1.0, -1.0, 0.37, 2.5, ts):
+            shifted = pts.copy()
+            shifted[:, 2] += t
+            assert _same_bits(fl.flow(pts, t), _reference_canonicalize(fl, shifted)), name
+        assert _same_bits(fl.canonicalize(pts[0]), _reference_canonicalize(fl, pts[0]))
+        assert _same_bits(fl.flow(pts[0], 1.0), fl.flow(pts[:1], 1.0)[0])
+
+
+MATRICES = {
+    "cat": [[2, 1], [1, 1]],
+    "cat_inverse": [[1, -1], [-1, 2]],
+    "3121": [[3, 1], [2, 1]],
+    "5221": [[5, 2], [2, 1]],
+    "companion3": [[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+    "doubling": [[2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_toral_step_matches_blas_product(name, rng):
+    handle = ToralMapHandle(MATRICES[name])
+    d = handle.dim
+    pts = np.concatenate(
+        [
+            rng.random((100_000, d)),
+            rng.normal(0.0, 3.0, (1000, d)),
+            np.full((1, d), -0.0),
+            np.full((1, d), math.nextafter(1.0, 0.0)),
+        ]
+    )
+    assert _same_bits(handle.step(pts), _reference_matrix_step(handle.matrix, pts))
+    assert _same_bits(handle.step(pts[7]), _reference_matrix_step(handle.matrix, pts[7]))
+    # BLAS may fuse a later column's product into the running sum; that
+    # only agrees with the rounded products when they are exact, as in
+    # these inverses but not in [[1, -1], [-2, 3]] or [[1, -2], [-2, 5]]
+    if name in ("cat", "companion3"):
+        assert _same_bits(
+            handle.step_back(pts), _reference_matrix_step(handle.inverse_matrix, pts)
+        )
+    with pytest.raises(ValueError, match="dimension"):
+        handle.step(np.zeros((4, d + 1)))
+
+
+def test_eigen_directions_computed_once_and_read_only(monkeypatch):
+    handle = ToralMapHandle([[2, 1], [1, 1]])
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(1)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    u, s = handle.unstable_direction, handle.stable_direction
+    for _ in range(3):
+        assert handle.unstable_direction is u
+        assert handle.stable_direction is s
+    assert len(calls) == 2
+    for v in (u, s):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    fresh = ToralMapHandle([[2, 1], [1, 1]])
+    assert _same_bits(u, fresh._real_eigvec(fresh.expansion_factor))
+    assert _same_bits(s, fresh._real_eigvec(float(np.min(fresh.moduli))))
+
+
+def _reference_shear(handle, pts):
+    """The shear applied to canonicalized points, the result canonicalized."""
+    fl = handle.reference.suspension
+    c = fl.roof.constant
+    pts = fl.canonicalize(pts)
+    u = handle.epsilon * handle.shape.profile(c, pts[:, 2])
+    out = pts.copy()
+    if handle.shape.shape_id == "center_shear":
+        out[:, 2] += u
+        return fl.canonicalize(out)
+    out[:, :2] = _reference_wrap_unit(out[:, :2] + u[:, None] * np.asarray(handle.shape.direction))
+    return out
+
+
+@pytest.mark.parametrize("shape", [CenterShear(), BaseShear()], ids=["center", "base"])
+def test_perturbed_step_matches_shear_reference(time1, shape, rng):
+    handle = PerturbedHandle(time1, 0.03, shape)
+    fl = time1.suspension
+    pts = fl.random_points(rng, 2000)
+    expect = time1.step(_reference_shear(handle, pts))
+    assert _same_bits(handle.step(pts), expect)
+    # off-chart input: whole-unit base offsets and a height one roof up
+    off = pts + np.array([1.0, -2.0, 1.0])
+    expect = time1.step(_reference_shear(handle, off))
+    if shape.shape_id == "base_shear":
+        assert _same_bits(handle.step(off), expect)
+    else:
+        # the profile is evaluated one period up, which can move the last bit
+        assert float(np.max(handle.distance(handle.step(off), expect))) < 1e-12
