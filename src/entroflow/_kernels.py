@@ -25,10 +25,13 @@ candidate with exactly the arithmetic stated.
 
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it and the ordered greedy runs over that graph.
-Otherwise the order is scanned in blocks and only the points still alive
-when their block comes are searched, which costs about the number of
-accepted points times the ball size.  Both give the accepted sequence the
-scan defines.
+Otherwise the order is scanned in blocks of points still alive: the greedy
+first resolves a block over its own pairwise conflicts, then only the
+points it accepted are searched in the tree, and every alive point one of
+them conflicts with is removed.  That costs about the number of accepted
+points times the ball size, in few tree descents.  Both give the accepted
+sequence the scan defines: the tree and the blocks only choose which pairs
+are checked, the rule above decides each of them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ LEAF_SIZE = 4
 JOIN_PAIRS_PER_NODE = 16
 #: candidate pairs handled per numpy pass; bounds the working memory
 CHUNK_PAIRS = 1 << 15
+#: alive points the scan resolves together, by their pairwise conflicts
+SCAN_BLOCK = 64
+#: accepted points searched by the scan's first tree descent; later groups
+#: resize to keep their candidate lists near CHUNK_PAIRS, up to SCAN_BLOCK
+QUERY_GROUP = 16
 #: padding of the search radius over delta, relative and absolute; far
 #: above the rounding of the box arithmetic on chart coordinates
 RADIUS_PAD = (1e-9, 1e-12)
@@ -53,10 +61,11 @@ class _Tree:
     Level L holds 2^L nodes; node k of level L covers the points
     perm[starts[L][k]:starts[L][k + 1]] and has children 2k and 2k + 1.
     Nodes are split at their median along the widest axis of the split
-    iterate.  sets[0] is prim, the other sets are the representatives that
-    are not copies of prim; boxes[L][s] = (center, half), each
-    (n, nodes, C), bounds set s of every node at every iterate.  On a
-    wrapped axis a box is an arc of the circle, at most the whole circle.
+    iterate, all nodes of a level by one sort.  sets[0] is prim, the other
+    sets are the representatives that are not copies of prim;
+    boxes[L][s] = (center, half), each (n, nodes, C), bounds set s of
+    every node at every iterate.  On a wrapped axis a box is an arc of the
+    circle, at most the whole circle.
     """
 
     def __init__(self, prim, reps, wrap, split_it):
@@ -72,8 +81,15 @@ class _Tree:
             off = self._offsets(coords[perm], starts, nid, axis=0)
             lo = np.minimum.reduceat(off, starts[:-1], axis=0)
             hi = np.maximum.reduceat(off, starts[:-1], axis=0)
-            widest = np.argmax(hi - lo, axis=1)
-            perm = perm[np.lexsort((off[np.arange(N), widest[nid]], nid))]
+            span = hi - lo
+            widest = np.argmax(span, axis=1)
+            node = np.arange(sizes.size)
+            w_lo, w_span = lo[node, widest], span[node, widest]
+            w_span[w_span == 0] = 1.0
+            # node id plus the offset along its widest axis scaled into
+            # [0, 0.5]: one sort groups the nodes and orders each of them
+            key = off[np.arange(N), widest[nid]] - w_lo[nid]
+            perm = perm[np.argsort(nid + 0.5 * key / w_span[nid])]
             split = np.empty(2 * sizes.size + 1, dtype=np.int64)
             split[0::2] = starts
             split[1::2] = starts[:-1] + sizes // 2
@@ -291,46 +307,57 @@ def _graph_greedy(tree, leaves, conflicts, order):
 
 
 def _scan(tree, its, r2, conflicts, order):
-    """Ordered greedy that searches only the balls of points met alive.
+    """Ordered greedy that resolves each block, then searches its accepted points.
 
-    The order is taken in blocks of at least 64 points, growing with the
-    accepted count; conflicts among a block's points are resolved in scan
-    order once the block's balls are known.
+    A block is the next SCAN_BLOCK points of the order still alive.  The
+    greedy first runs inside the block over its own pairwise conflicts;
+    the points it accepts are then searched in the tree, and every alive
+    point one of them conflicts with is removed before the next block.
     """
     N = order.size
     alive = np.ones(N, dtype=bool)
     accepted = []
     pos = 0
-    group = 16
-    while pos < N:
-        block = order[pos : pos + max(64, len(accepted))]
-        pos += block.size
-        block = block[alive[block]]
-        rows, pts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    group = QUERY_GROUP
+    while True:
+        block, pos = _next_alive(order, alive, pos)
+        if block.size == 0:
+            return accepted
+        alive[block] = False
+        iu, ju = np.triu_indices(block.size, 1)
+        hit = conflicts(block[iu], block[ju])
+        iu, ju = iu[hit], ju[hit]
+        dead = np.zeros(block.size, dtype=bool)
+        for q in range(block.size):
+            if not dead[q]:
+                dead[ju[iu == q]] = True
+        won = block[~dead]
+        accepted.extend(won.tolist())
         s = 0
-        while s < block.size:
-            q, j = _query(tree, its, r2, block[s : s + group])
+        while s < won.size:
+            q, j = _query(tree, its, r2, won[s : s + group])
             q += s
             s += group
             # keep a group's candidate list near CHUNK_PAIRS
-            group = int(min(256, max(1, group * CHUNK_PAIRS // max(j.size, 1))))
-            keep = alive[j] & (j != block[q])
+            group = int(min(SCAN_BLOCK, max(1, group * CHUNK_PAIRS // max(j.size, 1))))
+            keep = alive[j]
             q, j = q[keep], j[keep]
             for c in range(0, q.size, CHUNK_PAIRS):
-                qc, jc = q[c : c + CHUNK_PAIRS], j[c : c + CHUNK_PAIRS]
-                hit = conflicts(block[qc], jc)
-                rows.append(qc[hit])
-                pts.append(jc[hit])
-        rows = np.concatenate(rows)
-        pts = np.concatenate(pts)[np.argsort(rows, kind="stable")]
-        ptr = np.zeros(block.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=block.size), out=ptr[1:])
-        for q, v in enumerate(block.tolist()):
-            if alive[v]:
-                accepted.append(v)
-                alive[v] = False
-                alive[pts[ptr[q] : ptr[q + 1]]] = False
-    return accepted
+                jc = j[c : c + CHUNK_PAIRS]
+                alive[jc[conflicts(won[q[c : c + CHUNK_PAIRS]], jc)]] = False
+
+
+def _next_alive(order, alive, pos):
+    """The next SCAN_BLOCK alive points of order from pos, and the new pos."""
+    taken = [np.zeros(0, dtype=np.int64)]
+    need = SCAN_BLOCK
+    while need and pos < order.size:
+        window = order[pos : pos + 4 * SCAN_BLOCK]
+        live = np.flatnonzero(alive[window])[:need]
+        taken.append(window[live])
+        need -= live.size
+        pos += int(live[-1]) + 1 if need == 0 else window.size
+    return np.concatenate(taken), pos
 
 
 def greedy_thinning(prim, reps, wrap_mask, n, delta, order):

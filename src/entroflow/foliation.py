@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .systems import PerturbedHandle, TimeTMapHandle, ToralMapHandle, wrap_unit
 
@@ -989,6 +988,10 @@ def density_check(sys, x, center_radius, leaf_radius, probe_points):
         [[i, j, 0.0] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
     )
     lifted = (reps[:, None, :, :] + shifts[None, :, None, :]).reshape(-1, 3)
+    # scipy is loaded here only: importing it costs more than the rest of
+    # the package together
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(lifted)
     probes = getattr(probe_points, "points", probe_points)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))

@@ -657,7 +657,10 @@ class CenterShear:
     sigma is a trigonometric polynomial in the height coordinate with the
     roof constant as period; it is therefore well defined on the quotient.
     Requires a constant roof so the period matches the seam.
-    harmonics: tuple of (m, sin_amp, cos_amp).
+    harmonics: tuple of (m, sin_amp, cos_amp).  A term with a zero
+    amplitude is skipped: it would add +-0.0 to a sum that starts at +0.0
+    and so is never -0.0, which leaves every value bitwise as it is
+    wherever w * s is finite.
     """
 
     harmonics: tuple = ((1, 1.0, 0.0),)
@@ -669,15 +672,22 @@ class CenterShear:
         out = np.zeros(s.shape)
         for m, a_sin, a_cos in self.harmonics:
             w = 2.0 * math.pi * m / c
-            out = out + a_sin * np.sin(w * s) + a_cos * np.cos(w * s)
+            if a_sin:
+                out = out + a_sin * np.sin(w * s)
+            if a_cos:
+                out = out + a_cos * np.cos(w * s)
         return out
 
     def profile_deriv(self, c, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape)
         for m, a_sin, a_cos in self.harmonics:
+            if not (a_sin or a_cos):
+                continue
             w = 2.0 * math.pi * m / c
-            out = out + w * (a_sin * np.cos(w * s) - a_cos * np.sin(w * s))
+            cos_part = a_sin * np.cos(w * s) if a_sin else 0.0
+            sin_part = a_cos * np.sin(w * s) if a_cos else 0.0
+            out = out + w * (cos_part - sin_part)
         return out
 
     def lipschitz(self, c):

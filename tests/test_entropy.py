@@ -254,27 +254,38 @@ def test_grid_cloud_sizes():
 # --- kernel equivalence ------------------------------------------------------
 
 
-def brute_force_greedy(prim, reps, wrap_mask, n, delta, order):
-    """Ordered greedy over the full pair matrix of the symmetrized rule.
+def brute_force_conflicts(prim, reps, wrap_mask, n, delta):
+    """Full pair matrix of the symmetrized conflict rule.
 
     A pair conflicts when, at every iterate below n, the smaller of
     min_r |prim_i - reps_j,r|^2 and min_r |prim_j - reps_i,r|^2 (wrapped
-    axes taken mod 1) is at most delta^2; a point is accepted when it
-    conflicts with no point accepted before it in scan order.
+    axes taken mod 1) is at most delta^2.
     """
     wrap = np.asarray(wrap_mask, dtype=bool)
     m = prim.shape[1]
     conflict = np.ones((m, m), dtype=bool)
     for it in range(n):
-        diff = prim[it][:, None, None, :] - reps[it][None, :, :, :]
-        diff[..., wrap] -= np.round(diff[..., wrap])
-        one_way = np.min(np.sum(diff * diff, axis=-1), axis=-1)
+        one_way = np.full((m, m), np.inf)
+        for r in range(reps.shape[2]):
+            diff = prim[it][:, None, :] - reps[it][None, :, r, :]
+            diff[..., wrap] -= np.round(diff[..., wrap])
+            one_way = np.minimum(one_way, np.sum(diff * diff, axis=-1))
         conflict &= np.minimum(one_way, one_way.T) <= delta * delta
+    return conflict
+
+
+def greedy_over(conflict, order):
+    """Points accepted in scan order: each conflicts with none accepted before it."""
     accepted = []
     for idx in order:
-        if not any(conflict[idx, a] for a in accepted):
+        if not conflict[idx, accepted].any():
             accepted.append(int(idx))
     return accepted
+
+
+def brute_force_greedy(prim, reps, wrap_mask, n, delta, order):
+    """Ordered greedy over the full pair matrix of the symmetrized rule."""
+    return greedy_over(brute_force_conflicts(prim, reps, wrap_mask, n, delta), order)
 
 
 def _seam_cloud(handle, seed):
@@ -331,6 +342,51 @@ def test_kernel_matches_brute_force_greedy(name, delta, path, monkeypatch):
             for order in orders:
                 got = _kernels.greedy_thinning(prim, reps, wrap, n, delta, order)
                 assert got.tolist() == brute_force_greedy(prim, reps, wrap, n, delta, order)
+
+
+def _dense_seam_cloud(handle, seed, size):
+    """A shrunken seam cloud: a narrow column of points just below the roof,
+    and the flow images of half of them pushed across the seam."""
+    rng = np.random.default_rng(seed)
+    base = 0.45 + 0.1 * rng.random((size, 2))
+    pts = np.concatenate([base, rng.uniform(0.9, 1.0, (size, 1))], axis=1)
+    images = pts[: size // 2].copy()
+    images[:, 2] += rng.uniform(0.01, 0.12, size // 2)
+    return SampleCloud(handle.space, np.concatenate([pts, images]))
+
+
+@pytest.mark.parametrize(
+    "name, delta",
+    [("cat_map", 0.2), ("cat_map", 0.1), ("suspension_time1", 0.05), ("suspension_time1", 0.02)],
+)
+def test_scan_matches_brute_force_across_blocks(name, delta, monkeypatch):
+    # clouds of over a thousand points: the scan resolves many blocks, and
+    # dense ones, so a conflict dropped inside a block or by the removal
+    # of the points an accepted one covers changes the accepted sequence
+    monkeypatch.setattr(_kernels, "CHUNK_PAIRS", 256)
+    monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    handle, _ = KERNEL_SYSTEMS[name]()
+    if name == "cat_map":
+        cloud = grid_cloud(handle, 32)
+    else:
+        cloud = _dense_seam_cloud(handle, 0, 700)
+    assert len(cloud) >= 1000
+    prim = cloud.orbit_table(handle, 4)
+    reps = cloud.rep_table(handle, 4)
+    wrap = cloud.space.wrap_mask
+    orders = [np.arange(len(cloud))] + [
+        np.random.default_rng(s).permutation(len(cloud)) for s in range(2)
+    ]
+    sizes = []
+    for n in (1, 2, 4):
+        conflict = brute_force_conflicts(prim, reps, wrap, n, delta)
+        for order in orders:
+            want = greedy_over(conflict, order)
+            got = _kernels.greedy_thinning(prim, reps, wrap, n, delta, order)
+            assert got.tolist() == want
+            sizes.append(len(want))
+    # some cell accepts several blocks' worth of points and removes most
+    assert any(2 * _kernels.SCAN_BLOCK < a < len(cloud) // 2 for a in sizes)
 
 
 def test_brute_force_rule_needs_seam_lifts():

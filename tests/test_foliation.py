@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entroflow
 from entroflow import systems
 from entroflow.foliation import (
     REFINE_TOL,
@@ -226,3 +231,12 @@ def test_graph_transform_centres_an_odd_interval_seed(time1):
     assert seg.refine_gaps and seg.refine_gaps[-1] < REFINE_TOL
     assert seg.arclength == pytest.approx(2 * 0.0561, abs=1e-12)
     assert float(handle.distance(seg.point_at(0.0561), x)) < 1e-12
+
+
+def test_import_does_not_load_scipy():
+    # only the density check uses scipy; a fresh import must not pay for it
+    src = str(pathlib.Path(entroflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, entroflow; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

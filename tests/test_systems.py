@@ -120,6 +120,46 @@ def test_center_shear_profile_periodic():
     assert shape.lipschitz(1.0) == pytest.approx(2.0 * math.pi)
 
 
+@pytest.mark.parametrize(
+    "harmonics",
+    [
+        ((1, 1.0, 0.0),),
+        ((1, 0.0, -0.7),),
+        ((1, 1.0, 0.0), (2, 0.0, 0.3), (3, -0.4, 0.0)),
+        ((1, 0.0, 0.0), (2, 0.5, -0.25), (5, -1e-300, 0.0)),
+    ],
+)
+def test_center_shear_skips_zero_amplitudes_bitwise(harmonics):
+    # the full sum, every sin and cos evaluated whatever its amplitude
+    def full_profile(c, s):
+        out = np.zeros(s.shape)
+        for m, a_sin, a_cos in harmonics:
+            w = 2.0 * math.pi * m / c
+            out = out + a_sin * np.sin(w * s) + a_cos * np.cos(w * s)
+        return out
+
+    def full_deriv(c, s):
+        out = np.zeros(s.shape)
+        for m, a_sin, a_cos in harmonics:
+            w = 2.0 * math.pi * m / c
+            out = out + w * (a_sin * np.cos(w * s) - a_cos * np.sin(w * s))
+        return out
+
+    rng = np.random.default_rng(5)
+    s = np.concatenate(
+        [
+            [0.0, -0.0, 0.25, 0.5, 1.0, -0.75, 1e-300, -1e-300],
+            rng.uniform(-3.0, 3.0, 200),
+            rng.uniform(-1e6, 1e6, 50),
+            [1e15, -1e15, 1e300, -1e300],
+        ]
+    )
+    shape = CenterShear(harmonics)
+    for c in (1.0, 0.7):
+        assert shape.profile(c, s).tobytes() == full_profile(c, s).tobytes()
+        assert shape.profile_deriv(c, s).tobytes() == full_deriv(c, s).tobytes()
+
+
 def test_base_shear_flat_at_seam():
     shape = BaseShear()
     assert shape.profile(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
