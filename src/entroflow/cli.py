@@ -1,4 +1,4 @@
-"""Command line interface: run, sweep, verify, list."""
+"""Command line interface: run, show, verify, list."""
 
 from __future__ import annotations
 
@@ -8,24 +8,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .records import load_record, verify_record
-
-
-def _add_run_flags(parser):
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default="runs", help="output directory (default: runs)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for the estimators (default: hardware parallelism)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override every RNG seed in the config",
-    )
+from .records import _SIDE_TABLES, load_record, verify_record
 
 
 def build_parser():
@@ -35,10 +18,23 @@ def build_parser():
         "for torus maps, suspension flows and their perturbations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run one experiment config")
-    _add_run_flags(run_p)
-    sweep_p = sub.add_parser("sweep", help="run a parameter grid")
-    _add_run_flags(sweep_p)
+    run_p = sub.add_parser("run", help="run one experiment config or sweep grid")
+    run_p.add_argument("--config", required=True, help="path to a JSON config")
+    run_p.add_argument("--out", default="runs", help="output directory (default: runs)")
+    run_p.add_argument(
+        "--workers",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes for the estimators (default: hardware parallelism)",
+    )
+    run_p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override every RNG seed in the config",
+    )
+    show_p = sub.add_parser("show", help="print the tables and results of a record")
+    show_p.add_argument("record", help="record directory or record.json path")
     verify_p = sub.add_parser("verify", help="re-check invariants of a stored record")
     verify_p.add_argument("record", help="record directory or record.json path")
     list_p = sub.add_parser("list", help="list stored records")
@@ -60,9 +56,53 @@ def _headline(record):
     return ""
 
 
-def _compute_time(record):
+def _summary(record):
     seconds = record.timings.get("compute_seconds")
-    return "-" if seconds is None else f"{seconds:.2f}s"
+    shown = "-" if seconds is None else f"{seconds:.2f}s"
+    return f"{record.id[:12]}  {record.experiment:<16} {shown:>8}  {_headline(record)}"
+
+
+def _cell(value):
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def _print_table(header, rows):
+    cells = [list(header), *([_cell(v) for v in row] for row in rows)]
+    widths = [max(len(row[j]) for row in cells) for j in range(len(header))]
+    for row in cells:
+        print("  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
+
+
+def show(record):
+    """Print the summary line, side tables, sweep points and scalar results."""
+    results = record.results
+    print(_summary(record))
+    for name, header, key in _SIDE_TABLES.get(record.experiment, ()):
+        if results.get(key) is not None:
+            print(name)
+            _print_table(header, results[key])
+    if record.experiment == "sweep":
+        names = results["parameters"]
+        print("points")
+        _print_table(
+            [*names, "rate", "stderr", "error"],
+            [
+                [*(p["params"][n] for n in names), p["rate"], p["stderr"], p["error"]]
+                for p in results["points"]
+            ],
+        )
+    for key, value in sorted(results.items()):
+        if isinstance(value, dict):
+            flat = {f"{key}.{sub}": v for sub, v in value.items()}
+        else:
+            flat = {key: value}
+        for name, v in flat.items():
+            if not isinstance(v, (list, dict)):
+                print(f"  {name} = {_cell(v)}")
 
 
 def main(argv=None):
@@ -75,25 +115,15 @@ def main(argv=None):
         except (ValueError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"{record.id}  {record.experiment}  {_headline(record)}")
+        show(record)
         print(f"wrote {Path(args.out) / record.id}")
         return 0
-    if args.command == "sweep":
+    if args.command == "show":
         try:
-            master, points = runner.sweep(
-                args.config, args.out, workers=args.workers, seed=args.seed
-            )
-        except (ValueError, FileNotFoundError) as exc:
+            show(load_record(args.record))
+        except (ValueError, FileNotFoundError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for row in master.results["points"]:
-            label = ", ".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
-            if row["error"] is None:
-                print(f"  {label}: rate={row['rate']:.6f}")
-            else:
-                print(f"  {label}: FAILED ({row['error']})")
-        print(f"{master.id}  sweep  {_headline(master)}")
-        print(f"wrote {Path(args.out) / master.id} (+{len(points)} point records)")
         return 0
     if args.command == "verify":
         try:
@@ -115,10 +145,7 @@ def main(argv=None):
             except ValueError as exc:
                 print(f"{path.parent.name[:12]}  (unreadable: {exc})")
                 continue
-            print(
-                f"{record.id[:12]}  {record.experiment:<16} "
-                f"{_compute_time(record):>8}  {_headline(record)}"
-            )
+            print(_summary(record))
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -8,6 +8,7 @@ from.  Round trip law: parse_config(serialize_config(cfg)) == cfg.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
@@ -253,22 +254,14 @@ def apply_grid_point(base, assignment):
 
 
 def grid_points(sweep_cfg):
-    """Assignments of a sweep grid in deterministic lexicographic order."""
-    names = [name for name, _ in sweep_cfg.grid]
-    value_lists = [values for _, values in sweep_cfg.grid]
-    out = []
-
-    def expand(idx, current):
-        if idx == len(names):
-            out.append(dict(current))
-            return
-        for v in value_lists[idx]:
-            current[names[idx]] = v
-            expand(idx + 1, current)
-        current.pop(names[idx], None)
-
-    expand(0, {})
-    return out
+    """Assignments of a sweep grid in lexicographic order over the sorted
+    parameter names."""
+    grid = sorted(sweep_cfg.grid)
+    names = [name for name, _ in grid]
+    return [
+        dict(zip(names, values))
+        for values in itertools.product(*(values for _, values in grid))
+    ]
 
 
 def override_seeds(cfg, seed):

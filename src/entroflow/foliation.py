@@ -229,29 +229,25 @@ def _eigenline_segment(sys, fl, x, radius, spacing, stable):
     """Closed-form leaf segment: uniform eigenline grid, marched when the
     variable-roof height series stretches arclength past the parameter."""
     kind = "stable" if stable else "unstable"
-    if fl is None:  # plain torus: the eigenline itself
-        if not (sys.invertible and sys.hyperbolic):
-            raise ValueError(
-                "leaf segments need an invertible hyperbolic integer matrix"
-            )
-        v = sys.stable_direction if stable else sys.unstable_direction
-        count = int(math.ceil(2.0 * radius / spacing))
-        taus = np.linspace(-radius, radius, count + 1)
-        pts = wrap_unit(x[None, :] + taus[:, None] * v[None, :])
-        return _segment(kind, sys.space, pts, spacing, arc_coords=taus + radius)
-    if fl.roof.is_constant:
-        count = int(math.ceil(2.0 * radius / spacing))
-        taus = np.linspace(-radius, radius, count + 1)
+    if fl is not None and not fl.roof.is_constant:
+        taus = _arc_march(
+            lambda t: _suspension_leaf_points(fl, x, t, stable=stable),
+            fl.space,
+            radius,
+            spacing,
+        )
         pts = _suspension_leaf_points(fl, x, taus, stable=stable)
-        return _segment(kind, sys.space, pts, spacing, arc_coords=taus + radius)
-    taus = _arc_march(
-        lambda t: _suspension_leaf_points(fl, x, t, stable=stable),
-        fl.space,
-        radius,
-        spacing,
-    )
-    pts = _suspension_leaf_points(fl, x, taus, stable=stable)
-    return _segment(kind, sys.space, pts, spacing)
+        return _segment(kind, sys.space, pts, spacing)
+    count = int(math.ceil(2.0 * radius / spacing))
+    taus = np.linspace(-radius, radius, count + 1)
+    if fl is not None:
+        pts = _suspension_leaf_points(fl, x, taus, stable=stable)
+    elif sys.invertible and sys.hyperbolic:  # plain torus: the eigenline itself
+        v = sys.stable_direction if stable else sys.unstable_direction
+        pts = wrap_unit(x[None, :] + taus[:, None] * v[None, :])
+    else:
+        raise ValueError("leaf segments need an invertible hyperbolic integer matrix")
+    return _segment(kind, sys.space, pts, spacing, arc_coords=taus + radius)
 
 
 def _arc_march(curve, space, radius, spacing):
@@ -290,6 +286,31 @@ def _arc_march(curve, space, radius, spacing):
     return np.array(neg[:0:-1] + pos)
 
 
+def _leaf_segment(sys, x, radius, spacing, stable):
+    kind = "stable" if stable else "unstable"
+    radius = float(radius)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    x = _canonical_point(sys, x)
+    if radius == 0:
+        return _segment(kind, sys.space, x[None, :], 1.0)
+    if spacing is None:
+        spacing = radius / 20.0
+    if spacing > radius / 10.0 + 1e-12:
+        raise ValueError("spacing must be at most radius/10")
+    if isinstance(sys, ToralMapHandle):
+        return _eigenline_segment(sys, None, x, radius, spacing, stable)
+    if isinstance(sys, TimeTMapHandle) or (
+        isinstance(sys, PerturbedHandle) and sys.epsilon == 0.0
+    ):
+        return _eigenline_segment(sys, sys.reference_flow, x, radius, spacing, stable)
+    if isinstance(sys, PerturbedHandle) and not stable:
+        return _graph_transform_unstable(sys, x, radius, spacing)
+    if stable:
+        raise ValueError("stable segments are only available in closed form")
+    raise ValueError("system exposes no unstable direction")
+
+
 def unstable_segment(sys, x, radius, spacing=None):
     """Unstable-leaf piece of arclength 2*radius centered at x.
 
@@ -298,52 +319,12 @@ def unstable_segment(sys, x, radius, spacing=None):
     backward graph transform until successive candidates agree below
     REFINE_TOL.
     """
-    radius = float(radius)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    x = _canonical_point(sys, x)
-    if radius == 0:
-        return _segment("unstable", sys.space, x[None, :], 1.0)
-    if spacing is None:
-        spacing = radius / 20.0
-    if spacing > radius / 10.0 + 1e-12:
-        raise ValueError("spacing must be at most radius/10")
-    if isinstance(sys, ToralMapHandle):
-        return _eigenline_segment(sys, None, x, radius, spacing, stable=False)
-    if isinstance(sys, TimeTMapHandle):
-        return _eigenline_segment(
-            sys, sys.reference_flow, x, radius, spacing, stable=False
-        )
-    if isinstance(sys, PerturbedHandle):
-        if sys.epsilon == 0.0:
-            return _eigenline_segment(
-                sys, sys.reference_flow, x, radius, spacing, stable=False
-            )
-        return _graph_transform_unstable(sys, x, radius, spacing)
-    raise ValueError("system exposes no unstable direction")
+    return _leaf_segment(sys, x, radius, spacing, stable=False)
 
 
 def stable_segment(sys, x, radius, spacing=None):
     """Stable-leaf piece; closed forms only (no perturbed construction)."""
-    radius = float(radius)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    x = _canonical_point(sys, x)
-    if radius == 0:
-        return _segment("stable", sys.space, x[None, :], 1.0)
-    if spacing is None:
-        spacing = radius / 20.0
-    if spacing > radius / 10.0 + 1e-12:
-        raise ValueError("spacing must be at most radius/10")
-    if isinstance(sys, ToralMapHandle):
-        return _eigenline_segment(sys, None, x, radius, spacing, stable=True)
-    if isinstance(sys, TimeTMapHandle) or (
-        isinstance(sys, PerturbedHandle) and sys.epsilon == 0.0
-    ):
-        return _eigenline_segment(
-            sys, sys.reference_flow, x, radius, spacing, stable=True
-        )
-    raise ValueError("stable segments are only available in closed form")
+    return _leaf_segment(sys, x, radius, spacing, stable=True)
 
 
 # --------------------------------------------------------------------------
@@ -396,10 +377,12 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     """
     img, keys, finals = _bisection_passes(sys, pts, spacing, budget, step_index)
     n0 = img.parts[0].shape[0]
-    order = np.lexsort(
-        (np.concatenate([f for _, f in keys]), np.concatenate([e for e, _ in keys]))
-    )
-    keys.clear()  # drop the key parts before the gather
+    # the input vertices sit at fraction 0 of their own edge
+    edge = np.concatenate([np.arange(n0), *(e for e, _ in keys)])
+    frac = np.concatenate([np.zeros(n0, dtype=np.uint64), *(f for _, f in keys)])
+    keys.clear()  # drop the key parts before the sort
+    order = np.lexsort((frac, edge))
+    del edge, frac
     imgs = np.take(img.pop_concatenated(), order, axis=0)
     # a final chord is filed under the id of its edge's first vertex
     by_id = np.empty(order.size)
@@ -413,14 +396,13 @@ def _bisection_passes(sys, pts, spacing, budget, step_index):
     """The passes of refine_step, with every vertex kept in pass order.
 
     Returns the images by id (_Parts), the (input edge, fraction) key
-    parts of the input vertices and of each pass's midpoints, and the
-    (first vertex ids, chords) of the edges each pass left whole.
+    parts of each pass's midpoints, and the (first vertex ids, chords)
+    of the edges each pass left whole.
     """
     space = sys.space
     pre = _Parts(pts)
     img = _Parts(np.atleast_2d(sys.step(pts)))
-    n0 = img.total
-    keys = [(np.arange(n0), np.zeros(n0, dtype=np.uint64))]
+    keys = []
     finals = []
     # the edges this pass may bisect: at first edge j joins vertices j and
     # j + 1; later they are the halves of the last pass's bisected edges,
@@ -441,16 +423,18 @@ def _bisection_passes(sys, pts, spacing, budget, step_index):
             return img, keys, finals
         if budget is not None and img.total + bad.size > budget:
             raise VertexBudgetExceeded(step_index, img.total + bad.size, budget)
+        # the measured chords and the index arrays are spent: free them
+        # before the step allocates its temporaries
+        del over, good, chords
         mids = space.lerp(pre.rows(lo), pre.rows(hi), 0.5)
         mid_imgs = np.atleast_2d(sys.step(mids))
-        left = np.atleast_1d(space.distance(img.rows(lo), mid_imgs))
-        right = np.atleast_1d(space.distance(mid_imgs, img.rows(hi)))
+        chords = np.empty(2 * bad.size)
+        chords[0::2] = space.distance(img.rows(lo), mid_imgs)
+        chords[1::2] = space.distance(mid_imgs, img.rows(hi))
         halves = _Halves(lo, hi, edge, frac, img.total, half)
         keys.append((edge, frac + half))
         pre.append(mids)
         img.append(mid_imgs)
-        chords = np.empty(2 * bad.size)
-        chords[0::2], chords[1::2] = left, right
         half >>= np.uint64(1)
     raise RuntimeError("midpoint refinement failed to settle in 64 passes")
 

@@ -256,6 +256,11 @@ def _verify_continuity(results, failures):
         # the modulus is replayed from the member fits, so a wrong entry
         # rate is reported once, against its counts
         rates, source = [], "member_counts"
+        if len(member_counts) != len(entries):
+            failures.append(
+                f"member_counts: {len(member_counts)} rows "
+                f"but entries has {len(entries)}"
+            )
         for (eps, rate, stderr), rows in zip(entries, member_counts):
             cs = [int(r[1]) for r in rows]
             for a, b in zip(cs, cs[1:]):
@@ -331,8 +336,8 @@ def _verify_sweep(results, failures):
     if points is None:
         return
     for pt in points:
-        if pt.get("error") is None and "rate" not in pt:
-            failures.append(f"points: {pt.get('id', '?')[:12]} has neither rate nor error")
+        if pt.get("error") is None and pt.get("rate") is None:
+            failures.append(f"points: {pt.get('params')} has neither rate nor error")
 
 
 _VERIFIERS = {

@@ -218,22 +218,15 @@ def run(config_or_path, out_dir="runs", workers=None, seed=None):
     return record
 
 
-def sweep(config_or_path, out_dir="runs", workers=None, seed=None):
-    """Run a sweep grid; returns (aggregate record, list of point records).
+def sweep(cfg, out_dir="runs", workers=1):
+    """Run a parsed sweep grid; returns (aggregate record, point records).
 
     Every grid point gets its own hashed record; point failures are
     recorded as error strings without aborting the sweep, and the
     aggregate CSV is always written.
     """
-    cfg = config_or_path
-    if isinstance(cfg, (str, os.PathLike)):
-        cfg = load_config_file(cfg)
     if not isinstance(cfg, SweepConfig):
         raise ValueError("sweep needs a config with experiment = 'sweep'")
-    if seed is not None:
-        cfg = override_seeds(cfg, seed)
-    if workers is None:
-        workers = os.cpu_count() or 1
     param_names = [name for name, _ in cfg.grid]
     t0 = time.perf_counter()
     point_records, point_rows = [], []

@@ -10,6 +10,7 @@ from entroflow import cli, runner
 from entroflow.config import (
     ContinuityConfig,
     EstimateConfig,
+    FoliationCheckConfig,
     GrowthConfig,
     SweepConfig,
     SystemConfig,
@@ -17,6 +18,7 @@ from entroflow.config import (
     serialize_config,
 )
 from entroflow.records import (
+    _SIDE_TABLES,
     ExperimentRecord,
     canonical_json,
     config_hash,
@@ -425,3 +427,96 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "surprise" in err
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("change", ["drop", "extra"])
+def test_verify_catches_member_counts_row_count(continuity_run, tmp_path, change):
+    record, rdir = continuity_run
+
+    def edit(results):
+        rows = results["member_counts"]
+        if change == "drop":
+            rows.pop()
+        else:
+            rows.append(rows[-1])
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    n = len(record.results["entries"])
+    m = n - 1 if change == "drop" else n + 1
+    assert f"member_counts: {m} rows but entries has {n}" in report.failures
+
+
+def test_verify_reports_sweep_point_without_rate_or_error(tmp_path, capsys):
+    sweep_cfg = SweepConfig(base=SMALL_GROWTH, grid=(("n", (3,)),))
+    master, _ = runner.sweep(sweep_cfg, out_dir=str(tmp_path))
+    rdir = tmp_path / master.id
+    data = json.loads((rdir / "record.json").read_text())
+    data["results"]["points"][0] = {"params": {"n": 3}, "id": None}
+    (rdir / "record.json").write_text(json.dumps(data))
+    report = verify_record(rdir)
+    assert list(report.failures) == ["points: {'n': 3} has neither rate nor error"]
+    assert cli.main(["verify", str(rdir)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _shown_rows(out):
+    return [line.split() for line in out.splitlines()]
+
+
+def _assert_tables_shown(record, out):
+    shown = _shown_rows(out)
+    for name, header, key in _SIDE_TABLES[record.experiment]:
+        assert name in out
+        assert list(header) in shown
+        for row in record.results[key]:
+            assert [cli._cell(v) for v in row] in shown, (name, row)
+
+
+def test_cli_show_prints_estimate_tables(estimate_run, capsys):
+    record, rdir = estimate_run
+    assert cli.main(["show", str(rdir)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].startswith(f"{record.id[:12]}  estimate")
+    _assert_tables_shown(record, out)
+    assert f"  rate = {cli._cell(record.results['rate'])}" in out
+
+
+def test_cli_show_prints_foliation_tables_and_nested_results(tmp_path, capsys):
+    cfg = FoliationCheckConfig(
+        nonexpansion_samples=10, horizon=10, leaf_radii=(1.0, 2.0), probe_resolution=6
+    )
+    record = run_small(cfg, tmp_path, workers=1)
+    assert cli.main(["show", str(tmp_path / record.id)]) == 0
+    out = capsys.readouterr().out
+    _assert_tables_shown(record, out)
+    gap = record.results["holonomy"]["depth_gap"]
+    assert f"  holonomy.depth_gap = {cli._cell(gap)}" in out
+    assert "  nonexpansion.max_ratio_forward = " in out
+
+
+def test_cli_run_and_show_print_sweep_points(tmp_path, capsys):
+    grid = (("delta", (0.05, -1.0)), ("n", (3, 4)))
+    sweep_cfg = SweepConfig(base=SMALL_GROWTH, grid=grid)
+    out_dir = tmp_path / "runs"
+    path = write_config(tmp_path, sweep_cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+    run_out = capsys.readouterr().out
+    master_id = run_out.splitlines()[-1].rsplit("/", 1)[-1]
+    assert cli.main(["show", str(out_dir / master_id)]) == 0
+    show_out = capsys.readouterr().out
+    assert run_out.startswith(show_out)
+    points = load_record(out_dir / master_id).results["points"]
+    shown = _shown_rows(show_out)
+    assert ["delta", "n", "rate", "stderr", "error"] in shown
+    for p in points[:2]:
+        row = [p["params"]["delta"], p["params"]["n"], p["rate"], p["stderr"], "-"]
+        assert [cli._cell(v) for v in row] in shown
+    for p in points[2:]:
+        assert p["rate"] is None and p["error"] in show_out
+
+
+def test_cli_show_missing_record_exits_two(tmp_path, capsys):
+    assert cli.main(["show", str(tmp_path / "nowhere")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -181,6 +181,26 @@ def test_perturbed_rejects_epsilon_above_threshold(time1):
         PerturbedHandle(time1, -0.01, CenterShear())
 
 
+@pytest.mark.parametrize("roof", [1.0, 2.5])
+def test_center_shear_determinant_above_half_below_threshold(roof):
+    # det D(shear) = 1 + eps * sigma'(s) and |sigma'| <= lipschitz(c), so
+    # just below the threshold 0.5 / lipschitz the determinant stays > 0.5;
+    # the single sine harmonic attains |sigma'| = lipschitz at s = c / 2
+    flow = SuspensionFlow(ToralMapHandle([[2, 1], [1, 1]]), Roof(roof))
+    reference = TimeTMapHandle(flow, 1.0)
+    rng = np.random.default_rng(11)
+    heights = np.linspace(0.0, roof, 20001)
+    shapes = [CenterShear(((1, 1.0, 0.0),))]
+    for _ in range(20):
+        ms = rng.choice(np.arange(1, 8), size=3, replace=False)
+        shapes.append(CenterShear(tuple((int(m), *rng.normal(size=2)) for m in ms)))
+    for shape in shapes:
+        eps = (1.0 - 1e-12) * 0.5 / shape.lipschitz(roof)
+        PerturbedHandle(reference, eps, shape)
+        det = 1.0 + eps * shape.profile_deriv(roof, heights)
+        assert float(det.min()) > 0.5
+
+
 def test_perturbed_requires_constant_roof(flow_trig):
     with pytest.raises(ValueError, match="constant roof"):
         PerturbedHandle(TimeTMapHandle(flow_trig, 1.0), 0.01, CenterShear())
