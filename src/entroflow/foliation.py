@@ -7,16 +7,22 @@ covering-radius surrogate for density of center-saturated unstable leaves.
 
 Leaves are exact eigenlines on the torus.  On a mapping torus the unstable
 leaf of a time-t map is the base eigenline plus a geometrically convergent
-height series (zero for constant roofs); perturbed maps get their leaves
-from a backward graph transform seeded with the reference leaf.  Center
-leaves are flow lines of the reference suspension flow, and center
-arclength is flow time (the chart flow moves at unit vertical speed).
+height series (zero for constant roofs).  Perturbed maps share the leaves
+of their reference: both shear shapes move a point by an amount that
+depends on its height alone, so they carry each horizontal eigenline
+segment {(x + tau v, h)} onto another by a translation, and the reference
+time-t map does the same up to the base matrix at the seam, which keeps
+each eigenline family.  The perturbed map thus stretches the unstable
+segments and shrinks the stable ones as its reference does, and they are
+its exact leaves.  Center leaves are flow lines of the reference
+suspension flow, and center arclength is flow time (the chart flow moves
+at unit vertical speed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +58,6 @@ BOX_DELTA_CAP = 0.05
 DENSITY_RADIUS_BOUND = 0.1
 #: local-chart validity scale of the center holonomy
 CHART_RADIUS = 0.2
-#: graph-transform convergence gap, reached within MAX_REFINEMENTS depths
-REFINE_TOL = 1e-7
-MAX_REFINEMENTS = 60
 
 
 # --------------------------------------------------------------------------
@@ -62,7 +65,12 @@ MAX_REFINEMENTS = 60
 
 
 def _canonical_point(sys, x):
-    return sys.space.canonicalize(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.dim,):
+        raise ValueError(
+            f"base point of dimension {x.size} given to a system of dimension {sys.dim}"
+        )
+    return sys.space.canonicalize(x[None, :])[0]
 
 
 def _quad_interp(xs, ys, q):
@@ -110,7 +118,6 @@ class LeafSegment:
     arc_coords: np.ndarray
     spacing_bound: float
     space: object
-    refine_gaps: tuple = ()
     chords: np.ndarray = None
 
     def __post_init__(self):
@@ -157,24 +164,16 @@ class LeafSegment:
         return out[0] if scalar else out
 
 
-def _segment(
-    kind, space, pts, spacing_bound, arc_coords=None, refine_gaps=(), chords=None
-):
-    """Leaf segment through canonicalized points; arc coordinates default
-    to chord sums, and chords measured by the caller are reused."""
-    pts = space.canonicalize(np.atleast_2d(np.asarray(pts, dtype=float)))
+def _segment(kind, space, pts, spacing_bound, arc_coords=None, chords=None):
+    """Leaf segment through canonical points; arc coordinates default to
+    chord sums, and chords measured by the caller are reused."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if chords is None:
         chords = _chords(space, pts)
     if arc_coords is None:
         arc_coords = np.concatenate([[0.0], np.cumsum(chords)])
     return LeafSegment(
-        kind,
-        pts,
-        np.asarray(arc_coords, dtype=float),
-        float(spacing_bound),
-        space,
-        tuple(refine_gaps),
-        chords,
+        kind, pts, np.asarray(arc_coords, dtype=float), float(spacing_bound), space, chords
     )
 
 
@@ -300,30 +299,24 @@ def _leaf_segment(sys, x, radius, spacing, stable):
         raise ValueError("spacing must be at most radius/10")
     if isinstance(sys, ToralMapHandle):
         return _eigenline_segment(sys, None, x, radius, spacing, stable)
-    if isinstance(sys, TimeTMapHandle) or (
-        isinstance(sys, PerturbedHandle) and sys.epsilon == 0.0
-    ):
+    if isinstance(sys, (TimeTMapHandle, PerturbedHandle)):
+        # a perturbed map keeps its reference's leaves (module docstring)
         return _eigenline_segment(sys, sys.reference_flow, x, radius, spacing, stable)
-    if isinstance(sys, PerturbedHandle) and not stable:
-        return _graph_transform_unstable(sys, x, radius, spacing)
-    if stable:
-        raise ValueError("stable segments are only available in closed form")
-    raise ValueError("system exposes no unstable direction")
+    raise ValueError(f"system exposes no {kind} direction")
 
 
 def unstable_segment(sys, x, radius, spacing=None):
     """Unstable-leaf piece of arclength 2*radius centered at x.
 
-    Toral and time-t suspension handles use the closed form (eigenline plus
-    height series); perturbed handles refine the reference leaf through a
-    backward graph transform until successive candidates agree below
-    REFINE_TOL.
+    Every handle uses the closed form: the eigenline, plus the height
+    series on a variable-roof suspension; a perturbed handle uses its
+    reference flow's, which is exact for both shear shapes.
     """
     return _leaf_segment(sys, x, radius, spacing, stable=False)
 
 
 def stable_segment(sys, x, radius, spacing=None):
-    """Stable-leaf piece; closed forms only (no perturbed construction)."""
+    """Stable-leaf piece, in the closed form of unstable_segment."""
     return _leaf_segment(sys, x, radius, spacing, stable=True)
 
 
@@ -370,10 +363,9 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     vertex lies on, then its position along that edge as a 64-bit binary
     fraction.
 
-    Returns (images, chords, index): the refined image polyline, its edge
-    chords, and the position in `images` of every input vertex.  Raises
-    VertexBudgetExceeded, tagged with step_index, when the refined
-    polyline would need more than `budget` vertices.
+    Returns (images, chords): the refined image polyline and its edge
+    chords.  Raises VertexBudgetExceeded, tagged with step_index, when the
+    refined polyline would need more than `budget` vertices.
     """
     img, keys, finals = _bisection_passes(sys, pts, spacing, budget, step_index)
     n0 = img.parts[0].shape[0]
@@ -388,8 +380,7 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     by_id = np.empty(order.size)
     for ids, part in finals:
         by_id[ids] = part
-    # the input vertices keep their relative order
-    return imgs, np.take(by_id, order[:-1]), np.flatnonzero(order < n0)
+    return imgs, np.take(by_id, order[:-1])
 
 
 def _bisection_passes(sys, pts, spacing, budget, step_index):
@@ -501,116 +492,6 @@ class _Halves:
             self.edge[i],
             np.where(second, frac + self.half, frac),
         )
-
-
-# --------------------------------------------------------------------------
-# graph transform for perturbed unstable leaves
-
-
-def _trim_polyline(space, pts, chords, center_idx, radius):
-    """Clip to chord arclength `radius` on both sides of a center vertex.
-
-    End vertices are interpolated onto the radius.  Returns (points,
-    chords, center_index, reached_both_sides).
-    """
-
-    def side(direction):
-        """Outward vertices and chords from the center, with the reach flag."""
-        if direction > 0:
-            idx = np.arange(center_idx + 1, pts.shape[0])
-            d = chords[center_idx:]
-        else:
-            idx = np.arange(center_idx - 1, -1, -1)
-            d = chords[:center_idx][::-1]
-        acc = np.cumsum(d)
-        stop = int(np.searchsorted(acc, radius - 1e-12))
-        if stop == d.size:
-            reach = acc[-1] if acc.size else 0.0
-            return pts[idx], d, reach >= radius - 1e-9
-        if acc[stop] < radius:
-            return pts[idx[: stop + 1]], d[: stop + 1], True
-        before = acc[stop - 1] if stop else 0.0
-        inner = pts[idx[stop] - direction]
-        end = space.lerp(inner, pts[idx[stop]], (radius - before) / d[stop])
-        end_chord = float(space.distance(inner, end))
-        pts_out = np.concatenate([pts[idx[:stop]], end[None, :]])
-        return pts_out, np.append(d[:stop], end_chord), True
-
-    left, left_chords, ok_l = side(-1)
-    right, right_chords, ok_r = side(+1)
-    merged = np.concatenate([left[::-1], pts[center_idx : center_idx + 1], right])
-    merged_chords = np.concatenate([left_chords[::-1], right_chords])
-    return merged, merged_chords, left.shape[0], bool(ok_l and ok_r)
-
-
-def _matched_arc_gap(a, a_center, b, b_center):
-    """Sup distance between two leaf segments at matched signed arclength
-    from their center vertices; tight for nearby curves through the same
-    point."""
-    ca, cb = a.arc_coords[a_center], b.arc_coords[b_center]
-    lo = max(-ca, -cb)
-    hi = min(a.arclength - ca, b.arclength - cb)
-    s = np.linspace(lo, hi, 65)
-    gaps = np.atleast_1d(a.space.distance(a.point_at(ca + s), b.point_at(cb + s)))
-    return float(np.max(gaps))
-
-
-def _graph_transform_unstable(sys, x, radius, spacing):
-    """Backward graph transform for the unstable leaf of a perturbed map.
-
-    Seeds with the reference leaf along the backward orbit of x, pushes it
-    forward with refinement and trimming, and deepens until successive
-    candidates agree below REFINE_TOL.  Raises after MAX_REFINEMENTS
-    with the last gap when contraction fails.
-    """
-    fl = sys.reference_flow
-    t_ref = sys.reference.t
-    per_step = fl.base_map.expansion_factor ** (abs(t_ref) / fl.roof.constant)
-    margin = 1.3
-    gaps = []
-    prev = None
-    xk = x.copy()
-    for depth in range(1, MAX_REFINEMENTS + 1):
-        xk = sys.step_back(xk[None, :])[0]
-        seed_r = max(radius * margin / per_step ** depth, 6.0 * spacing)
-        for _ in range(10):
-            seed = _eigenline_segment(
-                sys, fl, xk, seed_r, min(spacing, seed_r / 12.0), stable=False
-            )
-            pts = seed.points
-            if pts.shape[0] % 2 == 0:
-                # an odd interval count puts no vertex on xk, and each push
-                # would stretch the offset of the nearest one: add xk
-                pts = np.insert(pts, pts.shape[0] // 2, xk, axis=0)
-            center = int(np.argmin(np.atleast_1d(sys.distance(pts, xk[None, :]))))
-            ok = True
-            for _j in range(depth):
-                imgs, chords, index = refine_step(sys, pts, spacing)
-                pts, chords, center, reached = _trim_polyline(
-                    sys.space, imgs, chords, index[center], radius * margin
-                )
-                if not reached:
-                    ok = False
-                    break
-            if ok:
-                break
-            seed_r *= 1.7
-        else:
-            raise RuntimeError("graph transform could not cover the radius")
-        cand_pts, cand_chords, cand_center, _ = _trim_polyline(
-            sys.space, pts, chords, center, radius
-        )
-        cand = _segment("unstable", sys.space, cand_pts, spacing, chords=cand_chords)
-        if prev is not None:
-            gap = _matched_arc_gap(cand, cand_center, *prev)
-            gaps.append(gap)
-            if gap < REFINE_TOL:
-                return replace(cand, refine_gaps=tuple(gaps))
-        prev = (cand, cand_center)
-    raise RuntimeError(
-        f"graph transform did not converge in {MAX_REFINEMENTS} "
-        f"refinements; last gap {gaps[-1] if gaps else float('nan'):.3g}"
-    )
 
 
 # --------------------------------------------------------------------------

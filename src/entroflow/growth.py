@@ -42,7 +42,7 @@ def grow_segment(
         return seg
     pts = seg.points
     for step_index in range(1, steps + 1):
-        pts, chords, _ = foliation.refine_step(
+        pts, chords = foliation.refine_step(
             sys, pts, spacing, vertex_budget, step_index
         )
     return foliation._segment("unstable", sys.space, pts, spacing, chords=chords)

@@ -122,6 +122,8 @@ def _run_continuity(cfg, workers):
 
 def _run_foliation(cfg, workers):
     handle = system_from_config(cfg.system)
+    # a plain toral map has no reference flow to read
+    foliation._require_center(handle)
     fl = handle.reference_flow
     x = np.asarray(cfg.x, dtype=float)
     seg = foliation.unstable_segment(handle, x, cfg.leaf_radius)

@@ -751,6 +751,14 @@ class PerturbedHandle(SystemHandle):
     |sigma'| <= lipschitz(c), so it stays above 0.5, and a base shear's
     is 1 (it moves x along a fixed direction by an amount that depends
     on the height alone).
+
+    Both shapes preserve the horizontal eigenline foliation of the
+    reference: a point moves by an amount that depends on its height
+    alone, so every point of a segment {(x + tau v, h)} moves alike and
+    the segment lands on one eigenline at one height (the seam maps it
+    by the base matrix, which keeps each eigenline family).  The
+    reference's closed-form (un)stable leaves are therefore this map's
+    too.
     """
 
     def __init__(self, reference, epsilon, shape):

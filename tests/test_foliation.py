@@ -10,7 +10,7 @@ import pytest
 import entroflow
 from entroflow import systems
 from entroflow.foliation import (
-    REFINE_TOL,
+    _canonical_point,
     build_product_box,
     center_holonomy,
     center_nonexpansion_check,
@@ -20,7 +20,8 @@ from entroflow.foliation import (
     stable_segment,
     unstable_segment,
 )
-from entroflow.systems import CenterShear, PerturbedHandle, TimeTMapHandle
+from entroflow.growth import grow_segment
+from entroflow.systems import BaseShear, CenterShear, PerturbedHandle, TimeTMapHandle
 
 from conftest import LOG_LAMBDA
 
@@ -205,32 +206,96 @@ def test_point_at_matches_reference(space, radius, cat, time1):
     assert seg.point_at(arcs[:1]).shape == (1, seg.points.shape[1])
 
 
-@pytest.mark.parametrize("kind", ["eigenline", "graph_transform", "center"])
+@pytest.mark.parametrize("kind", ["eigenline", "perturbed", "center"])
 def test_segment_chords_match_vertices(kind, cat, time1):
     x = np.array([0.2, 0.3, 0.37])
     if kind == "eigenline":
         sys, seg = cat, unstable_segment(cat, x[:2], 0.05)
-    elif kind == "graph_transform":
+    elif kind == "perturbed":
         sys = PerturbedHandle(time1, 0.04, CenterShear())
         seg = unstable_segment(sys, x, 0.05)
     else:
         sys, seg = time1, center_segment(time1, x, 0.5)
     chords = sys.space.distance(seg.points[:-1], seg.points[1:])
     assert np.array_equal(seg.chords, chords)
-    if kind == "graph_transform":
-        assert seg.refine_gaps
-        assert np.array_equal(seg.arc_coords, np.concatenate([[0.0], np.cumsum(chords)]))
 
 
-def test_graph_transform_centres_an_odd_interval_seed(time1):
-    # radius 0.0561 with spacing 0.002 gives seeds with an odd interval
-    # count, which have no vertex on the backward iterate x_k
+def test_perturbed_leaf_is_centred_on_x(time1):
+    # radius 0.0561 with spacing 0.002: an odd interval count, so x is
+    # the midpoint of the eigenline grid, not one of its vertices
     handle = PerturbedHandle(time1, 0.03, CenterShear())
     x = np.array([0.2, 0.3, 0.4])
     seg = unstable_segment(handle, x, 0.0561, spacing=0.002)
-    assert seg.refine_gaps and seg.refine_gaps[-1] < REFINE_TOL
     assert seg.arclength == pytest.approx(2 * 0.0561, abs=1e-12)
     assert float(handle.distance(seg.point_at(0.0561), x)) < 1e-12
+
+
+SHEARS = {
+    "center": CenterShear(),
+    "center_multi": CenterShear(harmonics=((1, 1.0, 0.0), (3, 0.2, 0.5))),
+    "base": BaseShear(),
+    "base_multi": BaseShear(harmonics=((1, 1.0), (2, 0.4))),
+    "base_oblique": BaseShear(direction=(0.3, -0.8)),
+}
+
+
+def eigenline_offsets(space, through, pts, v):
+    """Worst offset of pts from the horizontal line through + tau*v,
+    perpendicular to v in the base and in height."""
+    d = space.displacement(through, pts)
+    perp = d[:, :2] - np.outer(d[:, :2] @ v, v)
+    return float(np.max(np.linalg.norm(perp, axis=1))), float(np.max(np.abs(d[:, 2])))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", list(SHEARS))
+@pytest.mark.parametrize("frac", [0.3, 0.9])
+def test_perturbed_map_preserves_closed_form_leaves(t, shape, frac, flow_const):
+    # the closed-form leaves are exact for the perturbed map: F carries an
+    # unstable segment onto the unstable eigenline through F(x) at F(x)'s
+    # height, and F^-1 a stable segment onto the stable one through F^-1(x)
+    shear = SHEARS[shape]
+    eps = frac * 0.5 / shear.lipschitz(flow_const.roof.constant)
+    handle = PerturbedHandle(TimeTMapHandle(flow_const, t), eps, shear)
+    base_map = flow_const.base_map
+    x = np.array([0.2, 0.3, 0.37])
+    for seg, move, v in (
+        (unstable_segment(handle, x, 0.02), handle.step, base_map.unstable_direction),
+        (stable_segment(handle, x, 0.02), handle.step_back, base_map.stable_direction),
+    ):
+        perp, dh = eigenline_offsets(handle.space, move(x[None, :])[0], move(seg.points), v)
+        assert perp <= 1e-12 and dh <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["torus", "time_t", "variable_roof", "perturbed", "grown"])
+def test_leaf_points_are_canonical(kind, cat, time1, flow_trig):
+    # segments take their points as they are: every construction must
+    # hand over points that canonicalize leaves bitwise unchanged
+    x = np.array([0.2, 0.3, 0.95])
+    if kind == "torus":
+        sys, x = cat, x[:2]
+    elif kind == "time_t":
+        sys = time1
+    elif kind == "variable_roof":
+        sys = TimeTMapHandle(flow_trig, 1.0)
+    else:  # perturbed, and a segment grown by it
+        sys = PerturbedHandle(time1, 0.04, CenterShear())
+    segs = [unstable_segment(sys, x, 0.05), stable_segment(sys, x, 0.05)]
+    if kind == "grown":
+        segs = [grow_segment(sys, segs[0], 3, 0.005)]
+    elif kind != "torus":
+        segs.append(center_segment(sys, x, 1.5))
+    for seg in segs:
+        assert np.array_equal(sys.space.canonicalize(seg.points), seg.points)
+
+
+def test_base_point_dimension_must_match(cat, time1):
+    with pytest.raises(ValueError, match="dimension 1 given to a system of dimension 2"):
+        _canonical_point(cat, [0.2])
+    with pytest.raises(ValueError, match="dimension 2 given to a system of dimension 3"):
+        unstable_segment(time1, [0.2, 0.3], 0.05)
+    with pytest.raises(ValueError, match="dimension 3 given to a system of dimension 2"):
+        unstable_segment(cat, [[0.2, 0.3, 0.4]], 0.05)
 
 
 def test_import_does_not_load_scipy():

@@ -212,8 +212,7 @@ def reference_push(sys, pts, spacing):
     """Recursive per-edge bisection of one forward step.
 
     Each pre-image edge whose image chord exceeds `spacing` is split at its
-    parameter midpoint, depth first.  Returns the images and the new index
-    of every input vertex.
+    parameter midpoint, depth first.  Returns the images.
     """
     space = sys.space
     imgs = sys.step(pts)
@@ -227,18 +226,17 @@ def reference_push(sys, pts, spacing):
         right = chain(mid_pre, mid_img, pre_b, img_b, depth + 1)
         return left + right
 
-    out, index = [imgs[0]], [0]
+    out = [imgs[0]]
     for i in range(pts.shape[0] - 1):
         out.extend(chain(pts[i], imgs[i], pts[i + 1], imgs[i + 1], 0))
-        index.append(len(out) - 1)
-    return np.stack(out), np.array(index)
+    return np.stack(out)
 
 
 def refine(sys, pts, spacing):
     """The shared refinement step, its chords re-measured for the check."""
-    imgs, chords, index = foliation.refine_step(sys, pts, spacing)
+    imgs, chords = foliation.refine_step(sys, pts, spacing)
     assert np.array_equal(chords, sys.space.distance(imgs[:-1], imgs[1:]))
-    return imgs, index
+    return imgs
 
 
 def _refinement_cases():
@@ -263,10 +261,8 @@ def test_refinement_matches_recursive_bisection(case):
     seg = unstable_segment(ref, np.array(x), 0.05)
     pts = seg.points
     for _ in range(4):
-        expect, expect_index = reference_push(sys, pts, spacing)
-        got, index = refine(sys, pts, spacing)
-        assert np.array_equal(got, expect)
-        assert np.array_equal(index, expect_index)
+        expect = reference_push(sys, pts, spacing)
+        assert np.array_equal(refine(sys, pts, spacing), expect)
         pts = expect
     grown = grow_segment(sys, seg, 4, spacing)
     assert np.array_equal(grown.points, pts)
@@ -281,11 +277,10 @@ def insert_refine_step(sys, pts, spacing, budget=None, step_index=1):
     space = sys.space
     imgs = np.atleast_2d(sys.step(pts))
     chords = np.atleast_1d(space.distance(imgs[:-1], imgs[1:]))
-    index = np.arange(imgs.shape[0])
     for _ in range(64):
         bad = np.flatnonzero(chords > spacing)
         if bad.size == 0:
-            return imgs, chords, index
+            return imgs, chords
         if budget is not None and imgs.shape[0] + bad.size > budget:
             raise VertexBudgetExceeded(step_index, imgs.shape[0] + bad.size, budget)
         mids = space.lerp(pts[bad], pts[bad + 1], 0.5)
@@ -296,7 +291,6 @@ def insert_refine_step(sys, pts, spacing, budget=None, step_index=1):
         chords = np.insert(chords, bad + 1, right)
         imgs = np.insert(imgs, bad + 1, mid_imgs, axis=0)
         pts = np.insert(pts, bad + 1, mids, axis=0)
-        index = index + np.searchsorted(bad, index)
     raise RuntimeError("midpoint refinement failed to settle in 64 passes")
 
 
@@ -309,7 +303,7 @@ def test_refine_step_matches_insert_reference(case):
     for sp in (spacing, spacing / 7.0):
         got = foliation.refine_step(sys, seg.points, sp)
         expect = insert_refine_step(sys, seg.points, sp)
-        for a, b in zip(got, expect):
+        for a, b in zip(got, expect, strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
     # budget: the same refusal at the same vertex count
@@ -323,12 +317,16 @@ def test_refine_step_matches_insert_reference(case):
     # one vertex and an already fine polyline
     one = seg.points[:1]
     for a, b in zip(
-        foliation.refine_step(sys, one, spacing), insert_refine_step(sys, one, spacing)
+        foliation.refine_step(sys, one, spacing),
+        insert_refine_step(sys, one, spacing),
+        strict=True,
     ):
         assert np.array_equal(a, b)
     fine = seg.points
     for a, b in zip(
-        foliation.refine_step(sys, fine, 10.0), insert_refine_step(sys, fine, 10.0)
+        foliation.refine_step(sys, fine, 10.0),
+        insert_refine_step(sys, fine, 10.0),
+        strict=True,
     ):
         assert np.array_equal(a, b)
 

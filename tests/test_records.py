@@ -429,6 +429,25 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # a one-coordinate point on the cat map used to broadcast to a leaf
+        # through (0.2, 0.2)
+        (GrowthConfig(x=(0.2,)), "dimension 1 given to a system of dimension 2"),
+        # a plain toral map has no center leaves to check
+        (FoliationCheckConfig(system=SystemConfig()), "center operations"),
+    ],
+)
+def test_cli_run_rejects_config_for_the_wrong_system(tmp_path, capsys, cfg, message):
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("change", ["drop", "extra"])
 def test_verify_catches_member_counts_row_count(continuity_run, tmp_path, change):
     record, rdir = continuity_run
