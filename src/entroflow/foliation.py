@@ -537,7 +537,7 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
     The leaf is tabulated relative to `origin` in the chart; each point is
     flowed by a Newton-adjusted time until its height residual against the
     leaf (interpolated at the matching eigenline coordinate) vanishes.
-    Returns (met points, flow times, worst residual).
+    Returns the met points.
     """
     v = fl.base_map.unstable_direction
     rel_leaf = space.displacement(origin, leaf.points)
@@ -549,7 +549,6 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
         raise RuntimeError("leaf polyline is not monotone in the eigenline")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ts = np.full(pts.shape[0], float(t0))
-    res = None
     for _ in range(12):
         W = fl.flow(pts, ts)
         rel = space.displacement(origin, W)
@@ -564,9 +563,7 @@ def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
         if float(np.max(np.abs(res[:, 2]))) < 1e-12:
             break
         ts = ts - res[:, 2]
-    W = fl.flow(pts, ts)
-    worst = float(np.max(np.linalg.norm(res, axis=1))) if res is not None else 0.0
-    return W, ts, worst
+    return fl.flow(pts, ts)
 
 
 def center_holonomy(sys, x, y, u_points, depth):
@@ -618,8 +615,7 @@ def center_holonomy(sys, x, y, u_points, depth):
         )
     leaf_r = max(leaf_r, 1e-4)
     leaf = unstable_segment(sys, yd, leaf_r, spacing=leaf_r / 40.0)
-    met, _ts, _res = _slide_to_leaf(fl, sys.space, ud, leaf, yd, t0)
-    out = met
+    out = _slide_to_leaf(fl, sys.space, ud, leaf, yd, t0)
     for _ in range(depth):
         out = sys.step(out)
     return sys.space.canonicalize(out)
@@ -661,11 +657,13 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
 
     Center distance is flow time along the shared fiber, carried as
     explicit state: y stays at flow offset s from x, and one step updates
-    s exactly (unchanged for time-t maps, a scalar shear recursion for
-    height-sheared maps).  Tracking the offset instead of re-pairing two
-    float orbits keeps the ratios meaningful over long horizons, where
-    independently iterated orbits would decorrelate.  Report-only: the
-    passed flag compares against CENTER_LENGTH_MAX / CENTER_LENGTH_MIN.
+    s exactly.  A time-t map keeps s; a center shear of height map g moves
+    it to g(h + s) - g(h) forward, h the height of x, and to
+    g^-1(g(h) + s) - h backward, h the height of x after the step.
+    Tracking the offset instead of re-pairing two float orbits keeps the
+    ratios meaningful over long horizons, where independently iterated
+    orbits would decorrelate.  Report-only: the passed flag compares
+    against CENTER_LENGTH_MAX / CENTER_LENGTH_MIN.
     """
     _require_center(sys)
     fl = sys.reference_flow
@@ -674,9 +672,8 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
     offs = rng.uniform(0.05, CENTER_LENGTH_MIN, samples)
     offs *= rng.choice([-1.0, 1.0], samples)
     base = np.abs(offs)
+    # a center-preserving system with eps > 0 is a center-sheared map
     eps = float(getattr(sys, "epsilon", 0.0))
-    shape = getattr(sys, "shape", None)
-    sheared = eps > 0.0 and shape is not None and shape.shape_id == "center_shear"
     c = fl.roof.constant
 
     def sweep(forward):
@@ -684,29 +681,14 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
         Xk = X
         s = offs.copy()
         for _ in range(horizon):
-            if forward:
-                if sheared:
-                    hy = np.mod(Xk[:, 2] + s, c)
-                    s = s + eps * (
-                        shape.profile(c, hy) - shape.profile(c, Xk[:, 2])
-                    )
-                Xk = sys.step(Xk)
-            else:
-                Xk = sys.step_back(Xk)
-                if sheared:
-                    # invert the forward offset update at the new heights
-                    hx = Xk[:, 2]
-                    sig_x = shape.profile(c, hx)
-                    nxt = s.copy()
-                    for _i in range(60):
-                        upd = s - eps * (
-                            shape.profile(c, np.mod(hx + nxt, c)) - sig_x
-                        )
-                        if float(np.max(np.abs(upd - nxt))) < 1e-14:
-                            nxt = upd
-                            break
-                        nxt = upd
-                    s = nxt
+            h = Xk[:, 2]
+            Xk = sys.step(Xk) if forward else sys.step_back(Xk)
+            if eps > 0.0 and forward:
+                s = sys.shape.height(c, eps, h + s) - sys.shape.height(c, eps, h)
+            elif eps > 0.0:
+                h = Xk[:, 2]
+                v = sys.shape.height(c, eps, h) + s
+                s = sys.shape.height_inverse(c, eps, v) - h
             worst = max(worst, float(np.max(np.abs(s) / base)))
         return worst
 
@@ -734,8 +716,7 @@ class ProductBox:
     a_samples is the (unstable offset) x (center offset) grid: each entry
     is the intersection of the center leaf through an unstable-leaf point
     with the unstable leaf through a center-leaf point.  d_samples fattens
-    every a_sample along the stable fibers.  reconstruction_error is the
-    worst distance between an a_sample and its recomputed intersection.
+    every a_sample along the stable fibers.
     """
 
     center: np.ndarray
@@ -745,7 +726,6 @@ class ProductBox:
     s_offsets: np.ndarray
     a_samples: np.ndarray
     d_samples: np.ndarray
-    reconstruction_error: float
 
 
 def _axis_offsets(delta, count):
@@ -757,9 +737,10 @@ def _axis_offsets(delta, count):
 def build_product_box(sys, x, delta, samples_per_axis):
     """Sample the local product structure at x with radius delta.
 
-    Intersections are found by sliding center leaves onto tabulated
-    unstable leaves, which is exact in the constant-roof product model and
-    Newton-resolved for perturbed maps.
+    The reference flow commutes with the map, so flowing for time c
+    carries the unstable leaf of x onto the unstable leaf of flow(x, c):
+    the intersection for unstable point x_u and center offset c is
+    flow(x_u, c), with no leaf to tabulate.
     """
     _require_center(sys)
     delta = float(delta)
@@ -780,25 +761,11 @@ def build_product_box(sys, x, delta, samples_per_axis):
     s_offs = _axis_offsets(delta, k)
     u_leaf = unstable_segment(sys, x, delta, spacing=delta / 20.0)
     x_u = u_leaf.point_at(u_leaf.arclength / 2.0 + u_offs)
-    a_rows = []
-    worst = 0.0
-    for j, c in enumerate(c_offs):
-        x_c = fl.flow(x, c)
-        leaf_j = unstable_segment(sys, x_c, 1.4 * delta + 1e-4, spacing=delta / 20.0)
-        met, _ts, res = _slide_to_leaf(fl, sys.space, x_u, leaf_j, x_c, c)
-        worst = max(worst, res)
-        a_rows.append(met)
     # a_samples ordered with the unstable index major, center index minor
-    a_samples = np.stack(a_rows, axis=1).reshape(k * k, -1)
+    a_samples = np.stack([fl.flow(x_u, c) for c in c_offs], axis=1).reshape(k * k, -1)
     fibers = [
         _suspension_leaf_points(fl, a, s_offs, stable=True) for a in a_samples
     ]
-    d_samples = np.concatenate(fibers, axis=0)
-    if worst > 1e-8:
-        raise ValueError(
-            f"product decomposition error {worst:.3g} exceeds 1e-8; "
-            "use a smaller delta"
-        )
     return ProductBox(
         center=x,
         delta=delta,
@@ -806,8 +773,7 @@ def build_product_box(sys, x, delta, samples_per_axis):
         c_offsets=c_offs,
         s_offsets=s_offs,
         a_samples=a_samples,
-        d_samples=d_samples,
-        reconstruction_error=worst,
+        d_samples=np.concatenate(fibers, axis=0),
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -653,6 +654,19 @@ class TimeTMapHandle(SystemHandle):
         return self.suspension.flow(pts, -self.t)
 
 
+def _check_rows(what, rows, width, harmonics=True):
+    """Raise a ValueError naming the first row that is not `width` finite
+    numbers, or, for harmonics, whose m (first entry) is not whole and >= 0."""
+    for row in rows:
+        vals = tuple(row) if isinstance(row, (tuple, list)) else ()
+        if len(vals) != width or not all(
+            isinstance(v, numbers.Real) and math.isfinite(v) for v in vals
+        ):
+            raise ValueError(f"{what} {row!r} must be {width} finite numbers")
+        if harmonics and not (vals[0] >= 0 and vals[0] == int(vals[0])):
+            raise ValueError(f"{what} {row!r} needs m a whole number >= 0")
+
+
 @dataclass(frozen=True)
 class CenterShear:
     """Fiber shear (x, s) -> flow((x, s), eps * sigma(s)).
@@ -660,15 +674,23 @@ class CenterShear:
     sigma is a trigonometric polynomial in the height coordinate with the
     roof constant as period; it is therefore well defined on the quotient.
     Requires a constant roof so the period matches the seam.
-    harmonics: tuple of (m, sin_amp, cos_amp).  A term with a zero
-    amplitude is skipped: it would add +-0.0 to a sum that starts at +0.0
-    and so is never -0.0, which leaves every value bitwise as it is
-    wherever w * s is finite.
+    harmonics: tuple of (m, sin_amp, cos_amp), m a whole number >= 0.  A
+    term with a zero amplitude is skipped: it would add +-0.0 to a sum
+    that starts at +0.0 and so is never -0.0, which leaves every value
+    bitwise as it is wherever w * s is finite.
+
+    The shear moves heights by the height map g(s) = s + eps * sigma(s)
+    (:meth:`height`), bases following through the seam.  g - id has
+    Lipschitz constant eps * lipschitz(c) < 1/2 on every admissible eps, so
+    :meth:`height_inverse` iterates the contraction s -> v - eps * sigma(s).
     """
 
     harmonics: tuple = ((1, 1.0, 0.0),)
 
-    shape_id = "center_shear"
+    preserves_center_leaves = True
+
+    def __post_init__(self):
+        _check_rows("center shear harmonic", self.harmonics, 3)
 
     def profile(self, c, s):
         s = np.asarray(s, dtype=float)
@@ -681,23 +703,37 @@ class CenterShear:
                 out = out + a_cos * np.cos(w * s)
         return out
 
-    def profile_deriv(self, c, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for m, a_sin, a_cos in self.harmonics:
-            if not (a_sin or a_cos):
-                continue
-            w = 2.0 * math.pi * m / c
-            cos_part = a_sin * np.cos(w * s) if a_sin else 0.0
-            sin_part = a_cos * np.sin(w * s) if a_cos else 0.0
-            out = out + w * (cos_part - sin_part)
-        return out
-
     def lipschitz(self, c):
         return sum(
             2.0 * math.pi * m / c * (abs(a_sin) + abs(a_cos))
             for m, a_sin, a_cos in self.harmonics
         )
+
+    def height(self, c, eps, s):
+        """g(s) = s + eps * sigma(s), on unwrapped heights s."""
+        return s + eps * self.profile(c, s)
+
+    def height_inverse(self, c, eps, v):
+        """The s with g(s) = v.  Each step shrinks the error by a factor
+        below 1/2, so 60 steps leave 2^-60 of it beyond rounding; the loop
+        stops once a step moves no height by 1e-14."""
+        s = v = np.asarray(v, dtype=float)
+        for _ in range(60):
+            s, prev = v - eps * self.profile(c, s), s
+            if np.max(np.abs(s - prev), initial=0.0) < 1e-14:
+                break
+        return s
+
+    def shear(self, fl, eps, pts):
+        """Canonical images of (N, 3) chart points.  sigma has the roof
+        constant as period, so the shear commutes with the seam and takes
+        the points uncanonicalized; it canonicalizes its output."""
+        h = self.height(fl.roof.constant, eps, pts[:, 2])
+        return fl._settle(wrap_unit(pts[:, :2]), h)
+
+    def unshear(self, fl, eps, pts):
+        pts = fl.canonicalize(pts)
+        return fl._settle(pts[:, :2], self.height_inverse(fl.roof.constant, eps, pts[:, 2]))
 
     def describe(self):
         return ("center_shear", tuple(tuple(h) for h in self.harmonics))
@@ -709,13 +745,18 @@ class BaseShear:
 
     u(s) = sum_m a_m (1 - cos(2 pi m s / c)) / 2 vanishes together with its
     derivative at the seam, so the map is C^1 on the quotient.  Requires a
-    constant roof.
+    constant roof.  harmonics: tuple of (m, a_m), m a whole number >= 0;
+    direction: the two components of w.
     """
 
     direction: tuple = (1.0, 0.0)
     harmonics: tuple = ((1, 1.0),)
 
-    shape_id = "base_shear"
+    preserves_center_leaves = False
+
+    def __post_init__(self):
+        _check_rows("base shear direction", (self.direction,), 2, harmonics=False)
+        _check_rows("base shear harmonic", self.harmonics, 2)
 
     def profile(self, c, s):
         s = np.asarray(s, dtype=float)
@@ -724,19 +765,23 @@ class BaseShear:
             out = out + amp * 0.5 * (1.0 - np.cos(2.0 * math.pi * m * s / c))
         return out
 
-    def profile_deriv(self, c, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for m, amp in self.harmonics:
-            w = 2.0 * math.pi * m / c
-            out = out + amp * 0.5 * w * np.sin(w * s)
-        return out
-
     def lipschitz(self, c):
         nrm = float(np.linalg.norm(self.direction))
         return nrm * sum(
             abs(amp) * math.pi * m / c for m, amp in self.harmonics
         )
+
+    def shear(self, fl, eps, pts):
+        """Canonical images of (N, 3) chart points; the shear is defined on
+        canonical points, so it canonicalizes them first."""
+        out = fl.canonicalize(pts)
+        u = eps * self.profile(fl.roof.constant, out[:, 2])
+        out[:, :2] = wrap_unit(out[:, :2] + u[:, None] * np.asarray(self.direction))
+        return out
+
+    def unshear(self, fl, eps, pts):
+        # heights stay put, and (-eps) * p * w is exactly -(eps * p * w)
+        return self.shear(fl, -eps, pts)
 
     def describe(self):
         return ("base_shear", tuple(self.direction), tuple(tuple(h) for h in self.harmonics))
@@ -747,10 +792,10 @@ class PerturbedHandle(SystemHandle):
 
     eps must lie below the admissibility threshold 0.5 / shape.lipschitz(c),
     c the roof constant.  The shear is then a diffeomorphism: a center
-    shear's derivative determinant is 1 + eps * sigma'(s) with
-    |sigma'| <= lipschitz(c), so it stays above 0.5, and a base shear's
-    is 1 (it moves x along a fixed direction by an amount that depends
-    on the height alone).
+    shear's height map g(s) = s + eps * sigma(s) has g' >= 1 - eps *
+    lipschitz(c) > 0.5, and g - id contracts by a factor below 1/2, which
+    the inverse iterates; a base shear's determinant is 1 (it moves x
+    along a fixed direction by an amount that depends on the height).
 
     Both shapes preserve the horizontal eigenline foliation of the
     reference: a point moves by an amount that depends on its height
@@ -780,7 +825,7 @@ class PerturbedHandle(SystemHandle):
         self.epsilon = epsilon
         self.shape = shape
         self.space = reference.space
-        self.preserves_center_leaves = shape.shape_id == "center_shear"
+        self.preserves_center_leaves = shape.preserves_center_leaves
 
     @property
     def reference_flow(self):
@@ -794,50 +839,12 @@ class PerturbedHandle(SystemHandle):
             self.shape.describe(),
         )
 
-    # --- shear and its inverse --------------------------------------------
     def shear(self, pts):
-        """The shear of chart points, as canonical (N, 3) points.
-
-        A center shear canonicalizes its output and has the roof constant
-        as period, so it commutes with the seam identification and takes
-        the points as they are: canonical ones, which is what every step
-        receives, would pass through a first canonicalization unchanged.
-        A base shear is defined on canonical points and canonicalizes them
-        first.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = self.reference.suspension.roof.constant
-        if self.shape.shape_id == "center_shear":
-            tau = self.epsilon * self.shape.profile(c, pts[:, 2])
-            return self.reference.suspension._settle(
-                wrap_unit(pts[:, :2]), pts[:, 2] + tau
-            )
-        out = self.space.canonicalize(pts)
-        u = self.epsilon * self.shape.profile(c, out[:, 2])
-        out[:, :2] = wrap_unit(out[:, :2] + u[:, None] * np.asarray(self.shape.direction))
-        return out
+        """The shear of chart points, as canonical (N, 3) points."""
+        return self.shape.shear(self.reference.suspension, self.epsilon, _chart_rows(pts))
 
     def shear_inverse(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        pts = self.space.canonicalize(pts)
-        c = self.reference.suspension.roof.constant
-        if self.shape.shape_id == "base_shear":
-            out = pts.copy()
-            u = self.epsilon * self.shape.profile(c, pts[:, 2])
-            out[:, :2] = wrap_unit(out[:, :2] - u[:, None] * np.asarray(self.shape.direction))
-            return out
-        # center shear: solve s = s' + eps sigma(s) by fixed point on the
-        # flow time; contraction factor eps * Lip(sigma) < 1/2
-        fl = self.reference.suspension
-        guess = pts.copy()
-        for _ in range(60):
-            tau = self.epsilon * self.shape.profile(c, guess[:, 2])
-            nxt = fl.flow(pts, -tau)
-            if np.max(np.abs(nxt - guess)) < 1e-14:
-                guess = nxt
-                break
-            guess = nxt
-        return guess
+        return self.shape.unshear(self.reference.suspension, self.epsilon, _chart_rows(pts))
 
     def step(self, pts):
         return self.reference.step(self.shear(pts))

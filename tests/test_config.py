@@ -134,7 +134,7 @@ def test_system_from_config_kinds():
     )
     assert isinstance(pert, systems.PerturbedHandle)
     assert pert.epsilon == 0.01
-    assert pert.shape.shape_id == "center_shear"
+    assert isinstance(pert.shape, systems.CenterShear)
 
     base = system_from_config(
         SystemConfig(
@@ -145,7 +145,7 @@ def test_system_from_config_kinds():
             harmonics=((2, 0.5),),
         )
     )
-    assert base.shape.shape_id == "base_shear"
+    assert isinstance(base.shape, systems.BaseShear)
     assert base.shape.direction == (0.0, 1.0)
 
     with pytest.raises(ValueError, match="'conformal'"):

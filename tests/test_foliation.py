@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ import entroflow
 from entroflow import systems
 from entroflow.foliation import (
     _canonical_point,
+    _suspension_leaf_points,
     build_product_box,
     center_holonomy,
     center_nonexpansion_check,
@@ -142,16 +144,59 @@ def test_nonexpansion_variable_roof_within_roof_ratio(flow_trig):
     assert max(report.max_ratio_forward, report.max_ratio_backward) <= bound
 
 
+@pytest.mark.parametrize(
+    "eps, forward, backward",
+    [
+        (0.01, 6.612441460198617, 6.561285908647183),
+        (0.04, 8.096106199922499, 9.316787577054223),
+    ],
+)
+def test_nonexpansion_sheared_ratios_pinned(time1, eps, forward, backward):
+    # reference ratios from the explicit offset recursion
+    # s += eps (sigma(h + s) - sigma(h)) and its own fixed-point inverse
+    # (time-1 map, roof 1, seed 0)
+    handle = PerturbedHandle(time1, eps, CenterShear())
+    report = center_nonexpansion_check(handle, samples=100, horizon=50, rng_seed=0)
+    assert report.max_ratio_forward == pytest.approx(forward, rel=1e-12)
+    assert report.max_ratio_backward == pytest.approx(backward, rel=1e-12)
+    assert not report.passed
+
+
 def test_nonexpansion_rejects_plain_toral(cat):
     with pytest.raises(ValueError):
         center_nonexpansion_check(cat, samples=5, horizon=5)
 
 
-def test_product_box_reconstruction(time1):
-    box = build_product_box(time1, np.array([0.2, 0.3, 0.4]), 0.04, 5)
-    assert box.reconstruction_error <= 1e-12
-    assert box.a_samples.shape[0] == box.u_offsets.size * box.c_offsets.size
-    assert box.d_samples.shape[0] == box.a_samples.shape[0] * box.s_offsets.size
+def test_product_box_reconstruction(time1, flow_trig):
+    # each a_sample sits on the center leaf of its unstable point x_u at
+    # flow time c, and on the unstable leaf of flow(x, c) at its eigenline
+    # coordinate; on the trig roof x_u is read off the leaf polyline, whose
+    # chords miss the curved leaf by about 1e-7.  x = (0.7, 0.1, 0.9) at
+    # delta 0.04 puts the box across the trig roof's seam
+    cases = [
+        (time1, 1e-12),
+        (PerturbedHandle(time1, 0.04, CenterShear()), 1e-12),
+        (TimeTMapHandle(flow_trig, 1.0), 1e-6),
+    ]
+    for (sys, tol), x, delta in itertools.product(
+        cases, [(0.2, 0.3, 0.4), (0.7, 0.1, 0.9)], [0.04, 0.01]
+    ):
+        fl = sys.reference_flow
+        box = build_product_box(sys, np.array(x), delta, 5)
+        k = box.u_offsets.size
+        assert box.a_samples.shape == (k * box.c_offsets.size, 3)
+        assert box.d_samples.shape[0] == box.a_samples.shape[0] * box.s_offsets.size
+        leaf = unstable_segment(sys, box.center, delta, spacing=delta / 20.0)
+        x_u = leaf.point_at(leaf.arclength / 2.0 + box.u_offsets)
+        v = fl.base_map.unstable_direction
+        a = box.a_samples.reshape(k, box.c_offsets.size, 3)
+        for j, c in enumerate(box.c_offsets):
+            for i in range(k):
+                assert abs(fl.center_time(x_u[i], a[i, j]) - c) <= 1e-12
+            y = fl.flow(box.center, c)
+            tau = sys.space.displacement(y, a[:, j])[:, :2] @ v
+            on_leaf = _suspension_leaf_points(fl, y, tau)
+            assert float(np.max(sys.space.distance(on_leaf, a[:, j]))) <= tol
 
 
 def test_product_box_delta_cap(time1):

@@ -448,6 +448,21 @@ def test_cli_run_rejects_config_for_the_wrong_system(tmp_path, capsys, cfg, mess
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("m", [-1, 1.5])
+def test_cli_run_rejects_malformed_shear_harmonic(tmp_path, capsys, m):
+    # m = -1 gives a negative Lipschitz constant, which passes every
+    # epsilon; m = 1.5 breaks the period of sigma
+    cfg = ContinuityConfig(
+        harmonics=((m, 1.0, 0.0),), eps_schedule=(0.0, 0.02), N_schedule=(1, 2)
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "center shear harmonic" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("change", ["drop", "extra"])
 def test_verify_catches_member_counts_row_count(continuity_run, tmp_path, change):
     record, rdir = continuity_run

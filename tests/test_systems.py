@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,13 +139,6 @@ def test_center_shear_skips_zero_amplitudes_bitwise(harmonics):
             out = out + a_sin * np.sin(w * s) + a_cos * np.cos(w * s)
         return out
 
-    def full_deriv(c, s):
-        out = np.zeros(s.shape)
-        for m, a_sin, a_cos in harmonics:
-            w = 2.0 * math.pi * m / c
-            out = out + w * (a_sin * np.cos(w * s) - a_cos * np.sin(w * s))
-        return out
-
     rng = np.random.default_rng(5)
     s = np.concatenate(
         [
@@ -157,14 +151,17 @@ def test_center_shear_skips_zero_amplitudes_bitwise(harmonics):
     shape = CenterShear(harmonics)
     for c in (1.0, 0.7):
         assert shape.profile(c, s).tobytes() == full_profile(c, s).tobytes()
-        assert shape.profile_deriv(c, s).tobytes() == full_deriv(c, s).tobytes()
 
 
 def test_base_shear_flat_at_seam():
+    # u(s) = (1 - cos 2 pi s) / 2 = pi^2 s^2 + O(s^4): u and u' vanish at
+    # the seam, so one-sided difference slopes there are about pi^2 h
     shape = BaseShear()
     assert shape.profile(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert shape.profile_deriv(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert shape.profile_deriv(1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    for seam in (0.0, 1.0):
+        for h in (1e-3, -1e-3):
+            slope = (shape.profile(1.0, seam + h) - shape.profile(1.0, seam)) / h
+            assert abs(slope) <= 1.01 * math.pi ** 2 * abs(h)
 
 
 def test_perturbed_zero_epsilon_matches_reference(time1, rng):
@@ -197,7 +194,12 @@ def test_center_shear_determinant_above_half_below_threshold(roof):
     for shape in shapes:
         eps = (1.0 - 1e-12) * 0.5 / shape.lipschitz(roof)
         PerturbedHandle(reference, eps, shape)
-        det = 1.0 + eps * shape.profile_deriv(roof, heights)
+        # sigma'(s) = sum_m w (a_sin cos(w s) - a_cos sin(w s)), w = 2 pi m / c
+        deriv = 0.0
+        for m, a_sin, a_cos in shape.harmonics:
+            w = 2.0 * math.pi * m / roof
+            deriv = deriv + w * (a_sin * np.cos(w * heights) - a_cos * np.sin(w * heights))
+        det = 1.0 + eps * deriv
         assert float(det.min()) > 0.5
 
 
@@ -216,6 +218,90 @@ def test_perturbed_roundtrip_both_shapes(time1, rng):
 
 def handle_eps(shape):
     return 0.5 / shape.lipschitz(1.0) / 2.0
+
+
+SHAPE_MAKERS = {
+    "center": lambda row: CenterShear((row,)),
+    "base": lambda row: BaseShear(harmonics=(row,)),
+    "direction": lambda row: BaseShear(direction=row),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, row",
+    [
+        ("center", (-1, 1.0, 0.0)),
+        ("center", (1.5, 1.0, 0.0)),
+        ("center", (1, 1.0)),
+        ("center", (1, math.nan, 0.0)),
+        ("center", (1, "1.0", 0.0)),
+        ("center", 1),
+        ("base", (-2, 1.0)),
+        ("base", (1, 1.0, 0.0)),
+        ("base", (1, math.inf)),
+        ("direction", (1, 0, 0)),
+        ("direction", (1.0, math.nan)),
+    ],
+)
+def test_shear_shapes_reject_malformed_rows(kind, row):
+    # a negative m gives a negative Lipschitz constant, so every epsilon
+    # would pass the admissibility threshold; a fractional m breaks the period
+    with pytest.raises(ValueError, match=re.escape(repr(row))):
+        SHAPE_MAKERS[kind](row)
+
+
+def test_shear_shapes_accept_zero_and_whole_float_harmonics():
+    shape = CenterShear(((0, 0.0, 4.0), (2.0, 1.0, 0.0), (np.int64(3), 0.5, 0.0)))
+    assert shape.lipschitz(1.0) == pytest.approx(2.0 * math.pi * 3.5)
+    BaseShear(direction=[0.0, 1.0], harmonics=[[0, 1.0], [2.0, 0.5]])
+
+
+def _flow_fixed_point_shear_inverse(handle, pts):
+    """Reference inverse shear: a center shear's by a fixed point on the
+    flow time through the 3-D flow, a base shear's in closed form."""
+    fl = handle.reference.suspension
+    c = fl.roof.constant
+    pts = fl.canonicalize(pts)
+    if isinstance(handle.shape, BaseShear):
+        u = handle.epsilon * handle.shape.profile(c, pts[:, 2])
+        out = pts.copy()
+        w = np.asarray(handle.shape.direction)
+        out[:, :2] = systems.wrap_unit(out[:, :2] - u[:, None] * w)
+        return out
+    guess = pts.copy()
+    for _ in range(60):
+        nxt = fl.flow(pts, -handle.epsilon * handle.shape.profile(c, guess[:, 2]))
+        if np.max(np.abs(nxt - guess)) < 1e-14:
+            return nxt
+        guess = nxt
+    return guess
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        CenterShear(),
+        CenterShear(((1, 1.0, 0.0), (3, 0.2, 0.5))),
+        BaseShear(),
+        BaseShear(direction=(0.3, -0.8), harmonics=((1, 1.0), (2, 0.4))),
+    ],
+    ids=["center", "center_multi", "base", "base_multi"],
+)
+@pytest.mark.parametrize("roof", [1.0, 2.5])
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.99])
+def test_shear_inverse_matches_flow_fixed_point(shape, roof, frac, rng):
+    fl = SuspensionFlow(ToralMapHandle([[2, 1], [1, 1]]), Roof(roof))
+    eps = frac * 0.5 / shape.lipschitz(roof)
+    handle = PerturbedHandle(TimeTMapHandle(fl, 1.0), eps, shape)
+    pts = fl.random_points(rng, 2000)
+    got = handle.shear_inverse(pts)
+    expect = _flow_fixed_point_shear_inverse(handle, pts)
+    assert float(np.max(handle.distance(got, expect))) <= 1e-14
+    assert float(np.max(handle.distance(handle.shear(got), pts))) <= 1e-13
+    if isinstance(shape, CenterShear):
+        s = np.linspace(-roof, 2.0 * roof, 3001)
+        back = shape.height_inverse(roof, eps, shape.height(roof, eps, s))
+        assert float(np.max(np.abs(back - s))) <= 1e-14
 
 
 def test_mapping_torus_metric_axioms(flow_const, rng):
@@ -724,7 +810,7 @@ def _reference_shear(handle, pts):
     pts = fl.canonicalize(pts)
     u = handle.epsilon * handle.shape.profile(c, pts[:, 2])
     out = pts.copy()
-    if handle.shape.shape_id == "center_shear":
+    if isinstance(handle.shape, CenterShear):
         out[:, 2] += u
         return fl.canonicalize(out)
     out[:, :2] = _reference_wrap_unit(out[:, :2] + u[:, None] * np.asarray(handle.shape.direction))
@@ -741,7 +827,7 @@ def test_perturbed_step_matches_shear_reference(time1, shape, rng):
     # off-chart input: whole-unit base offsets and a height one roof up
     off = pts + np.array([1.0, -2.0, 1.0])
     expect = time1.step(_reference_shear(handle, off))
-    if shape.shape_id == "base_shear":
+    if isinstance(shape, BaseShear):
         assert _same_bits(handle.step(off), expect)
     else:
         # the profile is evaluated one period up, which can move the last bit
