@@ -23,6 +23,18 @@ The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
 candidate with exactly the arithmetic stated.
 
+Before the tree is built, representative sets that can never come close
+are screened out.  On an unwrapped axis c (the height of a mapping torus)
+at iterate k, every pair in either direction has
+|prim_i,c - reps_j,r,c| >= shift - span, with shift = min_j
+|reps_j,r,c - prim_j,c| and span = max - min of prim_k,c.  A set whose
+shift - span exceeds the padded radius at every iterate below n, on some
+unwrapped axis, is dropped; the bound is first lowered by RADIUS_PAD's
+relative term times shift + span, which covers the rounding of both.  So
+no conflict decision changes.  On a product box under a roof of 1 both
+seam lifts go and the one-direction identity path runs; the torus has no
+unwrapped axis and keeps its single set.
+
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it and the ordered greedy runs over that graph.
 Otherwise the order is scanned in blocks of points still alive: the greedy
@@ -35,6 +47,8 @@ are checked, the rule above decides each of them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -360,12 +374,44 @@ def _next_alive(order, alive, pos):
     return np.concatenate(taken), pos
 
 
+def _is_permutation(order, N):
+    """Whether the integer array order lists each of 0..N-1 exactly once."""
+    if order.shape != (N,):
+        return False
+    if N and (order.min() < 0 or order.max() >= N):
+        return False
+    seen = np.zeros(N, dtype=bool)
+    seen[order] = True
+    return bool(seen.all())
+
+
+def _near_sets(prim, reps, wrap, r2):
+    """Indices of the representative sets that may come within sqrt(r2) of prim.
+
+    A set goes when, at every iterate, some unwrapped axis puts its
+    shift - span bound, less the rounding slack, above sqrt(r2) (see the
+    module docstring).  Sets equal to prim (shift 0) always stay.
+    """
+    flat = ~wrap
+    keep = np.arange(reps.shape[2])
+    if not flat.any():
+        return keep
+    p = prim[..., flat]
+    shift = np.abs(reps[..., flat] - p[:, :, None]).min(axis=1)
+    span = (p.max(axis=1) - p.min(axis=1))[:, None]
+    gap = shift - span - RADIUS_PAD[0] * (shift + span)
+    far = (gap > math.sqrt(r2)).any(axis=2).all(axis=0)
+    return keep[~far]
+
+
 def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     """Accepted indices of the greedy separated/covering pass.
 
-    prim: (n_max, N, C); reps: (n_max, N, R, C); order: permutation of N.
-    Accept iff d_n to all previously accepted > delta; the accepted set is
-    maximal: every unaccepted point sits within delta of an accepted one.
+    prim: (n_max, N, C); reps: (n_max, N, R, C); order: a permutation of
+    range(N), else ValueError.  Accept iff d_n to all previously accepted
+    > delta; the accepted set is maximal: every unaccepted point sits
+    within delta of an accepted one.  Representative sets that _near_sets
+    rules out are dropped first.
     """
     n = int(n)
     if n < 1 or n > prim.shape[0]:
@@ -377,9 +423,17 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     reps = np.asarray(reps[:n], dtype=float)
     wrap = np.asarray(wrap_mask, dtype=bool)
     order = np.asarray(order, dtype=np.int64)
+    if not _is_permutation(order, prim.shape[1]):
+        raise ValueError("order must be a permutation of the cloud indices")
+    r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
+    keep = _near_sets(prim, reps, wrap, r2)
+    if keep.size == 0:
+        # no representative comes close: no pair conflicts
+        return order.copy()
+    if keep.size < reps.shape[2]:
+        reps = reps[:, :, keep]
     split_it = (n - 1) // 2
     its = sorted(range(n), key=lambda k: abs(k - split_it))
-    r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
     tree = _Tree(prim, reps, wrap, split_it)
     symmetric = reps.shape[2] == 1 and tree.prim_is_rep
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import _kernels, systems
+from entroflow import _kernels, foliation, systems
 from entroflow.entropy import (
     SampleCloud,
     count_table_violations,
@@ -400,3 +400,160 @@ def test_brute_force_rule_needs_seam_lifts():
     with_lifts = brute_force_greedy(prim, reps, cloud.space.wrap_mask, 1, 0.1, order)
     identity_only = brute_force_greedy(prim, reps[:, :, :1], cloud.space.wrap_mask, 1, 0.1, order)
     assert len(with_lifts) < len(identity_only)
+
+
+# --- the seam-lift screen ----------------------------------------------------
+
+
+def _spy_near_sets(monkeypatch):
+    """Record the representative sets each kernel call keeps."""
+    kept = []
+    near_sets = _kernels._near_sets
+
+    def spy(*args):
+        keep = near_sets(*args)
+        kept.append(keep.tolist())
+        return keep
+
+    monkeypatch.setattr(_kernels, "_near_sets", spy)
+    return kept
+
+
+def _check_both_paths(handle, cloud, ns, delta, monkeypatch):
+    """greedy_thinning equals the brute-force greedy on the join and the scan path."""
+    prim = cloud.orbit_table(handle, max(ns))
+    reps = cloud.rep_table(handle, max(ns))
+    wrap = cloud.space.wrap_mask
+    orders = [np.arange(len(cloud))] + [
+        np.random.default_rng(s).permutation(len(cloud)) for s in range(2)
+    ]
+    for join_budget in (_kernels.JOIN_PAIRS_PER_NODE, 0):
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", join_budget)
+        for n in ns:
+            conflict = brute_force_conflicts(prim, reps, wrap, n, delta)
+            for order in orders:
+                got = _kernels.greedy_thinning(prim, reps, wrap, n, delta, order)
+                assert got.tolist() == greedy_over(conflict, order)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
+def test_screen_drops_seam_lifts_on_a_product_box(time1, delta, monkeypatch):
+    # box heights stay within 0.1 of 0.37 under a roof of 1: neither seam
+    # lift comes near any point, so only the identity set is searched
+    box = foliation.build_product_box(time1, np.array([0.2, 0.3, 0.37]), 0.05, 8)
+    cloud = SampleCloud(time1.space, box.d_samples)
+    kept = _spy_near_sets(monkeypatch)
+    _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
+    assert kept and all(k == [0] for k in kept)
+
+
+def _aligned_pair_cloud(handle, span):
+    """300 suspension points with heights filling [0.5 - span/2, 0.5 + span/2],
+    plus a pair at the two ends: q sits one sheet up from p, so its
+    downward seam lift is 1 - span above p, at every iterate of the
+    time-1 map, and no other representative brings them close."""
+    rng = np.random.default_rng(4)
+    lo, hi = 0.5 - span / 2, 0.5 + span / 2
+    pts = np.concatenate([rng.random((300, 2)), rng.uniform(lo, hi, (300, 1))], axis=1)
+    base = rng.random(2)
+    q_base = handle.suspension.base_map.step_back(base)
+    pair = np.array([[*base, lo], [*q_base, hi]])
+    return SampleCloud(handle.space, np.concatenate([pts, pair]))
+
+
+@pytest.mark.parametrize(
+    "span, delta, lifts_kept",
+    [(0.93, 0.05, False), (0.93, 0.1, True), (0.93, 0.2, True),
+     (0.97, 0.05, True), (0.97, 0.1, True), (0.97, 0.2, True)],
+)
+def test_screen_keeps_lifts_that_can_reach_the_radius(time1, span, delta, lifts_kept, monkeypatch):
+    # the screen's bound is 1 - span against delta: at span 0.93 the pair
+    # is 0.07 apart through the lift, at span 0.97 only 0.03
+    cloud = _aligned_pair_cloud(time1, span)
+    prim = cloud.orbit_table(time1, 4)
+    reps = cloud.rep_table(time1, 4)
+    p, q = len(cloud) - 2, len(cloud) - 1
+    with_lifts = brute_force_conflicts(prim, reps, cloud.space.wrap_mask, 4, delta)
+    identity = brute_force_conflicts(prim, reps[:, :, :1], cloud.space.wrap_mask, 4, delta)
+    assert not identity[p, q]
+    assert with_lifts[p, q] == (1 - span <= delta)
+    kept = _spy_near_sets(monkeypatch)
+    _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
+    assert kept and all(k == ([0, 1, 2] if lifts_kept else [0]) for k in kept)
+
+
+def test_screen_with_every_set_dropped_returns_the_order():
+    # the only representative sits 10 above prim on the unwrapped axis
+    rng = np.random.default_rng(0)
+    prim = np.stack([rng.random((200, 2)) for _ in range(3)])
+    reps = (prim + np.array([0.0, 10.0]))[:, :, None, :]
+    wrap = np.array([True, False])
+    order = rng.permutation(200)
+    for n in (1, 3):
+        got = _kernels.greedy_thinning(prim, reps, wrap, n, 0.2, order)
+        assert got.tolist() == order.tolist()
+        assert got.tolist() == brute_force_greedy(prim, reps, wrap, n, 0.2, order)
+
+
+def test_screen_keeps_a_set_that_is_near_at_one_iterate():
+    # points 0 and 1 are close through prim at iterate 0 and only through
+    # the second set at iterate 1; that set is 10 away at iterate 0 but must
+    # stay, as the pair conflicts through different sets at each iterate
+    prim = np.array([[[0.1, 0.0], [0.1, 0.01], [0.7, 0.5]], [[0.1, 0.0], [0.6, 0.0], [0.3, 0.5]]])
+    shifted = prim + np.array([[[0.0, 10.0]], [[0.5, 0.0]]])
+    reps = np.stack([prim, shifted], axis=2)
+    wrap = np.array([True, False])
+    order = np.arange(3)
+    assert brute_force_greedy(prim, reps, wrap, 2, 0.05, order) == [0, 2]
+    assert _kernels.greedy_thinning(prim, reps, wrap, 2, 0.05, order).tolist() == [0, 2]
+
+
+def test_screen_slack_covers_the_rounding_of_its_bound():
+    # at magnitude 2e8 one ulp is 3e-8: shift rounds 2e8 + 0.05 up, so
+    # shift - span reads 0.05 + 1.2e-8, above the padded radius, while
+    # point 1's representative is exactly delta from point 0
+    S, delta = 2e8, 0.05
+    prim = np.array([[[0.0], [S]]])
+    reps = np.stack([prim, np.array([[[-(S + delta)], [-delta]]])], axis=2)
+    wrap = np.array([False])
+    assert (S + delta) - S > delta * (1 + _kernels.RADIUS_PAD[0]) + _kernels.RADIUS_PAD[1]
+    order = np.arange(2)
+    assert brute_force_greedy(prim, reps, wrap, 1, delta, order) == [0]
+    assert _kernels.greedy_thinning(prim, reps, wrap, 1, delta, order).tolist() == [0]
+
+
+def test_screen_keeps_the_lifts_of_the_seam_clouds(monkeypatch):
+    # the lift tests above must keep exercising the seam lifts
+    handle, make_cloud = KERNEL_SYSTEMS["suspension_time1"]()
+    kept = _spy_near_sets(monkeypatch)
+    clouds = [(make_cloud(handle, s), (0.05, 0.1, 0.2)) for s in range(3)]
+    clouds.append((_dense_seam_cloud(handle, 0, 700), (0.05, 0.02)))
+    for cloud, deltas in clouds:
+        prim = cloud.orbit_table(handle, 4)
+        reps = cloud.rep_table(handle, 4)
+        for n in (1, 2, 4):
+            for delta in deltas:
+                _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, delta, np.arange(len(cloud)))
+    assert len(kept) == 3 * 3 * 3 + 3 * 2
+    assert all(k == [0, 1, 2] for k in kept)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        np.concatenate([np.arange(5), np.arange(50)]),
+        np.arange(40),
+        np.concatenate([np.arange(49), [50]]),
+        np.concatenate([[-1], np.arange(1, 50)]),
+    ],
+    ids=["repeated", "short", "out_of_range", "negative"],
+)
+def test_greedy_thinning_rejects_an_order_that_is_not_a_permutation(order):
+    # a repeated prefix used to accept points a second time, a short order
+    # raised IndexError inside the graph greedy
+    handle = systems.circle_doubling()
+    cloud = random_cloud(handle, 50, 0)
+    prim = cloud.orbit_table(handle, 2)
+    reps = cloud.rep_table(handle, 2)
+    with pytest.raises(ValueError, match="permutation"):
+        _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, 2, 0.05, order)
