@@ -19,6 +19,18 @@ one iterate puts their boxes more than delta apart.  Near the split
 iterate the boxes stay small even where late iterates have spread a node
 around the torus, so most separated pairs are dropped well above the
 leaves.
+
+The order of the points in the tree depends only on the split iterate
+(n = 1 and 2 split at iterate 0, n = 3 and 4 at iterate 1, ...), so it is
+kept between calls: the last order is reused when the next call reads
+the same bytes of the same table, and that table's owning array is
+read-only (SampleCloud marks its cached tables so).  The owner is held by
+a weak reference, so a table that is gone never matches a new one, and
+the old order is dropped before a new one is built, so at most one order
+is alive.  A writable table gets a new order on every call.  The boxes
+are built from prim and reps on every call, so an order decides only
+which points share a node, never which pairs conflict.
+
 The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
 candidate with exactly the arithmetic stated.
@@ -49,6 +61,7 @@ are checked, the rule above decides each of them.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -69,22 +82,16 @@ QUERY_GROUP = 16
 RADIUS_PAD = (1e-9, 1e-12)
 
 
-class _Tree:
-    """Balanced binary tree over the cloud with per-iterate node boxes.
+class _Order:
+    """The point order of a balanced binary tree over one iterate.
 
     Level L holds 2^L nodes; node k of level L covers the points
-    perm[starts[L][k]:starts[L][k + 1]] and has children 2k and 2k + 1.
-    Nodes are split at their median along the widest axis of the split
-    iterate, all nodes of a level by one sort.  sets[0] is prim, the other
-    sets are the representatives that are not copies of prim;
-    boxes[L][s] = (center, half), each (n, nodes, C), bounds set s of
-    every node at every iterate.  On a wrapped axis a box is an arc of the
-    circle, at most the whole circle.
+    perm[levels[L][k]:levels[L][k + 1]] and has children 2k and 2k + 1.
+    Nodes are split at their median along their widest axis of coords, all
+    nodes of a level by one sort.
     """
 
-    def __init__(self, prim, reps, wrap, split_it):
-        self.wrap = wrap
-        coords = prim[split_it]
+    def __init__(self, coords, wrap):
         N = coords.shape[0]
         perm = np.arange(N)
         starts = np.array([0, N], dtype=np.int64)
@@ -92,7 +99,7 @@ class _Tree:
         while -(-N // (starts.size - 1)) > LEAF_SIZE:
             sizes = np.diff(starts)
             nid = np.repeat(np.arange(sizes.size), sizes)
-            off = self._offsets(coords[perm], starts, nid, axis=0)
+            off = _offsets(np.take(coords, perm, axis=0), starts, nid, 0, wrap)
             lo = np.minimum.reduceat(off, starts[:-1], axis=0)
             hi = np.maximum.reduceat(off, starts[:-1], axis=0)
             span = hi - lo
@@ -110,17 +117,71 @@ class _Tree:
             starts = split
             self.levels.append(starts)
         self.perm = perm
+
+
+#: (weak reference to the table's owner, key, _Order) of the last order
+#: built over a read-only table; see _tree_order
+_last_order = None
+
+
+def _tree_order(prim, wrap, split_it):
+    """The _Order over prim[split_it], reused from the last call when the
+    same bytes of the same read-only table are asked for again."""
+    global _last_order
+    coords = prim[split_it]
+    owner = coords
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    key = (coords.__array_interface__["data"][0], coords.shape, coords.strides, wrap.tobytes())
+    frozen = owner.base is None and not owner.flags.writeable
+    last = _last_order
+    if frozen and last is not None and last[0]() is owner and last[1] == key:
+        return last[2]
+    # drop the old order before the new one is built
+    _last_order = last = None
+    order = _Order(coords, wrap)
+    if frozen:
+        _last_order = (weakref.ref(owner), key, order)
+    return order
+
+
+def _offsets(x, starts, nid, axis, wrap):
+    """Coordinates relative to the first point of their node, wrapped."""
+    ref = np.take(x, starts[:-1], axis=axis)
+    return _unwind(x - np.take(ref, nid, axis=axis), wrap)
+
+
+def _unwind(d, wrap):
+    """d - round(d) on the wrapped axes (the last axis of d), in place."""
+    for c in np.flatnonzero(wrap):
+        col = d[..., c]
+        col -= np.round(col)
+    return d
+
+
+class _Tree:
+    """An _Order with per-iterate node boxes.
+
+    sets[0] is prim, the other sets are the representatives that are not
+    copies of prim; boxes[L][s] = (center, half), each (n, nodes, C),
+    bounds set s of every node of level L at every iterate.  On a wrapped
+    axis a box is an arc of the circle, at most the whole circle.
+    """
+
+    def __init__(self, order, prim, reps, wrap):
+        self.wrap = wrap
+        self.perm, self.levels = order.perm, order.levels
         self.sets = [prim] + [
             reps[:, :, r] for r in range(reps.shape[2]) if not np.array_equal(reps[:, :, r], prim)
         ]
         #: some representative is prim itself (the identity lift)
         self.prim_is_rep = len(self.sets) - 1 < reps.shape[2]
-        leaf = starts
+        leaf = self.levels[-1]
         nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
         boxes = []
         for x in self.sets:
-            x = x[:, perm]
-            off = self._offsets(x, leaf, nid, axis=1)
+            x = np.take(x, self.perm, axis=1)
+            off = _offsets(x, leaf, nid, 1, wrap)
             lo = np.minimum.reduceat(off, leaf[:-1], axis=1)
             hi = np.maximum.reduceat(off, leaf[:-1], axis=1)
             boxes.append((x[:, leaf[:-1]] + 0.5 * (lo + hi), 0.5 * (hi - lo)))
@@ -128,30 +189,23 @@ class _Tree:
         for _ in range(len(self.levels) - 1):
             self.boxes.insert(0, [self._merge(c, h) for c, h in self.boxes[0]])
 
-    def _offsets(self, x, starts, nid, axis):
-        """Coordinates relative to the first point of their node, wrapped."""
-        ref = np.take(x, starts[:-1], axis=axis)
-        off = x - np.take(ref, nid, axis=axis)
-        off[..., self.wrap] -= np.round(off[..., self.wrap])
-        return off
-
     def _merge(self, c, h):
         """Boxes of the parent level: each covers its two children's boxes."""
         c0, h0 = c[:, 0::2], h[:, 0::2]
-        w = c[:, 1::2] - c0
-        w[..., self.wrap] -= np.round(w[..., self.wrap])
+        w = _unwind(c[:, 1::2] - c0, self.wrap)
         lo = np.minimum(-h0, w - h[:, 1::2])
         hi = np.maximum(h0, w + h[:, 1::2])
         half = 0.5 * (hi - lo)
-        half[..., self.wrap] = np.minimum(half[..., self.wrap], 0.5)
+        for a in np.flatnonzero(self.wrap):
+            np.minimum(half[..., a], 0.5, out=half[..., a])
         return c0 + 0.5 * (lo + hi), half
 
     def _box(self, L, s, k, idx):
         """Box of set s at iterate k; L=None takes idx as points."""
         if L is None:
-            return self.sets[s][k, idx], 0.0
+            return np.take(self.sets[s][k], idx, axis=0), 0.0
         c, h = self.boxes[L][s]
-        return c[k, idx], h[k, idx]
+        return np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)
 
     def close(self, its, r2, La, ia, Lb, ib):
         """Positions of the pairs (ia, ib) whose boxes may hold a conflict.
@@ -190,8 +244,7 @@ class _Tree:
 
 def _gap2(box_a, box_b, wrap):
     """Squared lower bound on the distance between points of two boxes."""
-    w = box_a[0] - box_b[0]
-    w[:, wrap] -= np.round(w[:, wrap])
+    w = _unwind(box_a[0] - box_b[0], wrap)
     g = np.maximum(np.abs(w) - box_a[1] - box_b[1], 0.0)
     return np.sum(g * g, axis=1)
 
@@ -434,7 +487,7 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
         reps = reps[:, :, keep]
     split_it = (n - 1) // 2
     its = sorted(range(n), key=lambda k: abs(k - split_it))
-    tree = _Tree(prim, reps, wrap, split_it)
+    tree = _Tree(_tree_order(prim, wrap, split_it), prim, reps, wrap)
     symmetric = reps.shape[2] == 1 and tree.prim_is_rep
 
     def conflicts(i, j):

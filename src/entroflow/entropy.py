@@ -44,7 +44,9 @@ class SampleCloud:
 
     Points are canonical and pairwise distinct (duplicates closer than
     1e-12 per coordinate are dropped at construction).  Orbit tables are
-    computed once per (system, n) and shared read-only.
+    computed once per (system, n) and shared read-only: the cached arrays
+    are marked unwritable, which also lets the greedy kernel keep its tree
+    order between calls on them.
     """
 
     def __init__(self, space, points):
@@ -56,10 +58,7 @@ class SampleCloud:
                 f"points have dimension {points.shape[1]}, space has {space.dim}"
             )
         points = space.canonicalize(points)
-        rounded = np.round(points, 12)
-        _, keep = np.unique(rounded, axis=0, return_index=True)
-        keep.sort()
-        self.points = points[keep]
+        self.points = points[_first_of_each_row(np.round(points, 12))]
         self.space = space
         self._orbit_cache = {}
 
@@ -72,6 +71,7 @@ class SampleCloud:
         cached = self._orbit_cache.get(key)
         if cached is None or cached.shape[0] < n:
             table = sys.orbit_table(self.points, n)
+            table.setflags(write=False)
             self._orbit_cache[key] = table
             cached = table
         return cached[:n]
@@ -83,9 +83,24 @@ class SampleCloud:
         if cached is None or cached.shape[0] < n:
             orbits = self.orbit_table(sys, n)
             reps = np.stack([self.space.lift_reps(orbits[i]) for i in range(n)])
+            reps.setflags(write=False)
             self._orbit_cache[key] = reps
             cached = reps
         return cached[:n]
+
+
+def _first_of_each_row(rows):
+    """Sorted indices of the first occurrence of each distinct row.
+
+    A stable lexicographic sort puts equal rows next to each other in
+    index order, so the first of each run is the first occurrence: the
+    same indices as np.unique(rows, axis=0, return_index=True), sorted.
+    """
+    order = np.lexsort(rows.T)
+    s = rows[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return np.sort(order[first])
 
 
 @dataclass(frozen=True)

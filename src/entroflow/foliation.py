@@ -178,21 +178,23 @@ def _segment(kind, space, pts, spacing_bound, arc_coords=None, chords=None):
 
 
 def _leaf_height_offset(fl, b0, offsets, direction, eig, backward):
-    """Height correction series along a base eigenline through b0.
+    """Height correction series along the base eigenlines through b0.
 
-    Each term compares the roof along the orbit of b0 with the orbit of the
-    displaced points; displacements contract geometrically (factor 1/eig
-    backward along the expanding line, eig forward along the contracting
-    one), so the series is truncated once terms drop below 1e-13.
+    b0 holds one base point or (m, 2) of them, all with the same offsets;
+    the result is (m, offsets).  Each term compares the roof along the
+    orbit of a base point with the orbit of its displaced points;
+    displacements contract geometrically (factor 1/eig backward along the
+    expanding line, eig forward along the contracting one), so the series
+    is truncated once terms drop below 1e-13.
     """
     offsets = np.asarray(offsets, dtype=float)
+    bj = np.atleast_2d(np.asarray(b0, dtype=float))
+    out = np.zeros((bj.shape[0], offsets.size))
     if fl.roof.is_constant:
-        return np.zeros(offsets.shape)
+        return out
     base_map = fl.base_map
     lip = fl.roof.lipschitz()
     omax = float(np.max(np.abs(offsets))) if offsets.size else 0.0
-    out = np.zeros(offsets.shape)
-    bj = np.atleast_2d(np.asarray(b0, dtype=float))
     scale = 1.0
     for _ in range(400):
         if backward:
@@ -200,8 +202,8 @@ def _leaf_height_offset(fl, b0, offsets, direction, eig, backward):
             scale /= eig
         if lip * omax * abs(scale) < 1e-13:
             break
-        disp = wrap_unit(bj + (offsets[:, None] * scale) * direction[None, :])
-        diff = fl.roof.value(bj)[0] - fl.roof.value(disp)
+        disp = wrap_unit(bj[:, None, :] + (offsets[:, None] * scale) * direction[None, :])
+        diff = fl.roof.value(bj)[:, None] - fl.roof.value(disp)
         out = out + (diff if backward else -diff)
         if not backward:
             bj = base_map.step(bj)
@@ -214,14 +216,19 @@ def _signed_eigenvalue(base_map, v):
 
 
 def _suspension_leaf_points(fl, x, taus, stable=False):
-    """Chart points of the (un)stable leaf through x at eigenline offsets."""
+    """Chart points of the (un)stable leaf through x at eigenline offsets.
+
+    x is one point or (m, 3) of them; the leaves are listed one after the
+    other, each at every offset of taus.
+    """
     base_map = fl.base_map
     v = base_map.stable_direction if stable else base_map.unstable_direction
     eig = _signed_eigenvalue(base_map, v)
+    x = np.atleast_2d(x)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    base = wrap_unit(x[None, :2] + taus[:, None] * v[None, :])
-    h = x[2] + _leaf_height_offset(fl, x[:2], taus, v, eig, backward=not stable)
-    return fl.canonicalize(np.concatenate([base, h[:, None]], axis=1))
+    base = wrap_unit(x[:, None, :2] + taus[None, :, None] * v[None, None, :])
+    h = x[:, 2:] + _leaf_height_offset(fl, x[:, :2], taus, v, eig, backward=not stable)
+    return fl.canonicalize(np.concatenate([base, h[..., None]], axis=2).reshape(-1, 3))
 
 
 def _eigenline_segment(sys, fl, x, radius, spacing, stable):
@@ -403,20 +410,27 @@ def _bisection_passes(sys, pts, spacing, budget, step_index):
     half = np.uint64(1 << 63)
     for _ in range(64):
         over = chords > spacing
-        bad, good = np.flatnonzero(over), np.flatnonzero(~over)
+        # vertex and edge ids in int32 while every id of this pass fits
+        fits = img.total + over.size <= np.iinfo(np.int32).max
+        ids = np.arange(over.size, dtype=np.int32 if fits else np.int64)
+        bad, good = ids[over], ids[~over]
+        kept = chords[good]
+        # the chords are measured: free them before the edges are built
+        del ids, over, chords
         if halves is None:
-            finals.append((good, chords[good]))
+            finals.append((good, kept))
             lo, hi, edge, frac = bad, bad + 1, bad, np.zeros(bad.size, np.uint64)
         else:
-            finals.append((halves.lo_ids(good), chords[good]))
+            finals.append((halves.lo_ids(good), kept))
             lo, hi, edge, frac = halves.edges(bad)
+        # the last pass's halves are spent too: free them before the step
+        # allocates its temporaries
+        del good, kept
+        halves = None
         if bad.size == 0:
             return img, keys, finals
         if budget is not None and img.total + bad.size > budget:
             raise VertexBudgetExceeded(step_index, img.total + bad.size, budget)
-        # the measured chords and the index arrays are spent: free them
-        # before the step allocates its temporaries
-        del over, good, chords
         mids = space.lerp(pre.rows(lo), pre.rows(hi), 0.5)
         mid_imgs = np.atleast_2d(sys.step(mids))
         chords = np.empty(2 * bad.size)
@@ -763,9 +777,6 @@ def build_product_box(sys, x, delta, samples_per_axis):
     x_u = u_leaf.point_at(u_leaf.arclength / 2.0 + u_offs)
     # a_samples ordered with the unstable index major, center index minor
     a_samples = np.stack([fl.flow(x_u, c) for c in c_offs], axis=1).reshape(k * k, -1)
-    fibers = [
-        _suspension_leaf_points(fl, a, s_offs, stable=True) for a in a_samples
-    ]
     return ProductBox(
         center=x,
         delta=delta,
@@ -773,7 +784,7 @@ def build_product_box(sys, x, delta, samples_per_axis):
         c_offsets=c_offs,
         s_offsets=s_offs,
         a_samples=a_samples,
-        d_samples=np.concatenate(fibers, axis=0),
+        d_samples=_suspension_leaf_points(fl, a_samples, s_offs, stable=True),
     )
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import _kernels, foliation, systems
+from entroflow import _kernels, entropy, foliation, systems
 from entroflow.entropy import (
     SampleCloud,
     count_table_violations,
@@ -234,6 +235,38 @@ def test_cloud_on_another_suspension_is_rejected(time1, rng):
 def test_cloud_drops_duplicates():
     pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, 0.4]])
     assert len(SampleCloud(CAT.space, pts)) == 2
+
+
+def _unique_first_rows(rows):
+    """Sorted first-occurrence indices of the distinct rows, by np.unique."""
+    _, keep = np.unique(rows, axis=0, return_index=True)
+    return np.sort(keep)
+
+
+def test_dedup_keeps_the_rows_unique_keeps():
+    rng = np.random.default_rng(0)
+    grid = rng.integers(0, 1000, (60, 3)) / 1000.0
+    signed = np.array(
+        [[0.0, 0.5, 0.0], [-0.0, 0.5, 0.0], [0.5, -0.0, 0.0], [0.5, 0.0, -0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+    )
+    # rows that agree on their leading columns and differ only in a later one
+    ties = np.array([[0.25, c1, c2] for c1 in (0.5, 0.25, 0.5) for c2 in (0.75, 0.125)])
+    cases = {
+        "exact duplicates": np.concatenate([grid, grid[::3], grid[:5]]),
+        "equal after rounding": np.concatenate([grid, grid[:20] + 1e-14, grid[10:30] - 1e-14]),
+        "signed zeros": signed,
+        "ties across columns": ties[rng.permutation(ties.shape[0])],
+    }
+    for name, rows in cases.items():
+        rounded = np.round(rows, 12)
+        keep = entropy._first_of_each_row(rounded)
+        assert keep.tolist() == _unique_first_rows(rounded).tolist(), name
+        assert keep.size < rows.shape[0], name
+    # through the cloud, whose points are canonicalised first
+    pts = np.concatenate([grid[:, :2], grid[:, :2] + 1.0, grid[:7, :2] - 1e-14])
+    canonical = CAT.space.canonicalize(pts)
+    expect = canonical[_unique_first_rows(np.round(canonical, 12))]
+    assert SampleCloud(CAT.space, pts).points.tobytes() == expect.tobytes()
 
 
 def test_delta_validation():
@@ -557,3 +590,86 @@ def test_greedy_thinning_rejects_an_order_that_is_not_a_permutation(order):
     reps = cloud.rep_table(handle, 2)
     with pytest.raises(ValueError, match="permutation"):
         _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, 2, 0.05, order)
+
+
+# --- tree order reuse --------------------------------------------------------
+
+
+def _count_orders(monkeypatch):
+    """Record the coordinates of every tree order the kernel builds."""
+    built = []
+    build = _kernels._Order
+
+    def counted(coords, wrap):
+        built.append(np.array(coords))
+        return build(coords, wrap)
+
+    monkeypatch.setattr(_kernels, "_Order", counted)
+    monkeypatch.setattr(_kernels, "_last_order", None)
+    return built
+
+
+@pytest.mark.parametrize("name", ["cat_map", "suspension_time1"])
+@pytest.mark.parametrize("path", ["join", "scan"])
+def test_tree_order_is_built_once_per_split_iterate(name, path, monkeypatch):
+    # n = 1 and 2 split at iterate 0, n = 3 and 4 at iterate 1: a column
+    # of n = 1..4 on one cloud builds two orders (four for two columns),
+    # and reusing them leaves every accepted sequence as the brute-force
+    # greedy has it
+    if path == "scan":
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    handle, make_cloud = KERNEL_SYSTEMS[name]()
+    cloud = make_cloud(handle, 0)
+    # the tables at n = 4, as entropy_estimate warms them; a table extended
+    # later is a new array and gets its own order
+    cloud.rep_table(handle, 4)
+    built = _count_orders(monkeypatch)
+    for delta in (0.1, 0.05):
+        for n in (1, 2, 3, 4):
+            got = max_separated(handle, cloud, n, delta, order_seed=3)
+            prim = cloud.orbit_table(handle, n)
+            reps = cloud.rep_table(handle, n)
+            order = np.random.default_rng(3).permutation(len(cloud))
+            assert got.indices.tolist() == brute_force_greedy(
+                prim, reps, cloud.space.wrap_mask, n, delta, order
+            )
+    prim = cloud.orbit_table(handle, 4)
+    assert len(built) == 4
+    for coords, it in zip(built, (0, 1, 0, 1)):
+        assert np.array_equal(coords, prim[it])
+
+
+def test_a_writable_table_gets_a_new_order_every_call(monkeypatch):
+    # the same array, mutated in place between two calls: its address and
+    # shape are unchanged, only its contents differ
+    cloud = random_cloud(CAT, 300, 0)
+    prim = np.array(cloud.orbit_table(CAT, 2))
+    reps = prim[:, :, None, :]
+    wrap = cloud.space.wrap_mask
+    order = np.arange(len(cloud))
+    built = _count_orders(monkeypatch)
+    _kernels.greedy_thinning(prim, reps, wrap, 2, 0.1, order)
+    prim[:] = np.random.default_rng(5).random(prim.shape)
+    got = _kernels.greedy_thinning(prim, reps, wrap, 2, 0.1, order)
+    assert len(built) == 2
+    assert np.array_equal(built[1], prim[0])
+    assert got.tolist() == brute_force_greedy(prim, reps, wrap, 2, 0.1, order)
+
+
+def test_a_dead_table_never_matches_a_new_one(monkeypatch):
+    # tables of one shape, each freed before the next is made, so a new one
+    # may sit where the last one was; the kept order must not outlive it
+    wrap = CAT.space.wrap_mask
+    order = np.arange(300)
+    built = _count_orders(monkeypatch)
+    for seed in range(3):
+        prim = np.random.default_rng(seed).random((1, 300, 2))
+        prim.setflags(write=False)
+        reps = prim[:, :, None, :]
+        got = _kernels.greedy_thinning(prim, reps, wrap, 1, 0.1, order)
+        assert got.tolist() == brute_force_greedy(prim, reps, wrap, 1, 0.1, order)
+        assert _kernels._last_order[0]() is prim
+        del prim, reps
+        gc.collect()
+        assert _kernels._last_order[0]() is None
+    assert len(built) == 3

@@ -199,6 +199,47 @@ def test_product_box_reconstruction(time1, flow_trig):
             assert float(np.max(sys.space.distance(on_leaf, a[:, j]))) <= tol
 
 
+def _stable_fibers_one_by_one(fl, a_samples, s_offs):
+    """The product box's stable fibers, built one base point at a time with
+    the height series of a single base point (the loop the batched build
+    replaced)."""
+    base_map = fl.base_map
+    v = base_map.stable_direction
+    eig = float(v @ (base_map.matrix.astype(float) @ v))
+    lip = fl.roof.lipschitz()
+    omax = float(np.max(np.abs(s_offs)))
+    fibers = []
+    for a in a_samples:
+        offset = np.zeros(s_offs.shape)
+        if not fl.roof.is_constant:
+            bj = a[None, :2]
+            scale = 1.0
+            for _ in range(400):
+                if lip * omax * abs(scale) < 1e-13:
+                    break
+                disp = systems.wrap_unit(bj + (s_offs[:, None] * scale) * v[None, :])
+                offset = offset + -(fl.roof.value(bj)[0] - fl.roof.value(disp))
+                bj = base_map.step(bj)
+                scale *= eig
+        base = systems.wrap_unit(a[None, :2] + s_offs[:, None] * v[None, :])
+        h = a[2] + offset
+        fibers.append(fl.canonicalize(np.concatenate([base, h[:, None]], axis=1)))
+    return np.concatenate(fibers, axis=0)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.01])
+@pytest.mark.parametrize("roof", ["constant", "trig"])
+def test_product_box_fibers_match_the_per_row_build(roof, delta, time1, flow_trig):
+    # all fibers in one call give the bytes of one call per base point; on
+    # the trig roof the height series runs several terms
+    sys = time1 if roof == "constant" else TimeTMapHandle(flow_trig, 1.0)
+    fl = sys.reference_flow
+    for x in ((0.2, 0.3, 0.37), (0.7, 0.1, 0.9)):
+        box = build_product_box(sys, np.array(x), delta, 8)
+        want = _stable_fibers_one_by_one(fl, box.a_samples, box.s_offsets)
+        assert box.d_samples.tobytes() == want.tobytes()
+
+
 def test_product_box_delta_cap(time1):
     with pytest.raises(ValueError, match="cap"):
         build_product_box(time1, np.array([0.2, 0.3, 0.4]), 0.2, 5)
