@@ -56,6 +56,20 @@ them conflicts with is removed.  That costs about the number of accepted
 points times the ball size, in few tree descents.  Both give the accepted
 sequence the scan defines: the tree and the blocks only choose which pairs
 are checked, the rule above decides each of them.
+
+A listed conflict graph is carried to later n of its delta column.  A
+pair conflicts at n' > n exactly when it conflicts at n and, at every
+iterate n..n'-1, passes the rule's test for that iterate: the rule is a
+conjunction over iterates (d_n' >= d_n).  So the graph at n', filtered at
+those iterates by the same arithmetic (_conflicts on the tables' iterates
+from n on), is the graph a self-join at n' would list, and the ordered
+greedy over it accepts the same sequence.  The graph is kept like the
+tree order: keyed by weak references to the read-only owners of prim and
+reps, the layout of both, the wrap mask, delta exactly and the n it
+holds.  A call that cannot carry it drops it, so at most one graph is
+alive, and none is kept for a writable table.
+The screen may keep fewer sets at n than at n', but a set it drops can
+never pass the test, so the decisions do not depend on it.
 """
 
 from __future__ import annotations
@@ -124,25 +138,73 @@ class _Order:
 _last_order = None
 
 
+def _frozen_owner(a):
+    """The array that owns a's memory when it owns its data and is
+    read-only, else None: only then can the bytes a views not change."""
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return owner if owner.base is None and not owner.flags.writeable else None
+
+
+def _layout(a):
+    """Address, shape and strides of a view."""
+    return a.__array_interface__["data"][0], a.shape, a.strides
+
+
 def _tree_order(prim, wrap, split_it):
     """The _Order over prim[split_it], reused from the last call when the
     same bytes of the same read-only table are asked for again."""
     global _last_order
     coords = prim[split_it]
-    owner = coords
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    key = (coords.__array_interface__["data"][0], coords.shape, coords.strides, wrap.tobytes())
-    frozen = owner.base is None and not owner.flags.writeable
+    owner = _frozen_owner(coords)
+    key = (_layout(coords), wrap.tobytes())
     last = _last_order
-    if frozen and last is not None and last[0]() is owner and last[1] == key:
+    if owner is not None and last is not None and last[0]() is owner and last[1] == key:
         return last[2]
     # drop the old order before the new one is built
     _last_order = last = None
     order = _Order(coords, wrap)
-    if frozen:
+    if owner is not None:
         _last_order = (weakref.ref(owner), key, order)
     return order
+
+
+#: (weak references to the owners of prim and reps, key, n, i, j) of the
+#: last conflict graph listed over read-only tables; see _take_graph
+_last_graph = None
+
+
+def _graph_key(prim, reps, wrap, delta):
+    """(owners of prim and reps, key) that a conflict graph over these
+    tables is kept under, or None when either table is writable."""
+    owners = (_frozen_owner(prim), _frozen_owner(reps))
+    if owners[0] is None or owners[1] is None:
+        return None
+    # the layouts leave out the number of iterates: the graph at n serves n' > n
+    layouts = tuple((_layout(a[0]), a.strides[0]) for a in (prim, reps))
+    return owners, layouts + (wrap.tobytes(), delta)
+
+
+def _take_graph(graph_key, n):
+    """Drop the kept conflict graph; (n0, i, j) of it if it was listed at
+    some n0 <= n under graph_key (a _graph_key value), else None."""
+    global _last_graph
+    last, _last_graph = _last_graph, None
+    if graph_key is None or last is None or last[2] != graph_key[1] or last[3] > n:
+        return None
+    owners = graph_key[0]
+    if last[0]() is not owners[0] or last[1]() is not owners[1]:
+        return None
+    return last[3], last[4], last[5]
+
+
+def _keep_graph(graph_key, n, i, j):
+    """Keep the conflict graph (i, j) at n under graph_key, unless it is None."""
+    global _last_graph
+    if graph_key is not None:
+        owners, key = graph_key
+        _last_graph = (weakref.ref(owners[0]), weakref.ref(owners[1]), key, n, i, j)
 
 
 def _offsets(x, starts, nid, axis, wrap):
@@ -345,32 +407,50 @@ def _query(tree, its, r2, points):
     return row[leaf_row], j
 
 
-def _graph_greedy(tree, leaves, conflicts, order):
-    """Scan order over the conflict graph listed by a self-join."""
+def _join_edges(tree, leaves, conflicts):
+    """The conflicting point pairs (i, j) under the leaf pairs of a self-join."""
+    per = CHUNK_PAIRS // int(np.diff(tree.levels[-1]).max()) ** 2 + 1
+    a, b = leaves
+    return _conflicting(
+        conflicts, (_leaf_pair_points(tree, a[s : s + per], b[s : s + per]) for s in range(0, a.size, per))
+    )
+
+
+def _conflicting(conflicts, chunks):
+    """The pairs of every chunk (i, j) that conflicts keeps, as int32."""
+    us, ws = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for i, j in chunks:
+        hit = conflicts(i, j)
+        us.append(i[hit].astype(np.int32, copy=False))
+        ws.append(j[hit].astype(np.int32, copy=False))
+    return np.concatenate(us), np.concatenate(ws)
+
+
+def _edge_greedy(i, j, order):
+    """Scan order over the conflict graph with edges (i, j).
+
+    A point with no neighbour scanned after it removes nothing, and it is
+    accepted iff no earlier point removed it; so only the points with a
+    later neighbour are visited (none for a point without an edge), each
+    still alive is accepted and removes those neighbours.
+    """
+    if i.size == 0:
+        return order.copy()
     N = order.size
     rank = np.empty(N, dtype=np.int64)
     rank[order] = np.arange(N)
     # edges u -> w point from the endpoint scanned first
-    per = CHUNK_PAIRS // int(np.diff(tree.levels[-1]).max()) ** 2 + 1
-    us, ws = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for s in range(0, leaves[0].size, per):
-        i, j = _leaf_pair_points(tree, leaves[0][s : s + per], leaves[1][s : s + per])
-        hit = conflicts(i, j)
-        i, j = i[hit], j[hit]
-        swap = rank[j] < rank[i]
-        us.append(np.where(swap, j, i).astype(np.int32))
-        ws.append(np.where(swap, i, j).astype(np.int32))
-    u = np.concatenate(us)
-    dst = np.concatenate(ws)[np.argsort(u, kind="stable")]
+    swap = rank[j] < rank[i]
+    u = np.where(swap, j, i)
+    dst = np.where(swap, i, j)[np.argsort(u, kind="stable")]
+    later = np.bincount(u, minlength=N)
     ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=N), out=ptr[1:])
+    np.cumsum(later, out=ptr[1:])
     alive = np.ones(N, dtype=bool)
-    accepted = []
-    for v in order.tolist():
+    for v in order[later[order] > 0].tolist():
         if alive[v]:
-            accepted.append(v)
             alive[dst[ptr[v] : ptr[v + 1]]] = False
-    return accepted
+    return order[alive[order]]
 
 
 def _scan(tree, its, r2, conflicts, order):
@@ -464,7 +544,9 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     range(N), else ValueError.  Accept iff d_n to all previously accepted
     > delta; the accepted set is maximal: every unaccepted point sits
     within delta of an accepted one.  Representative sets that _near_sets
-    rules out are dropped first.
+    rules out are dropped first.  A conflict graph listed over read-only
+    tables is kept, and a later call at a larger n on the same tables and
+    delta filters it instead of searching the tree.
     """
     n = int(n)
     if n < 1 or n > prim.shape[0]:
@@ -479,23 +561,35 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     if not _is_permutation(order, prim.shape[1]):
         raise ValueError("order must be a permutation of the cloud indices")
     r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
+    graph_key = _graph_key(prim, reps, wrap, delta)
     keep = _near_sets(prim, reps, wrap, r2)
     if keep.size == 0:
         # no representative comes close: no pair conflicts
         return order.copy()
     if keep.size < reps.shape[2]:
         reps = reps[:, :, keep]
+    symmetric = reps.shape[2] == 1 and np.array_equal(reps[:, :, 0], prim)
+
+    def conflicts_from(k):
+        """The rule at iterates k..n-1 (all of them for k = 0)."""
+        return lambda i, j: _conflicts(prim[k:], reps[k:], wrap, symmetric, delta * delta, i, j)
+
+    carried = _take_graph(graph_key, n)
+    if carried is not None:
+        n0, i, j = carried
+        if n0 < n:
+            i, j = _conflicting(
+                conflicts_from(n0),
+                ((i[s : s + CHUNK_PAIRS], j[s : s + CHUNK_PAIRS]) for s in range(0, i.size, CHUNK_PAIRS)),
+            )
+        _keep_graph(graph_key, n, i, j)
+        return _edge_greedy(i, j, order)
     split_it = (n - 1) // 2
     its = sorted(range(n), key=lambda k: abs(k - split_it))
     tree = _Tree(_tree_order(prim, wrap, split_it), prim, reps, wrap)
-    symmetric = reps.shape[2] == 1 and tree.prim_is_rep
-
-    def conflicts(i, j):
-        return _conflicts(prim, reps, wrap, symmetric, delta * delta, i, j)
-
     leaves = _self_join(tree, its, r2)
     if leaves is None:
-        accepted = _scan(tree, its, r2, conflicts, order)
-    else:
-        accepted = _graph_greedy(tree, leaves, conflicts, order)
-    return np.array(accepted, dtype=np.int64)
+        return np.array(_scan(tree, its, r2, conflicts_from(0), order), dtype=np.int64)
+    i, j = _join_edges(tree, leaves, conflicts_from(0))
+    _keep_graph(graph_key, n, i, j)
+    return _edge_greedy(i, j, order)

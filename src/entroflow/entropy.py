@@ -66,27 +66,44 @@ class SampleCloud:
         return self.points.shape[0]
 
     def orbit_table(self, sys: SystemHandle, n):
-        """(n, N, dim) iterates; cached and extended monotonically."""
+        """(n, N, dim) iterates; cached and extended monotonically.
+
+        A longer table steps on from the cached last iterate, so each
+        iterate is stepped once and equals the from-scratch table bitwise.
+        """
         key = sys.describe()
         cached = self._orbit_cache.get(key)
         if cached is None or cached.shape[0] < n:
-            table = sys.orbit_table(self.points, n)
-            table.setflags(write=False)
-            self._orbit_cache[key] = table
-            cached = table
+            if cached is None:
+                cached = sys.orbit_table(self.points, n)
+            else:
+                cached = _extended(cached, n, lambda table, i: sys.step(table[i - 1]))
+            cached.setflags(write=False)
+            self._orbit_cache[key] = cached
         return cached[:n]
 
     def rep_table(self, sys: SystemHandle, n):
-        """Orbit representatives for the kernels: (n, N, R, C)."""
+        """Orbit representatives for the kernels: (n, N, R, C); only the
+        iterates past the cached ones are lifted."""
         key = ("reps", sys.describe())
         cached = self._orbit_cache.get(key)
         if cached is None or cached.shape[0] < n:
             orbits = self.orbit_table(sys, n)
-            reps = np.stack([self.space.lift_reps(orbits[i]) for i in range(n)])
-            reps.setflags(write=False)
-            self._orbit_cache[key] = reps
-            cached = reps
+            if cached is None:
+                cached = self.space.lift_reps(orbits[0])[None]
+            cached = _extended(cached, n, lambda table, i: self.space.lift_reps(orbits[i]))
+            cached.setflags(write=False)
+            self._orbit_cache[key] = cached
         return cached[:n]
+
+
+def _extended(table, n, row):
+    """table with rows len(table)..n-1 appended, row i computed by row(out, i)."""
+    out = np.empty((n,) + table.shape[1:], dtype=table.dtype)
+    out[: table.shape[0]] = table
+    for i in range(table.shape[0], n):
+        out[i] = row(out, i)
+    return out
 
 
 def _first_of_each_row(rows):

@@ -284,6 +284,31 @@ def test_grid_cloud_sizes():
     assert len(grid_cloud(systems.circle_doubling(), 64)) == 64
 
 
+def test_extended_tables_step_each_iterate_once(monkeypatch):
+    # a cold cloud asked for n = 1, 2, 3, 4 steps on from its last cached
+    # iterate and lifts only the new ones; its tables are bitwise the ones
+    # a cloud computes at n = 4 in one go.  The handle is not shared with
+    # other tests, as its step and lift_reps are replaced on the instance
+    time1 = KERNEL_SYSTEMS["suspension_time1"]()[0]
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([rng.random((200, 2)), rng.uniform(0.0, 1.0, (200, 1))], axis=1)
+    at_once = SampleCloud(time1.space, pts)
+    want = (at_once.orbit_table(time1, 4), at_once.rep_table(time1, 4))
+    grown = SampleCloud(time1.space, pts)
+    stepped, lifted = [], []
+    step, lift = time1.step, time1.space.lift_reps
+    monkeypatch.setattr(time1, "step", lambda p: stepped.append(len(p)) or step(p))
+    monkeypatch.setattr(time1.space, "lift_reps", lambda p: lifted.append(len(p)) or lift(p))
+    for n in (1, 2, 3, 4):
+        prim, reps = grown.orbit_table(time1, n), grown.rep_table(time1, n)
+        assert prim.shape[0] == reps.shape[0] == n
+        assert not prim.flags.writeable and not reps.flags.writeable
+    assert stepped == [len(grown)] * 3
+    assert lifted == [len(grown)] * 4
+    assert grown.orbit_table(time1, 4).tobytes() == want[0].tobytes()
+    assert grown.rep_table(time1, 4).tobytes() == want[1].tobytes()
+
+
 # --- kernel equivalence ------------------------------------------------------
 
 
@@ -355,13 +380,17 @@ KERNEL_SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
-@pytest.mark.parametrize("path", ["join", "scan"])
+@pytest.mark.parametrize("path", ["join", "scan", "carry"])
 def test_kernel_matches_brute_force_greedy(name, delta, path, monkeypatch):
     # small chunks split the candidate lists; a zero join budget sends
-    # every cell through the blocked scan instead of the self-join
+    # every cell through the blocked scan instead of the self-join; the
+    # join path keeps no graph, so every cell lists its own, and the carry
+    # path filters the graph of the last n
     monkeypatch.setattr(_kernels, "CHUNK_PAIRS", 64)
     if path == "scan":
         monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    if path == "join":
+        monkeypatch.setattr(_kernels, "_keep_graph", lambda *args: None)
     handle, make_cloud = KERNEL_SYSTEMS[name]()
     for seed in range(3):
         cloud = make_cloud(handle, seed)
@@ -624,6 +653,8 @@ def test_tree_order_is_built_once_per_split_iterate(name, path, monkeypatch):
     # later is a new array and gets its own order
     cloud.rep_table(handle, 4)
     built = _count_orders(monkeypatch)
+    # no conflict graph is kept for a later n: every cell goes through the tree
+    monkeypatch.setattr(_kernels, "_keep_graph", lambda *args: None)
     for delta in (0.1, 0.05):
         for n in (1, 2, 3, 4):
             got = max_separated(handle, cloud, n, delta, order_seed=3)
@@ -673,3 +704,158 @@ def test_a_dead_table_never_matches_a_new_one(monkeypatch):
         gc.collect()
         assert _kernels._last_order[0]() is None
     assert len(built) == 3
+
+
+# --- conflict graphs carried to later n --------------------------------------
+
+
+def _count_joins(monkeypatch):
+    """Record (n, whether it listed the graph) for every self-join the
+    kernel runs; no graph is kept to begin with."""
+    joins = []
+    self_join = _kernels._self_join
+
+    def counted(tree, its, r2):
+        leaves = self_join(tree, its, r2)
+        joins.append((len(its), leaves is not None))
+        return leaves
+
+    monkeypatch.setattr(_kernels, "_self_join", counted)
+    monkeypatch.setattr(_kernels, "_last_graph", None)
+    return joins
+
+
+def _independent_tables(shifted):
+    """Read-only tables of 300 points per iterate in a corner of the torus,
+    drawn afresh at every iterate, so a pair can pass the rule at a late
+    iterate and fail at an earlier one.  shifted adds a second set, 0.3
+    up on the unwrapped axis: a pair is then close through it in one
+    direction only."""
+    rng = np.random.default_rng(11)
+    prim = np.stack([0.3 * rng.random((300, 2)) for _ in range(8)])
+    reps = prim[:, :, None, :]
+    if shifted:
+        reps = np.stack([prim, prim + np.array([0.0, 0.3])], axis=2)
+    wrap = np.array([True, not shifted])
+    prim.setflags(write=False)
+    reps = np.array(reps)
+    reps.setflags(write=False)
+    return prim, reps, wrap
+
+
+def _carry_tables(case):
+    if case == "independent":
+        return _independent_tables(False)
+    if case == "independent_shifted":
+        return _independent_tables(True)
+    handle = KERNEL_SYSTEMS[case]()[0]
+    cloud = grid_cloud(handle, 24) if case == "cat_map" else _dense_seam_cloud(handle, 1, 300)
+    return cloud.orbit_table(handle, 8), cloud.rep_table(handle, 8), cloud.space.wrap_mask
+
+
+CARRY_CASES = ["cat_map", "suspension_time1", "independent", "independent_shifted"]
+
+
+@pytest.mark.parametrize("case", CARRY_CASES)
+def test_carried_graph_matches_brute_force_across_gaps(case, monkeypatch):
+    # n = 3 -> 5 and 5 -> 8 skip iterates: the kept graph must be filtered
+    # at every iterate in between.  The cat map and the independent tables
+    # filter in one direction (one set equal to prim), the seam cloud keeps
+    # its lifts and the shifted tables their second set, so both filter in
+    # both directions
+    prim, reps, wrap = _carry_tables(case)
+    joins = _count_joins(monkeypatch)
+    if case == "suspension_time1":
+        assert _kernels._near_sets(prim, reps, wrap, 0.1**2).tolist() == [0, 1, 2]
+    for delta in (0.1, 0.05):
+        for n in (1, 2, 3, 5, 8):
+            conflict = brute_force_conflicts(prim, reps, wrap, n, delta)
+            for seed in range(2):
+                order = np.random.default_rng(seed).permutation(prim.shape[1])
+                got = _kernels.greedy_thinning(prim, reps, wrap, n, delta, order)
+                assert got.tolist() == greedy_over(conflict, order)
+    # a column lists its graph once, at the first n whose graph fits the
+    # join, and carries it across both gaps to n = 8
+    listed = [n for n, ok in joins if ok]
+    assert len(listed) <= 2 and min(listed) <= 3
+    assert _kernels._last_graph[3] == 8
+
+
+@pytest.mark.parametrize("case", CARRY_CASES)
+def test_interleaved_delta_columns_do_not_share_a_graph(case, monkeypatch):
+    # each call replaces the kept graph with one at another delta: nothing
+    # is carried, and every cell lists its own graph
+    prim, reps, wrap = _carry_tables(case)
+    joins = _count_joins(monkeypatch)
+    order = np.random.default_rng(3).permutation(prim.shape[1])
+    cells = [(n, delta) for n in (1, 2, 3, 5) for delta in (0.1, 0.05)]
+    for n, delta in cells:
+        got = _kernels.greedy_thinning(prim, reps, wrap, n, delta, order)
+        assert got.tolist() == brute_force_greedy(prim, reps, wrap, n, delta, order)
+    assert len(joins) == len(cells)
+
+
+def test_a_writable_table_carries_no_graph(monkeypatch):
+    # the same array, mutated in place between n = 1 and n = 2
+    prim, reps, wrap = _independent_tables(False)
+    prim = np.array(prim)
+    reps = prim[:, :, None, :]
+    order = np.arange(prim.shape[1])
+    joins = _count_joins(monkeypatch)
+    _kernels.greedy_thinning(prim, reps, wrap, 1, 0.05, order)
+    assert _kernels._last_graph is None
+    before = brute_force_conflicts(prim, reps, wrap, 1, 0.05)
+    prim[:] = 0.3 * np.random.default_rng(5).random(prim.shape)
+    got = _kernels.greedy_thinning(prim, reps, wrap, 2, 0.05, order)
+    assert _kernels._last_graph is None
+    assert joins == [(1, True), (2, True)]
+    want = brute_force_greedy(prim, reps, wrap, 2, 0.05, order)
+    assert got.tolist() == want
+    # what the graph of the table before the write, carried, would accept
+    carried = before & brute_force_conflicts(prim[1:], reps[1:], wrap, 1, 0.05)
+    assert greedy_over(carried, order) != want
+
+
+def test_a_graph_is_not_carried_to_another_reps_table(monkeypatch):
+    # one read-only prim with two read-only reps tables: identity only at
+    # n = 1, then with the seam lifts at n = 2; the graph of the first
+    # misses the pairs only a lift brings close
+    handle, make_cloud = KERNEL_SYSTEMS["suspension_time1"]()
+    cloud = make_cloud(handle, 0)
+    prim = cloud.orbit_table(handle, 2)
+    lifted = cloud.rep_table(handle, 2)
+    identity = np.array(lifted[:, :, :1])
+    identity.setflags(write=False)
+    wrap = cloud.space.wrap_mask
+    order = np.arange(len(cloud))
+    joins = _count_joins(monkeypatch)
+    _kernels.greedy_thinning(prim, identity, wrap, 1, 0.1, order)
+    got = _kernels.greedy_thinning(prim, lifted, wrap, 2, 0.1, order)
+    assert joins == [(1, True), (2, True)]
+    want = brute_force_greedy(prim, lifted, wrap, 2, 0.1, order)
+    assert got.tolist() == want
+    # what a graph carried from the identity table would accept
+    carried = brute_force_conflicts(prim, identity, wrap, 1, 0.1) & brute_force_conflicts(
+        prim[1:], lifted[1:], wrap, 1, 0.1
+    )
+    assert greedy_over(carried, order) != want
+
+
+
+def test_a_dead_reps_table_never_matches_a_new_one(monkeypatch):
+    # one prim, and reps tables of one shape, each freed before the next is
+    # made, so a new one may sit where the last one was; the kept graph
+    # must not outlive it
+    prim, _, wrap = _independent_tables(True)
+    order = np.arange(prim.shape[1])
+    joins = _count_joins(monkeypatch)
+    for seed in range(3):
+        reps = np.stack([prim, prim + np.array([0.0, 0.25 + 0.05 * seed])], axis=2)
+        reps.setflags(write=False)
+        got = _kernels.greedy_thinning(prim, reps, wrap, 1, 0.05, order)
+        assert got.tolist() == brute_force_greedy(prim, reps, wrap, 1, 0.05, order)
+        assert _kernels._last_graph[1]() is reps
+        del reps
+        gc.collect()
+        assert _kernels._last_graph[1]() is None
+    assert joins == [(1, True)] * 3
