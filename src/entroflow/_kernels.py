@@ -48,14 +48,30 @@ seam lifts go and the one-direction identity path runs; the torus has no
 unwrapped axis and keeps its single set.
 
 When the conflict graph is small (points mostly separated) one self-join
-of the tree lists all of it and the ordered greedy runs over that graph.
-Otherwise the order is scanned in blocks of points still alive: the greedy
-first resolves a block over its own pairwise conflicts, then only the
-points it accepted are searched in the tree, and every alive point one of
-them conflicts with is removed.  That costs about the number of accepted
-points times the ball size, in few tree descents.  Both give the accepted
-sequence the scan defines: the tree and the blocks only choose which pairs
-are checked, the rule above decides each of them.
+of the tree lists all of it, and the ordered greedy runs over that graph
+in rounds (_edge_greedy; Blelloch, Fineman and Shun, SPAA 2012).  A round
+accepts every undecided point with no undecided neighbour earlier in the
+order, then rejects the later neighbours of the points it accepted.  By
+induction over the rounds each decision is the sequential scan's: a point
+is accepted only once all its earlier neighbours are decided, and none of
+them was accepted (an accepted point rejects its undecided later
+neighbours in its own round); a point is rejected only when an earlier
+neighbour was accepted.  A random order is decided in a few rounds.  An
+order that is a chain in the graph, such as index order on points sorted
+in space, decides few points per round, so once a round removes less
+than half of the remaining edges, the rest is scanned point by point.
+
+Otherwise the self-join gives up at some level L, but the node pairs of
+level L - 1 are complete: every point within the radius of a point p lies
+under a level-(L - 1) partner of p's node (_Partners).  The order is then
+scanned in blocks of points still alive: the same greedy in rounds first
+resolves a block over its own pairwise conflicts, then only the points it
+accepted are searched in the tree, starting from their nodes' partners
+instead of the root, and every alive point one of them conflicts with is
+removed.  That costs about the number of accepted points times the ball
+size, in few tree descents.  Both paths give the accepted sequence the
+scan defines: the tree, the blocks and the rounds only choose which pairs
+are checked and when, the rule above decides each of them.
 
 A listed conflict graph is carried to later n of its delta column.  A
 pair conflicts at n' > n exactly when it conflicts at n and, at every
@@ -70,6 +86,12 @@ holds.  A call that cannot carry it drops it, so at most one graph is
 alive, and none is kept for a writable table.
 The screen may keep fewer sets at n than at n', but a set it drops can
 never pass the test, so the decisions do not depend on it.
+
+Both kept states follow the table's owning array, not the cloud: a table
+extended to a larger n is a new array, so the tree order and the carried
+graph of the shorter one are dropped at the first call on it.  Callers
+that want them kept build their tables at the largest n first (as
+entropy_estimate does) and pass views of it.
 """
 
 from __future__ import annotations
@@ -238,6 +260,11 @@ class _Tree:
         ]
         #: some representative is prim itself (the identity lift)
         self.prim_is_rep = len(self.sets) - 1 < reps.shape[2]
+        #: (level, a, b): node pairs (a <= b) of one level, among them every
+        #: pair whose boxes come within the radius; the root with itself
+        #: until _self_join lists deeper levels
+        root = np.zeros(1, dtype=np.int64)
+        self.pairs = (0, root, root)
         leaf = self.levels[-1]
         nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
         boxes = []
@@ -351,12 +378,13 @@ def _self_join(tree, its, r2):
     """Leaf pairs (a <= b) whose boxes are within the radius at every iterate.
 
     Returns None as soon as a level holds more than JOIN_PAIRS_PER_NODE
-    pairs per node: the conflict graph is then too large to list.
+    pairs per node: the conflict graph is then too large to list.  The
+    last level listed in full stays on the tree as tree.pairs.
     """
-    pa = np.zeros(1, dtype=np.int64)
-    pb = np.zeros(1, dtype=np.int64)
+    pa, pb = tree.pairs[1:]
     step = CHUNK_PAIRS // 4
     for L in range(1, len(tree.levels)):
+        tree.pairs = (L - 1, pa, pb)
         limit = JOIN_PAIRS_PER_NODE * max(tree.levels[L].size - 1, 64)
         kept_a, kept_b, total = [], [], 0
         for s in range(0, pa.size, step):
@@ -394,11 +422,38 @@ def _leaf_pair_points(tree, pa, pb):
     return np.broadcast_to(ida, ok.shape)[ok], np.broadcast_to(idb, ok.shape)[ok]
 
 
-def _query(tree, its, r2, points):
+class _Partners:
+    """The node pairs tree.pairs of one level as lists per point.
+
+    Every point within the radius of a point p lies under a node of level
+    S that is paired with p's own node there (tree.pairs lists every pair
+    of level-S nodes whose boxes are within it), so a query from p may
+    start from those partners instead of the root.
+    """
+
+    def __init__(self, tree):
+        self.level, pa, pb = tree.pairs
+        starts = tree.levels[self.level]
+        self.node = np.empty(tree.perm.size, dtype=np.int64)
+        self.node[tree.perm] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        off = pa != pb
+        a = np.concatenate([pa, pb[off]])
+        self.partner = np.concatenate([pb, pa[off]])[np.argsort(a, kind="stable")]
+        self.ptr = np.zeros(starts.size, dtype=np.int64)
+        np.cumsum(np.bincount(a, minlength=starts.size - 1), out=self.ptr[1:])
+
+    def of(self, points):
+        """(position in points, node) for every partner of every point."""
+        node = self.node[points]
+        first, count = self.ptr[node], self.ptr[node + 1] - self.ptr[node]
+        row = np.repeat(np.arange(points.size), count)
+        return row, self.partner[first[row] + np.arange(row.size) - (np.cumsum(count) - count)[row]]
+
+
+def _query(tree, its, r2, points, partners):
     """(position in points, point) candidates for a few query points."""
-    row = np.arange(points.size)
-    node = np.zeros(points.size, dtype=np.int64)
-    for L in range(1, len(tree.levels)):
+    row, node = partners.of(points)
+    for L in range(partners.level + 1, len(tree.levels)):
         row = np.repeat(row, 2)
         node = (2 * node[:, None] + np.arange(2)).ravel()
         keep = tree.close(its, r2, None, points[row], L, node)
@@ -427,30 +482,71 @@ def _conflicting(conflicts, chunks):
 
 
 def _edge_greedy(i, j, order):
-    """Scan order over the conflict graph with edges (i, j).
+    """Scan order over the conflict graph with edges (i, j), in rounds.
 
-    A point with no neighbour scanned after it removes nothing, and it is
-    accepted iff no earlier point removed it; so only the points with a
-    later neighbour are visited (none for a point without an edge), each
-    still alive is accepted and removes those neighbours.
+    Points are taken by their rank in order, and an edge joins an earlier
+    (lo) and a later (hi) endpoint; the graph has no loops (i != j), but
+    an edge may be listed more than once, either way round.  A round accepts
+    every undecided point with no undecided earlier neighbour, rejects
+    the later neighbours of the points it accepted, and keeps the edges
+    between points still undecided.
+
+    The result is the sequential scan's.  Invariant, true before the first
+    round: no undecided point has an accepted earlier neighbour, and every
+    edge between two undecided points is kept.  A point a accepted in a
+    round has no kept edge to an earlier point, so all its earlier
+    neighbours are decided, and by the invariant none was accepted: they
+    were all rejected, and the scan reaches a with none of its earlier
+    neighbours accepted, so it accepts a.  A point rejected in the round
+    has an earlier neighbour accepted in it, so the scan rejects it too
+    (by induction over the rounds, every earlier decision is the scan's).
+    Every kept edge from a newly accepted point has its later end
+    rejected, so the invariant holds after the round.  The undecided point
+    of lowest rank has no undecided earlier neighbour, so every round
+    accepts a point, and the rounds end when no edge is kept: then every
+    undecided point is accepted.
+
+    A chain in rank order, such as index order on points sorted in space,
+    decides few points per round.  When a round removes less than half of
+    the kept edges, _finish scans the undecided points over the kept
+    edges; by the invariant that scan decides them as the sequential one.
+    So at most log2 of the edge count rounds run before it.
     """
-    if i.size == 0:
-        return order.copy()
     N = order.size
-    rank = np.empty(N, dtype=np.int64)
-    rank[order] = np.arange(N)
-    # edges u -> w point from the endpoint scanned first
-    swap = rank[j] < rank[i]
-    u = np.where(swap, j, i)
-    dst = np.where(swap, i, j)[np.argsort(u, kind="stable")]
-    later = np.bincount(u, minlength=N)
-    ptr = np.zeros(N + 1, dtype=np.int64)
+    rank = np.empty(N, dtype=np.int32)
+    rank[order] = np.arange(N, dtype=np.int32)
+    lo, hi = rank[i], rank[j]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    accepted = np.zeros(N, dtype=bool)
+    undecided = np.ones(N, dtype=bool)
+    while lo.size:
+        blocked = np.zeros(N, dtype=bool)
+        blocked[hi] = True
+        won = undecided & ~blocked
+        accepted |= won
+        # the points left undecided: those with an undecided earlier
+        # neighbour, less the later neighbours of the points just accepted
+        undecided = blocked
+        undecided[hi[won[lo]]] = False
+        live = undecided[lo] & undecided[hi]
+        if 2 * np.count_nonzero(live) > lo.size:
+            _finish(undecided, lo[live], hi[live])
+            break
+        lo, hi = lo[live], hi[live]
+    accepted |= undecided
+    return order[accepted]
+
+
+def _finish(undecided, lo, hi):
+    """The sequential scan of the undecided points over the edges (lo, hi)
+    between them, by rank: undecided keeps the points it accepts."""
+    dst = hi[np.argsort(lo, kind="stable")]
+    later = np.bincount(lo, minlength=undecided.size)
+    ptr = np.zeros(undecided.size + 1, dtype=np.int64)
     np.cumsum(later, out=ptr[1:])
-    alive = np.ones(N, dtype=bool)
-    for v in order[later[order] > 0].tolist():
-        if alive[v]:
-            alive[dst[ptr[v] : ptr[v + 1]]] = False
-    return order[alive[order]]
+    for v in np.flatnonzero(later).tolist():
+        if undecided[v]:
+            undecided[dst[ptr[v] : ptr[v + 1]]] = False
 
 
 def _scan(tree, its, r2, conflicts, order):
@@ -458,14 +554,16 @@ def _scan(tree, its, r2, conflicts, order):
 
     A block is the next SCAN_BLOCK points of the order still alive.  The
     greedy first runs inside the block over its own pairwise conflicts;
-    the points it accepts are then searched in the tree, and every alive
-    point one of them conflicts with is removed before the next block.
+    the points it accepts are then searched in the tree, from the partners
+    of their nodes at the level of tree.pairs, and every alive point one
+    of them conflicts with is removed before the next block.
     """
     N = order.size
     alive = np.ones(N, dtype=bool)
     accepted = []
     pos = 0
     group = QUERY_GROUP
+    partners = _Partners(tree)
     while True:
         block, pos = _next_alive(order, alive, pos)
         if block.size == 0:
@@ -473,16 +571,11 @@ def _scan(tree, its, r2, conflicts, order):
         alive[block] = False
         iu, ju = np.triu_indices(block.size, 1)
         hit = conflicts(block[iu], block[ju])
-        iu, ju = iu[hit], ju[hit]
-        dead = np.zeros(block.size, dtype=bool)
-        for q in range(block.size):
-            if not dead[q]:
-                dead[ju[iu == q]] = True
-        won = block[~dead]
+        won = block[_edge_greedy(iu[hit], ju[hit], np.arange(block.size))]
         accepted.extend(won.tolist())
         s = 0
         while s < won.size:
-            q, j = _query(tree, its, r2, won[s : s + group])
+            q, j = _query(tree, its, r2, won[s : s + group], partners)
             q += s
             s += group
             # keep a group's candidate list near CHUNK_PAIRS
@@ -560,6 +653,8 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     order = np.asarray(order, dtype=np.int64)
     if not _is_permutation(order, prim.shape[1]):
         raise ValueError("order must be a permutation of the cloud indices")
+    if order.size == 0:
+        return np.zeros(0, dtype=np.int64)
     r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
     graph_key = _graph_key(prim, reps, wrap, delta)
     keep = _near_sets(prim, reps, wrap, r2)

@@ -417,16 +417,54 @@ def _dense_seam_cloud(handle, seed, size):
     return SampleCloud(handle.space, np.concatenate([pts, images]))
 
 
+def _join_fails_at_the_leaves(monkeypatch):
+    """Make every self-join list all levels above the leaves, then give up;
+    record the level each scan then starts its queries from."""
+    self_join = _kernels._self_join
+    partners = _kernels._Partners
+    starts = []
+
+    def leaves_fail(tree, its, r2):
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 1 << 40)
+            assert self_join(tree, its, r2) is not None
+        # the level above the leaves is listed in full and stays on the tree
+        assert tree.pairs[0] == len(tree.levels) - 2
+        return None
+
+    def counted(tree):
+        got = partners(tree)
+        starts.append(got.level)
+        return got
+
+    monkeypatch.setattr(_kernels, "_self_join", leaves_fail)
+    monkeypatch.setattr(_kernels, "_Partners", counted)
+    return starts
+
+
+SCAN_CASES = [("cat_map", 0.2), ("cat_map", 0.1), ("suspension_time1", 0.05), ("suspension_time1", 0.02)]
+
+
 @pytest.mark.parametrize(
-    "name, delta",
-    [("cat_map", 0.2), ("cat_map", 0.1), ("suspension_time1", 0.05), ("suspension_time1", 0.02)],
+    "name, delta, join_fails",
+    [pytest.param(name, delta, "at_level_1", id=f"{name}-{delta}") for name, delta in SCAN_CASES]
+    + [
+        pytest.param(name, delta, "at_the_leaves", id=f"{name}-{delta}-at_the_leaves")
+        for name, delta in SCAN_CASES
+    ],
 )
-def test_scan_matches_brute_force_across_blocks(name, delta, monkeypatch):
+def test_scan_matches_brute_force_across_blocks(name, delta, join_fails, monkeypatch):
     # clouds of over a thousand points: the scan resolves many blocks, and
     # dense ones, so a conflict dropped inside a block or by the removal
-    # of the points an accepted one covers changes the accepted sequence
+    # of the points an accepted one covers changes the accepted sequence.
+    # A join that fails at level 1 leaves only the root to start the
+    # queries from; one that fails at the leaves leaves the partners of
+    # every node one level up, a query misses any point they do not cover
     monkeypatch.setattr(_kernels, "CHUNK_PAIRS", 256)
-    monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    if join_fails == "at_level_1":
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    else:
+        starts = _join_fails_at_the_leaves(monkeypatch)
     handle, _ = KERNEL_SYSTEMS[name]()
     if name == "cat_map":
         cloud = grid_cloud(handle, 32)
@@ -449,6 +487,36 @@ def test_scan_matches_brute_force_across_blocks(name, delta, monkeypatch):
             sizes.append(len(want))
     # some cell accepts several blocks' worth of points and removes most
     assert any(2 * _kernels.SCAN_BLOCK < a < len(cloud) // 2 for a in sizes)
+    if join_fails == "at_the_leaves":
+        assert len(starts) == len(sizes) and min(starts) > 0
+
+
+def test_a_join_that_gives_up_leaves_its_last_full_level(monkeypatch):
+    # with the default budget the 32^2 cat-map grid at delta = 0.2 lists
+    # every level but the leaves; the scan starts from that level, which
+    # holds every pair of nodes whose boxes come within the radius
+    cloud = grid_cloud(CAT, 32)
+    prim = cloud.orbit_table(CAT, 1)
+    reps = cloud.rep_table(CAT, 1)
+    wrap = cloud.space.wrap_mask
+    joins = _count_joins(monkeypatch)
+    trees = []
+    partners = _kernels._Partners
+    monkeypatch.setattr(_kernels, "_Partners", lambda tree: trees.append(tree) or partners(tree))
+    order = np.random.default_rng(0).permutation(len(cloud))
+    got = _kernels.greedy_thinning(prim, reps, wrap, 1, 0.2, order)
+    assert got.tolist() == brute_force_greedy(prim, reps, wrap, 1, 0.2, order)
+    assert joins == [(1, False)]
+    (tree,) = trees
+    level, pa, pb = tree.pairs
+    assert level == len(tree.levels) - 2
+    # brute force over the level's node pairs: the listed ones are those
+    # whose boxes are within the radius
+    nodes = tree.levels[level].size - 1
+    a, b = np.triu_indices(nodes)
+    r2 = (0.2 * (1 + _kernels.RADIUS_PAD[0]) + _kernels.RADIUS_PAD[1]) ** 2
+    close = tree.close([0], r2, level, a, level, b)
+    assert sorted(zip(pa.tolist(), pb.tolist())) == sorted(zip(a[close].tolist(), b[close].tolist()))
 
 
 def test_brute_force_rule_needs_seam_lifts():
@@ -462,6 +530,89 @@ def test_brute_force_rule_needs_seam_lifts():
     with_lifts = brute_force_greedy(prim, reps, cloud.space.wrap_mask, 1, 0.1, order)
     identity_only = brute_force_greedy(prim, reps[:, :, :1], cloud.space.wrap_mask, 1, 0.1, order)
     assert len(with_lifts) < len(identity_only)
+
+
+# --- the ordered greedy in rounds --------------------------------------------
+
+
+def _graph_matrix(N, i, j):
+    """The symmetric conflict matrix of the edges (i, j)."""
+    conflict = np.zeros((N, N), dtype=bool)
+    conflict[i, j] = conflict[j, i] = True
+    return conflict
+
+
+def _random_graph(rng, N, edges):
+    """edges random pairs of distinct vertices, as int32 like a listed graph."""
+    i = rng.integers(0, N, edges)
+    j = (i + rng.integers(1, N, edges)) % N
+    return i.astype(np.int32), j.astype(np.int32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("per_vertex", [0.3, 2.0, 12.0])
+def test_edge_greedy_matches_the_sequential_scan(seed, per_vertex):
+    # a sparse graph has many isolated vertices, a dense one needs many
+    # rounds; each graph is also given with every edge repeated and reversed
+    rng = np.random.default_rng(seed)
+    N = 300
+    i, j = _random_graph(rng, N, int(per_vertex * N))
+    conflict = _graph_matrix(N, i, j)
+    orders = [np.arange(N), np.arange(N)[::-1].copy()] + [rng.permutation(N) for _ in range(3)]
+    for order in orders:
+        want = greedy_over(conflict, order)
+        assert _kernels._edge_greedy(i, j, order).tolist() == want
+        twice = np.concatenate([i, j, i]), np.concatenate([j, i, j])
+        assert _kernels._edge_greedy(*twice, order).tolist() == want
+
+
+def test_edge_greedy_without_edges_accepts_the_order():
+    order = np.random.default_rng(0).permutation(50)
+    none = np.zeros(0, dtype=np.int32)
+    assert _kernels._edge_greedy(none, none, order).tolist() == order.tolist()
+    assert _kernels._edge_greedy(none, none, np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+def _count_finishes(monkeypatch):
+    """Record the number of kept edges each time the rounds hand over."""
+    finishes = []
+    finish = _kernels._finish
+
+    def counted(undecided, lo, hi):
+        finishes.append(lo.size)
+        finish(undecided, lo, hi)
+
+    monkeypatch.setattr(_kernels, "_finish", counted)
+    return finishes
+
+
+@pytest.mark.parametrize("dense_part", [False, True])
+def test_an_interval_graph_in_index_order_reaches_the_finish(dense_part, monkeypatch):
+    # points 0..N-1 of a line, each conflicting with the two on either
+    # side: in index order a round decides only the first three undecided
+    # points, so the rounds hand over to the sequential scan.  With a dense
+    # random graph on more points ranked between them, the first rounds
+    # decide that part before the chain is handed over
+    finishes = _count_finishes(monkeypatch)
+    N = 400
+    k = np.arange(N - 1)
+    i = np.concatenate([k, k[:-1]]).astype(np.int32)
+    j = np.concatenate([k + 1, k[:-1] + 2]).astype(np.int32)
+    M = N
+    if dense_part:
+        rng = np.random.default_rng(1)
+        M = 2 * N
+        a, b = _random_graph(rng, N, 40 * N)
+        i, j = np.concatenate([i, a + N]), np.concatenate([j, b + N])
+        order = np.empty(M, dtype=np.int64)
+        order[0::2] = np.arange(N)
+        order[1::2] = N + rng.permutation(N)
+    else:
+        order = np.arange(M)
+    got = _kernels._edge_greedy(i, j, order)
+    assert got.tolist() == greedy_over(_graph_matrix(M, i, j), order)
+    assert got[got < N].tolist() == list(range(0, N, 3))
+    assert len(finishes) == 1 and 0 < finishes[0] <= 2 * N - 3
 
 
 # --- the seam-lift screen ----------------------------------------------------
@@ -619,6 +770,17 @@ def test_greedy_thinning_rejects_an_order_that_is_not_a_permutation(order):
     reps = cloud.rep_table(handle, 2)
     with pytest.raises(ValueError, match="permutation"):
         _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, 2, 0.05, order)
+
+
+@pytest.mark.parametrize("wrap", [[True, True], [True, True, False]], ids=["torus", "mapping_torus"])
+def test_greedy_thinning_on_an_empty_table_accepts_nothing(wrap):
+    # an empty cloud used to raise inside numpy: IndexError on the torus,
+    # a zero-size reduction ValueError on the mapping torus
+    C, R = len(wrap), 1 if all(wrap) else 3
+    prim, reps = np.zeros((2, 0, C)), np.zeros((2, 0, R, C))
+    for order in (np.zeros(0, dtype=np.int64), []):
+        got = _kernels.greedy_thinning(prim, reps, np.array(wrap), 2, 0.1, order)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 # --- tree order reuse --------------------------------------------------------
