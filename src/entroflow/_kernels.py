@@ -5,12 +5,13 @@ its d_n distance to every previously accepted point exceeds delta.
 
 Distances are evaluated on precomputed orbit representative tables:
   prim: (n, N, C) primary chart coordinates per iterate,
-  reps: (n, N, R, C) equivalent representatives (R=1 on the torus, R=3 on a
-        mapping torus: identity lift and one lift through each seam side).
-The pair distance is symmetrized: min over reps of either argument.  A pair
-(i, j) conflicts at (n, delta) when, at every iterate below n,
-min(min_r |prim_i - reps_j,r|^2, min_r |prim_j - reps_i,r|^2) <= delta^2,
-with wrapped axes taken mod 1 (d - round(d)).
+  reps: (n, N, R, C) the other representatives of each point (R=0 on the
+        torus, R=2 on a mapping torus: one lift through each seam side).
+A point is always its own representative.  The pair distance is
+symmetrized: a pair (i, j) conflicts at (n, delta) when, at every iterate
+below n, the least of |prim_i - prim_j|^2, min_r |prim_i - reps_j,r|^2 and
+min_r |prim_j - reps_i,r|^2 is <= delta^2, with wrapped axes taken mod 1
+(d - round(d)).
 
 Candidates come from a tree over the cloud, split along the chart
 coordinates of the middle iterate.  Every node keeps a bounding box per
@@ -18,18 +19,9 @@ iterate and per representative, and a pair of nodes is dropped as soon as
 one iterate puts their boxes more than delta apart.  Near the split
 iterate the boxes stay small even where late iterates have spread a node
 around the torus, so most separated pairs are dropped well above the
-leaves.
-
-The order of the points in the tree depends only on the split iterate
-(n = 1 and 2 split at iterate 0, n = 3 and 4 at iterate 1, ...), so it is
-kept between calls: the last order is reused when the next call reads
-the same bytes of the same table, and that table's owning array is
-read-only (SampleCloud marks its cached tables so).  The owner is held by
-a weak reference, so a table that is gone never matches a new one, and
-the old order is dropped before a new one is built, so at most one order
-is alive.  A writable table gets a new order on every call.  The boxes
-are built from prim and reps on every call, so an order decides only
-which points share a node, never which pairs conflict.
+leaves.  The boxes are built from prim and reps on every call, so the
+point order of the tree decides only which points share a node, never
+which pairs conflict.
 
 The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
@@ -44,8 +36,7 @@ shift - span exceeds the padded radius at every iterate below n, on some
 unwrapped axis, is dropped; the bound is first lowered by RADIUS_PAD's
 relative term times shift + span, which covers the rounding of both.  So
 no conflict decision changes.  On a product box under a roof of 1 both
-seam lifts go and the one-direction identity path runs; the torus has no
-unwrapped axis and keeps its single set.
+seam lifts go and only prim is compared with prim.
 
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it, and the ordered greedy runs over that graph
@@ -79,19 +70,22 @@ iterate n..n'-1, passes the rule's test for that iterate: the rule is a
 conjunction over iterates (d_n' >= d_n).  So the graph at n', filtered at
 those iterates by the same arithmetic (_conflicts on the tables' iterates
 from n on), is the graph a self-join at n' would list, and the ordered
-greedy over it accepts the same sequence.  The graph is kept like the
-tree order: keyed by weak references to the read-only owners of prim and
-reps, the layout of both, the wrap mask, delta exactly and the n it
-holds.  A call that cannot carry it drops it, so at most one graph is
-alive, and none is kept for a writable table.
-The screen may keep fewer sets at n than at n', but a set it drops can
-never pass the test, so the decisions do not depend on it.
+greedy over it accepts the same sequence.  The screen may keep fewer sets
+at n than at n', but a set it drops can never pass the test, so the
+decisions do not depend on it.
 
-Both kept states follow the table's owning array, not the cloud: a table
-extended to a larger n is a new array, so the tree order and the carried
-graph of the shorter one are dropped at the first call on it.  Callers
-that want them kept build their tables at the largest n first (as
-entropy_estimate does) and pass views of it.
+Between calls the kernel keeps one state (_Kept) for one pair of
+read-only tables: the last tree order, by split iterate (n = 1 and 2
+split at iterate 0, n = 3 and 4 at iterate 1, ...), and the last listed
+conflict graph, by (delta, n).  It is found again when a call reads the
+same bytes of the same prim and reps, whose owning arrays are read-only
+(SampleCloud marks its cached tables so) and held by weak references, so
+a table that is gone never matches a new one.  A call on other tables
+drops the state before anything new is built, so at most one order and
+one graph are alive, and a writable table keeps none.  A table extended
+to a larger n is a new array, so the state of the shorter one is dropped
+at the first call on it; callers that want it kept build their tables at
+the largest n first (as entropy_estimate does) and pass views of it.
 """
 
 from __future__ import annotations
@@ -155,9 +149,36 @@ class _Order:
         self.perm = perm
 
 
-#: (weak reference to the table's owner, key, _Order) of the last order
-#: built over a read-only table; see _tree_order
-_last_order = None
+class _Kept:
+    """What the kernel keeps for one pair of read-only tables.
+
+    order is (split iterate, _Order) of the last tree order built, graph
+    (delta, n, i, j) of the last conflict graph listed; owners holds weak
+    references to the owning arrays of prim and reps.
+    """
+
+    def __init__(self, key, owners=()):
+        self.key, self.owners = key, [weakref.ref(o) for o in owners]
+        self.order = self.graph = None
+
+    def tree_order(self, prim, wrap, split_it):
+        """The _Order over prim[split_it], built unless it is the last one."""
+        if self.order is None or self.order[0] != split_it:
+            self.order = None
+            self.order = (split_it, _Order(prim[split_it], wrap))
+        return self.order[1]
+
+    def take_graph(self, delta, n):
+        """Drop the kept graph; (n0, i, j) of it if it was listed at delta
+        and some n0 <= n, else None."""
+        graph, self.graph = self.graph, None
+        if graph is None or graph[0] != delta or graph[1] > n:
+            return None
+        return graph[1:]
+
+
+#: the _Kept of the last pair of read-only tables; see _kept_state
+_kept = None
 
 
 def _frozen_owner(a):
@@ -174,59 +195,20 @@ def _layout(a):
     return a.__array_interface__["data"][0], a.shape, a.strides
 
 
-def _tree_order(prim, wrap, split_it):
-    """The _Order over prim[split_it], reused from the last call when the
-    same bytes of the same read-only table are asked for again."""
-    global _last_order
-    coords = prim[split_it]
-    owner = _frozen_owner(coords)
-    key = (_layout(coords), wrap.tobytes())
-    last = _last_order
-    if owner is not None and last is not None and last[0]() is owner and last[1] == key:
-        return last[2]
-    # drop the old order before the new one is built
-    _last_order = last = None
-    order = _Order(coords, wrap)
-    if owner is not None:
-        _last_order = (weakref.ref(owner), key, order)
-    return order
-
-
-#: (weak references to the owners of prim and reps, key, n, i, j) of the
-#: last conflict graph listed over read-only tables; see _take_graph
-_last_graph = None
-
-
-def _graph_key(prim, reps, wrap, delta):
-    """(owners of prim and reps, key) that a conflict graph over these
-    tables is kept under, or None when either table is writable."""
+def _kept_state(prim, reps, wrap):
+    """The state kept for these tables, else a new one, kept only when both
+    are read-only; the state of any other tables is dropped first."""
+    global _kept
+    last, _kept = _kept, None
     owners = (_frozen_owner(prim), _frozen_owner(reps))
-    if owners[0] is None or owners[1] is None:
-        return None
-    # the layouts leave out the number of iterates: the graph at n serves n' > n
-    layouts = tuple((_layout(a[0]), a.strides[0]) for a in (prim, reps))
-    return owners, layouts + (wrap.tobytes(), delta)
-
-
-def _take_graph(graph_key, n):
-    """Drop the kept conflict graph; (n0, i, j) of it if it was listed at
-    some n0 <= n under graph_key (a _graph_key value), else None."""
-    global _last_graph
-    last, _last_graph = _last_graph, None
-    if graph_key is None or last is None or last[2] != graph_key[1] or last[3] > n:
-        return None
-    owners = graph_key[0]
-    if last[0]() is not owners[0] or last[1]() is not owners[1]:
-        return None
-    return last[3], last[4], last[5]
-
-
-def _keep_graph(graph_key, n, i, j):
-    """Keep the conflict graph (i, j) at n under graph_key, unless it is None."""
-    global _last_graph
-    if graph_key is not None:
-        owners, key = graph_key
-        _last_graph = (weakref.ref(owners[0]), weakref.ref(owners[1]), key, n, i, j)
+    # the layouts leave out the number of iterates: what n kept serves n' > n
+    key = tuple((_layout(a[0]), a.strides[0]) for a in (prim, reps)) + (wrap.tobytes(),)
+    if any(o is None for o in owners):
+        return _Kept(key)
+    if last is None or last.key != key or any(r() is not o for r, o in zip(last.owners, owners)):
+        last = _Kept(key, owners)
+    _kept = last
+    return last
 
 
 def _offsets(x, starts, nid, axis, wrap):
@@ -246,20 +228,16 @@ def _unwind(d, wrap):
 class _Tree:
     """An _Order with per-iterate node boxes.
 
-    sets[0] is prim, the other sets are the representatives that are not
-    copies of prim; boxes[L][s] = (center, half), each (n, nodes, C),
-    bounds set s of every node of level L at every iterate.  On a wrapped
-    axis a box is an arc of the circle, at most the whole circle.
+    sets[0] is prim, sets[1:] the other representatives; boxes[L][s] =
+    (center, half), each (n, nodes, C), bounds set s of every node of
+    level L at every iterate.  On a wrapped axis a box is an arc of the
+    circle, at most the whole circle.
     """
 
     def __init__(self, order, prim, reps, wrap):
         self.wrap = wrap
         self.perm, self.levels = order.perm, order.levels
-        self.sets = [prim] + [
-            reps[:, :, r] for r in range(reps.shape[2]) if not np.array_equal(reps[:, :, r], prim)
-        ]
-        #: some representative is prim itself (the identity lift)
-        self.prim_is_rep = len(self.sets) - 1 < reps.shape[2]
+        self.sets = [prim] + [reps[:, :, r] for r in range(reps.shape[2])]
         #: (level, a, b): node pairs (a <= b) of one level, among them every
         #: pair whose boxes come within the radius; the root with itself
         #: until _self_join lists deeper levels
@@ -302,20 +280,16 @@ class _Tree:
         A pair stays when, at each iterate of its, the lower bound of the
         symmetrized distance between its two boxes is at most sqrt(r2).
         """
-        return np.concatenate(
-            [np.zeros(0, dtype=np.int64)]
-            + [
-                s + self._close(its, r2, La, ia[s : s + CHUNK_PAIRS], Lb, ib[s : s + CHUNK_PAIRS])
-                for s in range(0, ia.size, CHUNK_PAIRS)
-            ]
-        )
+        chunks = zip(range(0, ia.size, CHUNK_PAIRS), _chunks(ia, ib, CHUNK_PAIRS))
+        parts = [s + self._close(its, r2, La, a, Lb, b) for s, (a, b) in chunks]
+        return np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
 
     def _close(self, its, r2, La, ia, Lb, ib):
         live = np.arange(ia.size)
         for k in its:
             a, b = ia[live], ib[live]
             pa, pb = self._box(La, 0, k, a), self._box(Lb, 0, k, b)
-            best = _gap2(pa, pb, self.wrap) if self.prim_is_rep else np.inf
+            best = _gap2(pa, pb, self.wrap)
             for s in range(1, len(self.sets)):
                 best = np.minimum(best, _gap2(pa, self._box(Lb, s, k, b), self.wrap))
                 best = np.minimum(best, _gap2(pb, self._box(La, s, k, a), self.wrap))
@@ -338,34 +312,33 @@ def _gap2(box_a, box_b, wrap):
     return np.sum(g * g, axis=1)
 
 
-def _one_way(prim, reps, wrap, i, j):
-    """min_r |prim_i - reps_j,r|^2 at one iterate, wrapped axes mod 1."""
-    best = None
-    for r in range(reps.shape[1]):
-        acc = None
-        for c in range(prim.shape[1]):
-            d = prim[i, c] - reps[j, r, c]
-            if wrap[c]:
-                d -= np.rint(d)
-            acc = d * d if acc is None else acc + d * d
-        best = acc if best is None else np.minimum(best, acc)
-    return best
+def _dist2(x, y, wrap, i, j):
+    """|x_i - y_j|^2 at one iterate, wrapped axes mod 1."""
+    acc = None
+    for c in range(x.shape[1]):
+        d = x[i, c] - y[j, c]
+        if wrap[c]:
+            d -= np.rint(d)
+        acc = d * d if acc is None else acc + d * d
+    return acc
 
 
-def _conflicts(prim, reps, wrap, symmetric, delta2, i, j):
+def _conflicts(prim, reps, wrap, delta2, i, j):
     """Mask of the candidate pairs (i, j) that conflict under the rule.
 
     Iterates are checked in descending order: late iterates are the most
-    expanded, so most candidates drop out on the first check.  With one
-    representative equal to prim both directions are bitwise equal
-    (d - rint(d) is odd in d), and symmetric skips the second.
+    expanded, so most candidates drop out on the first check.  prim is
+    compared with prim one way, as both directions are bitwise equal
+    (d - rint(d) is odd in d), and each other representative both ways.
     """
     live = np.arange(i.size)
     for it in range(prim.shape[0] - 1, -1, -1):
         a, b = i[live], j[live]
-        d2 = _one_way(prim[it], reps[it], wrap, a, b)
-        if not symmetric:
-            d2 = np.minimum(d2, _one_way(prim[it], reps[it], wrap, b, a))
+        p = prim[it]
+        d2 = _dist2(p, p, wrap, a, b)
+        for r in range(reps.shape[2]):
+            q = reps[it, :, r]
+            d2 = np.minimum(d2, np.minimum(_dist2(p, q, wrap, a, b), _dist2(p, q, wrap, b, a)))
         live = live[d2 <= delta2]
         if live.size == 0:
             break
@@ -387,8 +360,8 @@ def _self_join(tree, its, r2):
         tree.pairs = (L - 1, pa, pb)
         limit = JOIN_PAIRS_PER_NODE * max(tree.levels[L].size - 1, 64)
         kept_a, kept_b, total = [], [], 0
-        for s in range(0, pa.size, step):
-            ca, cb = _child_pairs(pa[s : s + step], pb[s : s + step])
+        for a, b in _chunks(pa, pb, step):
+            ca, cb = _child_pairs(a, b)
             keep = tree.close(its, r2, L, ca, L, cb)
             kept_a.append(ca[keep])
             kept_b.append(cb[keep])
@@ -465,10 +438,12 @@ def _query(tree, its, r2, points, partners):
 def _join_edges(tree, leaves, conflicts):
     """The conflicting point pairs (i, j) under the leaf pairs of a self-join."""
     per = CHUNK_PAIRS // int(np.diff(tree.levels[-1]).max()) ** 2 + 1
-    a, b = leaves
-    return _conflicting(
-        conflicts, (_leaf_pair_points(tree, a[s : s + per], b[s : s + per]) for s in range(0, a.size, per))
-    )
+    return _conflicting(conflicts, (_leaf_pair_points(tree, a, b) for a, b in _chunks(*leaves, per)))
+
+
+def _chunks(i, j, size):
+    """The pairs (i, j) in slices of size."""
+    return ((i[s : s + size], j[s : s + size]) for s in range(0, i.size, size))
 
 
 def _conflicting(conflicts, chunks):
@@ -581,10 +556,7 @@ def _scan(tree, its, r2, conflicts, order):
             # keep a group's candidate list near CHUNK_PAIRS
             group = int(min(SCAN_BLOCK, max(1, group * CHUNK_PAIRS // max(j.size, 1))))
             keep = alive[j]
-            q, j = q[keep], j[keep]
-            for c in range(0, q.size, CHUNK_PAIRS):
-                jc = j[c : c + CHUNK_PAIRS]
-                alive[jc[conflicts(won[q[c : c + CHUNK_PAIRS]], jc)]] = False
+            alive[_conflicting(conflicts, _chunks(won[q[keep]], j[keep], CHUNK_PAIRS))[1]] = False
 
 
 def _next_alive(order, alive, pos):
@@ -612,41 +584,42 @@ def _is_permutation(order, N):
 
 
 def _near_sets(prim, reps, wrap, r2):
-    """Indices of the representative sets that may come within sqrt(r2) of prim.
+    """Indices of the other representative sets that may come within
+    sqrt(r2) of prim.
 
     A set goes when, at every iterate, some unwrapped axis puts its
     shift - span bound, less the rounding slack, above sqrt(r2) (see the
-    module docstring).  Sets equal to prim (shift 0) always stay.
+    module docstring).
     """
     flat = ~wrap
-    keep = np.arange(reps.shape[2])
-    if not flat.any():
-        return keep
     p = prim[..., flat]
     shift = np.abs(reps[..., flat] - p[:, :, None]).min(axis=1)
     span = (p.max(axis=1) - p.min(axis=1))[:, None]
     gap = shift - span - RADIUS_PAD[0] * (shift + span)
     far = (gap > math.sqrt(r2)).any(axis=2).all(axis=0)
-    return keep[~far]
+    return np.flatnonzero(~far)
 
 
 def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     """Accepted indices of the greedy separated/covering pass.
 
-    prim: (n_max, N, C); reps: (n_max, N, R, C); order: a permutation of
-    range(N), else ValueError.  Accept iff d_n to all previously accepted
-    > delta; the accepted set is maximal: every unaccepted point sits
-    within delta of an accepted one.  Representative sets that _near_sets
-    rules out are dropped first.  A conflict graph listed over read-only
-    tables is kept, and a later call at a larger n on the same tables and
-    delta filters it instead of searching the tree.
+    prim: (n_max, N, C); reps: (n_max, N, R, C), the other representatives
+    of each point (none on the torus); order: a permutation of range(N),
+    else ValueError, as for n outside 1..n_max and a delta that is not
+    positive and finite.  Accept iff d_n to all previously accepted >
+    delta; the accepted set is maximal: every unaccepted point sits within
+    delta of an accepted one.  Representative sets that _near_sets rules
+    out are dropped first.  Over read-only tables the tree order and the
+    listed conflict graph are kept (_kept_state), and a later call at a
+    larger n on the same tables and delta filters the graph instead of
+    searching the tree.
     """
     n = int(n)
     if n < 1 or n > prim.shape[0]:
         raise ValueError("n out of range for the orbit table")
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     prim = np.asarray(prim[:n], dtype=float)
     reps = np.asarray(reps[:n], dtype=float)
     wrap = np.asarray(wrap_mask, dtype=bool)
@@ -656,35 +629,26 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     if order.size == 0:
         return np.zeros(0, dtype=np.int64)
     r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
-    graph_key = _graph_key(prim, reps, wrap, delta)
+    state = _kept_state(prim, reps, wrap)
     keep = _near_sets(prim, reps, wrap, r2)
-    if keep.size == 0:
-        # no representative comes close: no pair conflicts
-        return order.copy()
     if keep.size < reps.shape[2]:
         reps = reps[:, :, keep]
-    symmetric = reps.shape[2] == 1 and np.array_equal(reps[:, :, 0], prim)
 
     def conflicts_from(k):
         """The rule at iterates k..n-1 (all of them for k = 0)."""
-        return lambda i, j: _conflicts(prim[k:], reps[k:], wrap, symmetric, delta * delta, i, j)
+        return lambda i, j: _conflicts(prim[k:], reps[k:], wrap, delta * delta, i, j)
 
-    carried = _take_graph(graph_key, n)
+    carried = state.take_graph(delta, n)
     if carried is not None:
-        n0, i, j = carried
-        if n0 < n:
-            i, j = _conflicting(
-                conflicts_from(n0),
-                ((i[s : s + CHUNK_PAIRS], j[s : s + CHUNK_PAIRS]) for s in range(0, i.size, CHUNK_PAIRS)),
-            )
-        _keep_graph(graph_key, n, i, j)
-        return _edge_greedy(i, j, order)
-    split_it = (n - 1) // 2
-    its = sorted(range(n), key=lambda k: abs(k - split_it))
-    tree = _Tree(_tree_order(prim, wrap, split_it), prim, reps, wrap)
-    leaves = _self_join(tree, its, r2)
-    if leaves is None:
-        return np.array(_scan(tree, its, r2, conflicts_from(0), order), dtype=np.int64)
-    i, j = _join_edges(tree, leaves, conflicts_from(0))
-    _keep_graph(graph_key, n, i, j)
+        # filtered at iterates n0..n-1, none when n0 = n
+        i, j = _conflicting(conflicts_from(carried[0]), _chunks(*carried[1:], CHUNK_PAIRS))
+    else:
+        split_it = (n - 1) // 2
+        its = sorted(range(n), key=lambda k: abs(k - split_it))
+        tree = _Tree(state.tree_order(prim, wrap, split_it), prim, reps, wrap)
+        leaves = _self_join(tree, its, r2)
+        if leaves is None:
+            return np.array(_scan(tree, its, r2, conflicts_from(0), order), dtype=np.int64)
+        i, j = _join_edges(tree, leaves, conflicts_from(0))
+    state.graph = (delta, n, i, j)
     return _edge_greedy(i, j, order)

@@ -46,7 +46,7 @@ class SampleCloud:
     1e-12 per coordinate are dropped at construction).  Orbit tables are
     computed once per (system, n) and shared read-only: the cached arrays
     are marked unwritable, which also lets the greedy kernel keep its tree
-    order between calls on them.
+    order and conflict graph between calls on them.
     """
 
     def __init__(self, space, points):
@@ -83,15 +83,17 @@ class SampleCloud:
         return cached[:n]
 
     def rep_table(self, sys: SystemHandle, n):
-        """Orbit representatives for the kernels: (n, N, R, C); only the
-        iterates past the cached ones are lifted."""
+        """The other representatives of each orbit point, for the kernels:
+        (n, N, R, C), space.lift_reps without its first (identity) lift, so
+        R = 0 on the torus and 2 on a mapping torus; only the iterates past
+        the cached ones are lifted."""
         key = ("reps", sys.describe())
         cached = self._orbit_cache.get(key)
         if cached is None or cached.shape[0] < n:
             orbits = self.orbit_table(sys, n)
             if cached is None:
-                cached = self.space.lift_reps(orbits[0])[None]
-            cached = _extended(cached, n, lambda table, i: self.space.lift_reps(orbits[i]))
+                cached = self.space.lift_reps(orbits[0])[None, :, 1:]
+            cached = _extended(cached, n, lambda table, i: self.space.lift_reps(orbits[i])[:, 1:])
             cached.setflags(write=False)
             self._orbit_cache[key] = cached
         return cached[:n]
@@ -135,8 +137,9 @@ class SeparatedSet:
 
 
 def _check_radius(delta):
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    # written so that NaN fails it
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if delta > DELTA_CAP:
         raise ValueError(
             f"delta {delta} exceeds the supported radius cap {DELTA_CAP}"
@@ -162,22 +165,27 @@ def _require_same_space(sys, cloud):
         raise ValueError("cloud and system live in different spaces")
 
 
-def max_separated(sys: SystemHandle, cloud: SampleCloud, n, delta, order_seed=0):
-    """Greedy maximal (n, delta)-separated subset, scanned in seeded order.
-
-    Deterministic given (cloud, n, delta, order_seed).  Every point of the
-    cloud not selected is within delta of a selected point in d_n.
-    """
+def _thinned(sys, cloud, n, delta, order):
+    """The greedy kernel's accepted indices over the cloud's tables, scanned
+    in order."""
     _check_radius(delta)
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_same_space(sys, cloud)
     prim = cloud.orbit_table(sys, n)
     reps = cloud.rep_table(sys, n)
+    # by module attribute, so a wrapper of the kernel sees every call
+    return _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, delta, order)
+
+
+def max_separated(sys: SystemHandle, cloud: SampleCloud, n, delta, order_seed=0):
+    """Greedy maximal (n, delta)-separated subset, scanned in seeded order.
+
+    Deterministic given (cloud, n, delta, order_seed).  Every point of the
+    cloud not selected is within delta of a selected point in d_n.
+    """
     order = np.random.default_rng(order_seed).permutation(len(cloud))
-    accepted = _kernels.greedy_thinning(
-        prim, reps, cloud.space.wrap_mask, n, delta, order
-    )
+    accepted = _thinned(sys, cloud, n, delta, order)
     return SeparatedSet(indices=accepted, n=int(n), delta=float(delta), order_seed=int(order_seed))
 
 
@@ -189,17 +197,7 @@ def min_spanning_greedy(sys: SystemHandle, cloud: SampleCloud, n, delta):
     b(2 delta) <= a(delta) provable for the greedy outputs.  No order
     relation with max_separated at the same (n, delta) is asserted.
     """
-    _check_radius(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_same_space(sys, cloud)
-    prim = cloud.orbit_table(sys, n)
-    reps = cloud.rep_table(sys, n)
-    order = np.arange(len(cloud))
-    accepted = _kernels.greedy_thinning(
-        prim, reps, cloud.space.wrap_mask, n, delta, order
-    )
-    return int(accepted.size)
+    return int(_thinned(sys, cloud, n, delta, np.arange(len(cloud))).size)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ def torus_distance(p, q):
 
 
 class TorusSpace:
-    """T^d with the flat wrap metric; also provides grids and cell-index data."""
+    """T^d with the flat wrap metric; also provides grids and the kernels'
+    wrap mask."""
 
     kind = "torus"
 
@@ -128,7 +129,7 @@ class TorusSpace:
         return np.ones(self.dim, dtype=bool)
 
     def lift_reps(self, pts):
-        """Equivalent representatives per point; trivial on the torus."""
+        """Equivalent representatives per point: the point itself only."""
         pts = np.asarray(pts, dtype=float)
         return pts[..., None, :]
 
@@ -143,8 +144,9 @@ class Roof:
 
     def __init__(self, constant=1.0, terms=()):
         constant = float(constant)
-        if constant <= 0:
-            raise ValueError("roof constant must be positive")
+        # written so that NaN fails it
+        if not 0 < constant < math.inf:
+            raise ValueError(f"roof constant must be positive and finite, got {constant}")
         norm_terms = []
         total = 0.0
         for kvec, amp in terms:
@@ -154,6 +156,8 @@ class Roof:
             if all(k == 0 for k in kvec):
                 raise ValueError("constant roof term must go into `constant`")
             amp = float(amp)
+            if not math.isfinite(amp):
+                raise ValueError(f"roof amplitude must be finite, got {amp}")
             total += abs(amp)
             norm_terms.append((kvec, amp))
         if total >= constant:
@@ -638,6 +642,8 @@ class TimeTMapHandle(SystemHandle):
             raise ValueError("need a SuspensionFlow")
         self.suspension = susp_flow
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise ValueError(f"flow time t must be finite, got {self.t}")
         self.space = susp_flow.space
 
     @property
@@ -812,12 +818,13 @@ class PerturbedHandle(SystemHandle):
         if not reference.suspension.roof.is_constant:
             raise ValueError("perturbation shapes require a constant roof")
         epsilon = float(epsilon)
-        if epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        # written so that NaN fails both checks
+        if not epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         c = reference.suspension.roof.constant
         lip = shape.lipschitz(c)
         eps_max = 0.5 / lip if lip > 0 else math.inf
-        if epsilon >= eps_max:
+        if not epsilon < eps_max:
             raise ValueError(
                 f"epsilon {epsilon} is not below the admissibility threshold {eps_max:.6g}"
             )

@@ -114,6 +114,22 @@ def test_override_seeds():
     assert growth == GrowthConfig()
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SystemConfig(kind="time_t", roof_constant=float("nan")),
+        SystemConfig(kind="time_t", roof_terms=(((1, 0), float("nan")),)),
+        SystemConfig(kind="time_t", t=float("nan")),
+        SystemConfig(kind="perturbed", epsilon=float("nan")),
+    ],
+    ids=["roof_constant", "roof_amplitude", "t", "epsilon"],
+)
+def test_system_from_config_rejects_nan_parameters(cfg):
+    # json.loads accepts NaN, and each of these used to build a system
+    with pytest.raises(ValueError, match="nan"):
+        system_from_config(cfg)
+
+
 def test_system_from_config_kinds():
     toral = system_from_config(SystemConfig())
     assert isinstance(toral, systems.ToralMapHandle)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -279,6 +280,24 @@ def test_delta_validation():
         max_separated(CAT, cloud, 0, 0.1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_a_radius_that_is_not_finite_is_rejected(delta):
+    # NaN passed both delta <= 0 and delta > DELTA_CAP, and every entry
+    # point then died inside numpy with "need at least one array to
+    # concatenate"
+    cloud = random_cloud(CAT, 10, 0)
+    prim, reps = cloud.orbit_table(CAT, 1), cloud.rep_table(CAT, 1)
+    calls = [
+        lambda: max_separated(CAT, cloud, 1, delta),
+        lambda: min_spanning_greedy(CAT, cloud, 1, delta),
+        lambda: entropy_estimate(CAT, cloud, [1, 2], [0.1, delta]),
+        lambda: _kernels.greedy_thinning(prim, reps, CAT.space.wrap_mask, 1, delta, np.arange(10)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            call()
+
+
 def test_grid_cloud_sizes():
     assert len(grid_cloud(CAT, 16)) == 256
     assert len(grid_cloud(systems.circle_doubling(), 64)) == 64
@@ -309,23 +328,40 @@ def test_extended_tables_step_each_iterate_once(monkeypatch):
     assert grown.rep_table(time1, 4).tobytes() == want[1].tobytes()
 
 
+def test_rep_tables_hold_the_other_representatives():
+    # a point is its own representative, so the table leaves it out: none
+    # are left on the torus, the two seam lifts on a mapping torus
+    for handle in (CAT, systems.circle_doubling()):
+        cloud = random_cloud(handle, 40, 0)
+        reps = cloud.rep_table(handle, 3)
+        assert reps.shape == (3, len(cloud), 0, handle.space.dim)
+    time1 = KERNEL_SYSTEMS["suspension_time1"]()[0]
+    cloud = _seam_cloud(time1, 0)
+    orbits = cloud.orbit_table(time1, 3)
+    want = np.stack([time1.space.lift_reps(o)[:, 1:] for o in orbits])
+    reps = cloud.rep_table(time1, 3)
+    assert reps.shape == (3, len(cloud), 2, 3)
+    assert reps.tobytes() == want.tobytes()
+
+
 # --- kernel equivalence ------------------------------------------------------
 
 
 def brute_force_conflicts(prim, reps, wrap_mask, n, delta):
     """Full pair matrix of the symmetrized conflict rule.
 
-    A pair conflicts when, at every iterate below n, the smaller of
-    min_r |prim_i - reps_j,r|^2 and min_r |prim_j - reps_i,r|^2 (wrapped
-    axes taken mod 1) is at most delta^2.
+    reps holds the other representatives of each point; a point is also its
+    own.  A pair conflicts when, at every iterate below n, the smaller of
+    min_r |prim_i - rep_j,r|^2 and min_r |prim_j - rep_i,r|^2 over all the
+    representatives (wrapped axes taken mod 1) is at most delta^2.
     """
     wrap = np.asarray(wrap_mask, dtype=bool)
     m = prim.shape[1]
     conflict = np.ones((m, m), dtype=bool)
     for it in range(n):
         one_way = np.full((m, m), np.inf)
-        for r in range(reps.shape[2]):
-            diff = prim[it][:, None, :] - reps[it][None, :, r, :]
+        for other in [prim[it]] + [reps[it][:, r] for r in range(reps.shape[2])]:
+            diff = prim[it][:, None, :] - other[None, :, :]
             diff[..., wrap] -= np.round(diff[..., wrap])
             one_way = np.minimum(one_way, np.sum(diff * diff, axis=-1))
         conflict &= np.minimum(one_way, one_way.T) <= delta * delta
@@ -344,6 +380,18 @@ def greedy_over(conflict, order):
 def brute_force_greedy(prim, reps, wrap_mask, n, delta, order):
     """Ordered greedy over the full pair matrix of the symmetrized rule."""
     return greedy_over(brute_force_conflicts(prim, reps, wrap_mask, n, delta), order)
+
+
+def _no_reps(prim):
+    """A read-only table of no other representatives for prim, as on the torus."""
+    reps = np.zeros(prim.shape[:2] + (0, prim.shape[2]))
+    reps.setflags(write=False)
+    return reps
+
+
+def _no_carry(monkeypatch):
+    """Keep no conflict graph for a later n: every cell lists its own."""
+    monkeypatch.setattr(_kernels._Kept, "take_graph", lambda self, delta, n: None)
 
 
 def _seam_cloud(handle, seed):
@@ -390,7 +438,7 @@ def test_kernel_matches_brute_force_greedy(name, delta, path, monkeypatch):
     if path == "scan":
         monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
     if path == "join":
-        monkeypatch.setattr(_kernels, "_keep_graph", lambda *args: None)
+        _no_carry(monkeypatch)
     handle, make_cloud = KERNEL_SYSTEMS[name]()
     for seed in range(3):
         cloud = make_cloud(handle, seed)
@@ -519,6 +567,27 @@ def test_a_join_that_gives_up_leaves_its_last_full_level(monkeypatch):
     assert sorted(zip(pa.tolist(), pb.tolist())) == sorted(zip(a[close].tolist(), b[close].tolist()))
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+@pytest.mark.parametrize("path", ["join", "scan"])
+def test_an_explicit_identity_copy_gives_the_same_sets(name, path, monkeypatch):
+    # tables in the older layout, whose representatives start with a copy
+    # of prim: the copy only repeats the prim-against-prim comparison
+    if path == "scan":
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    handle, make_cloud = KERNEL_SYSTEMS[name]()
+    cloud = make_cloud(handle, 1)
+    prim = cloud.orbit_table(handle, 4)
+    reps = cloud.rep_table(handle, 4)
+    with_copy = np.concatenate([prim[:, :, None, :], reps], axis=2)
+    wrap = cloud.space.wrap_mask
+    for n in (1, 2, 4):
+        for delta in (0.05, 0.2):
+            order = np.random.default_rng(n).permutation(len(cloud))
+            want = brute_force_greedy(prim, reps, wrap, n, delta, order)
+            assert _kernels.greedy_thinning(prim, with_copy, wrap, n, delta, order).tolist() == want
+            assert _kernels.greedy_thinning(prim, reps, wrap, n, delta, order).tolist() == want
+
+
 def test_brute_force_rule_needs_seam_lifts():
     # the seam cloud must contain pairs that only a seam lift brings close,
     # else the suspension case above would not exercise the lifts
@@ -528,7 +597,7 @@ def test_brute_force_rule_needs_seam_lifts():
     reps = cloud.rep_table(handle, 1)
     order = np.arange(len(cloud))
     with_lifts = brute_force_greedy(prim, reps, cloud.space.wrap_mask, 1, 0.1, order)
-    identity_only = brute_force_greedy(prim, reps[:, :, :1], cloud.space.wrap_mask, 1, 0.1, order)
+    identity_only = brute_force_greedy(prim, reps[:, :, :0], cloud.space.wrap_mask, 1, 0.1, order)
     assert len(with_lifts) < len(identity_only)
 
 
@@ -652,12 +721,12 @@ def _check_both_paths(handle, cloud, ns, delta, monkeypatch):
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
 def test_screen_drops_seam_lifts_on_a_product_box(time1, delta, monkeypatch):
     # box heights stay within 0.1 of 0.37 under a roof of 1: neither seam
-    # lift comes near any point, so only the identity set is searched
+    # lift comes near any point, so only prim is compared with prim
     box = foliation.build_product_box(time1, np.array([0.2, 0.3, 0.37]), 0.05, 8)
     cloud = SampleCloud(time1.space, box.d_samples)
     kept = _spy_near_sets(monkeypatch)
     _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
-    assert kept and all(k == [0] for k in kept)
+    assert kept and all(k == [] for k in kept)
 
 
 def _aligned_pair_cloud(handle, span):
@@ -687,25 +756,29 @@ def test_screen_keeps_lifts_that_can_reach_the_radius(time1, span, delta, lifts_
     reps = cloud.rep_table(time1, 4)
     p, q = len(cloud) - 2, len(cloud) - 1
     with_lifts = brute_force_conflicts(prim, reps, cloud.space.wrap_mask, 4, delta)
-    identity = brute_force_conflicts(prim, reps[:, :, :1], cloud.space.wrap_mask, 4, delta)
+    identity = brute_force_conflicts(prim, reps[:, :, :0], cloud.space.wrap_mask, 4, delta)
     assert not identity[p, q]
     assert with_lifts[p, q] == (1 - span <= delta)
     kept = _spy_near_sets(monkeypatch)
     _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
-    assert kept and all(k == ([0, 1, 2] if lifts_kept else [0]) for k in kept)
+    assert kept and all(k == ([0, 1] if lifts_kept else []) for k in kept)
 
 
-def test_screen_with_every_set_dropped_returns_the_order():
-    # the only representative sits 10 above prim on the unwrapped axis
+def test_a_lone_far_lift_leaves_only_prim_compared(monkeypatch):
+    # the only other representative sits 10 above prim on the unwrapped
+    # axis: the screen drops it, and the pairs still conflict through prim
     rng = np.random.default_rng(0)
     prim = np.stack([rng.random((200, 2)) for _ in range(3)])
     reps = (prim + np.array([0.0, 10.0]))[:, :, None, :]
     wrap = np.array([True, False])
     order = rng.permutation(200)
+    kept = _spy_near_sets(monkeypatch)
     for n in (1, 3):
         got = _kernels.greedy_thinning(prim, reps, wrap, n, 0.2, order)
-        assert got.tolist() == order.tolist()
         assert got.tolist() == brute_force_greedy(prim, reps, wrap, n, 0.2, order)
+        assert got.tolist() == brute_force_greedy(prim, reps[:, :, :0], wrap, n, 0.2, order)
+        assert 0 < got.size < order.size
+    assert kept == [[], []]
 
 
 def test_screen_keeps_a_set_that_is_near_at_one_iterate():
@@ -714,7 +787,7 @@ def test_screen_keeps_a_set_that_is_near_at_one_iterate():
     # stay, as the pair conflicts through different sets at each iterate
     prim = np.array([[[0.1, 0.0], [0.1, 0.01], [0.7, 0.5]], [[0.1, 0.0], [0.6, 0.0], [0.3, 0.5]]])
     shifted = prim + np.array([[[0.0, 10.0]], [[0.5, 0.0]]])
-    reps = np.stack([prim, shifted], axis=2)
+    reps = shifted[:, :, None, :]
     wrap = np.array([True, False])
     order = np.arange(3)
     assert brute_force_greedy(prim, reps, wrap, 2, 0.05, order) == [0, 2]
@@ -727,7 +800,7 @@ def test_screen_slack_covers_the_rounding_of_its_bound():
     # point 1's representative is exactly delta from point 0
     S, delta = 2e8, 0.05
     prim = np.array([[[0.0], [S]]])
-    reps = np.stack([prim, np.array([[[-(S + delta)], [-delta]]])], axis=2)
+    reps = np.array([[[-(S + delta)], [-delta]]])[:, :, None, :]
     wrap = np.array([False])
     assert (S + delta) - S > delta * (1 + _kernels.RADIUS_PAD[0]) + _kernels.RADIUS_PAD[1]
     order = np.arange(2)
@@ -748,7 +821,7 @@ def test_screen_keeps_the_lifts_of_the_seam_clouds(monkeypatch):
             for delta in deltas:
                 _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, delta, np.arange(len(cloud)))
     assert len(kept) == 3 * 3 * 3 + 3 * 2
-    assert all(k == [0, 1, 2] for k in kept)
+    assert all(k == [0, 1] for k in kept)
 
 
 @pytest.mark.parametrize(
@@ -776,7 +849,7 @@ def test_greedy_thinning_rejects_an_order_that_is_not_a_permutation(order):
 def test_greedy_thinning_on_an_empty_table_accepts_nothing(wrap):
     # an empty cloud used to raise inside numpy: IndexError on the torus,
     # a zero-size reduction ValueError on the mapping torus
-    C, R = len(wrap), 1 if all(wrap) else 3
+    C, R = len(wrap), 0 if all(wrap) else 2
     prim, reps = np.zeros((2, 0, C)), np.zeros((2, 0, R, C))
     for order in (np.zeros(0, dtype=np.int64), []):
         got = _kernels.greedy_thinning(prim, reps, np.array(wrap), 2, 0.1, order)
@@ -796,7 +869,7 @@ def _count_orders(monkeypatch):
         return build(coords, wrap)
 
     monkeypatch.setattr(_kernels, "_Order", counted)
-    monkeypatch.setattr(_kernels, "_last_order", None)
+    monkeypatch.setattr(_kernels, "_kept", None)
     return built
 
 
@@ -815,8 +888,8 @@ def test_tree_order_is_built_once_per_split_iterate(name, path, monkeypatch):
     # later is a new array and gets its own order
     cloud.rep_table(handle, 4)
     built = _count_orders(monkeypatch)
-    # no conflict graph is kept for a later n: every cell goes through the tree
-    monkeypatch.setattr(_kernels, "_keep_graph", lambda *args: None)
+    # no conflict graph is carried to a later n: every cell goes through the tree
+    _no_carry(monkeypatch)
     for delta in (0.1, 0.05):
         for n in (1, 2, 3, 4):
             got = max_separated(handle, cloud, n, delta, order_seed=3)
@@ -837,7 +910,7 @@ def test_a_writable_table_gets_a_new_order_every_call(monkeypatch):
     # shape are unchanged, only its contents differ
     cloud = random_cloud(CAT, 300, 0)
     prim = np.array(cloud.orbit_table(CAT, 2))
-    reps = prim[:, :, None, :]
+    reps = _no_reps(prim)
     wrap = cloud.space.wrap_mask
     order = np.arange(len(cloud))
     built = _count_orders(monkeypatch)
@@ -858,14 +931,57 @@ def test_a_dead_table_never_matches_a_new_one(monkeypatch):
     for seed in range(3):
         prim = np.random.default_rng(seed).random((1, 300, 2))
         prim.setflags(write=False)
-        reps = prim[:, :, None, :]
+        reps = _no_reps(prim)
         got = _kernels.greedy_thinning(prim, reps, wrap, 1, 0.1, order)
         assert got.tolist() == brute_force_greedy(prim, reps, wrap, 1, 0.1, order)
-        assert _kernels._last_order[0]() is prim
+        assert _kernels._kept.owners[0]() is prim
         del prim, reps
         gc.collect()
-        assert _kernels._last_order[0]() is None
+        assert _kernels._kept.owners[0]() is None
     assert len(built) == 3
+
+
+def test_one_state_is_kept_per_table_pair(monkeypatch):
+    # calls on one read-only pair share one state; a call on another pair
+    # drops it before its tree order is built, a new split iterate drops
+    # the old order first, and a writable table keeps no state at all
+    tables = []
+    for seed in (0, 1):
+        prim = np.random.default_rng(seed).random((4, 300, 2))
+        prim.setflags(write=False)
+        tables.append((prim, _no_reps(prim)))
+    wrap = CAT.space.wrap_mask
+    order = np.arange(300)
+    monkeypatch.setattr(_kernels, "_kept", None)
+    # for every order built: whether each watched object was already gone
+    watched, dropped = [], []
+    build = _kernels._Order
+
+    def checked(coords, wrap):
+        dropped.append([ref() is None for ref in watched])
+        return build(coords, wrap)
+
+    monkeypatch.setattr(_kernels, "_Order", checked)
+    _kernels.greedy_thinning(*tables[0], wrap, 1, 0.05, order)
+    state = _kernels._kept
+    assert [r() for r in state.owners] == [tables[0][0], tables[0][1]]
+    assert state.order[0] == 0 and state.graph[:2] == (0.05, 1)
+    _kernels.greedy_thinning(*tables[0], wrap, 2, 0.05, order)
+    assert _kernels._kept is state and state.graph[:2] == (0.05, 2)
+    # a new split iterate: the order of iterate 0 is gone before iterate 1's is built
+    watched = [weakref.ref(state.order[1])]
+    state.graph = None
+    _kernels.greedy_thinning(*tables[0], wrap, 3, 0.05, order)
+    assert _kernels._kept is state and state.order[0] == 1
+    watched = [weakref.ref(state), weakref.ref(state.order[1])]
+    del state
+    _kernels.greedy_thinning(*tables[1], wrap, 1, 0.05, order)
+    assert _kernels._kept.owners[0]() is tables[1][0]
+    assert dropped == [[], [True], [True, True]]
+    writable = np.array(tables[1][0])
+    got = _kernels.greedy_thinning(writable, tables[1][1], wrap, 1, 0.05, order)
+    assert _kernels._kept is None
+    assert got.tolist() == brute_force_greedy(writable, tables[1][1], wrap, 1, 0.05, order)
 
 
 # --- conflict graphs carried to later n --------------------------------------
@@ -883,24 +999,23 @@ def _count_joins(monkeypatch):
         return leaves
 
     monkeypatch.setattr(_kernels, "_self_join", counted)
-    monkeypatch.setattr(_kernels, "_last_graph", None)
+    monkeypatch.setattr(_kernels, "_kept", None)
     return joins
 
 
 def _independent_tables(shifted):
     """Read-only tables of 300 points per iterate in a corner of the torus,
     drawn afresh at every iterate, so a pair can pass the rule at a late
-    iterate and fail at an earlier one.  shifted adds a second set, 0.3
-    up on the unwrapped axis: a pair is then close through it in one
-    direction only."""
+    iterate and fail at an earlier one.  shifted gives each point another
+    representative, 0.3 up on the unwrapped axis: a pair is then close
+    through it in one direction only."""
     rng = np.random.default_rng(11)
     prim = np.stack([0.3 * rng.random((300, 2)) for _ in range(8)])
-    reps = prim[:, :, None, :]
-    if shifted:
-        reps = np.stack([prim, prim + np.array([0.0, 0.3])], axis=2)
-    wrap = np.array([True, not shifted])
     prim.setflags(write=False)
-    reps = np.array(reps)
+    wrap = np.array([True, not shifted])
+    if not shifted:
+        return prim, _no_reps(prim), wrap
+    reps = np.array((prim + np.array([0.0, 0.3]))[:, :, None, :])
     reps.setflags(write=False)
     return prim, reps, wrap
 
@@ -922,13 +1037,13 @@ CARRY_CASES = ["cat_map", "suspension_time1", "independent", "independent_shifte
 def test_carried_graph_matches_brute_force_across_gaps(case, monkeypatch):
     # n = 3 -> 5 and 5 -> 8 skip iterates: the kept graph must be filtered
     # at every iterate in between.  The cat map and the independent tables
-    # filter in one direction (one set equal to prim), the seam cloud keeps
-    # its lifts and the shifted tables their second set, so both filter in
-    # both directions
+    # filter prim against prim alone, the seam cloud keeps its lifts and the
+    # shifted tables their other representative, so both also filter
+    # through those, in both directions
     prim, reps, wrap = _carry_tables(case)
     joins = _count_joins(monkeypatch)
     if case == "suspension_time1":
-        assert _kernels._near_sets(prim, reps, wrap, 0.1**2).tolist() == [0, 1, 2]
+        assert _kernels._near_sets(prim, reps, wrap, 0.1**2).tolist() == [0, 1]
     for delta in (0.1, 0.05):
         for n in (1, 2, 3, 5, 8):
             conflict = brute_force_conflicts(prim, reps, wrap, n, delta)
@@ -940,7 +1055,7 @@ def test_carried_graph_matches_brute_force_across_gaps(case, monkeypatch):
     # join, and carries it across both gaps to n = 8
     listed = [n for n, ok in joins if ok]
     assert len(listed) <= 2 and min(listed) <= 3
-    assert _kernels._last_graph[3] == 8
+    assert _kernels._kept.graph[1] == 8
 
 
 @pytest.mark.parametrize("case", CARRY_CASES)
@@ -961,15 +1076,14 @@ def test_a_writable_table_carries_no_graph(monkeypatch):
     # the same array, mutated in place between n = 1 and n = 2
     prim, reps, wrap = _independent_tables(False)
     prim = np.array(prim)
-    reps = prim[:, :, None, :]
     order = np.arange(prim.shape[1])
     joins = _count_joins(monkeypatch)
     _kernels.greedy_thinning(prim, reps, wrap, 1, 0.05, order)
-    assert _kernels._last_graph is None
+    assert _kernels._kept is None
     before = brute_force_conflicts(prim, reps, wrap, 1, 0.05)
     prim[:] = 0.3 * np.random.default_rng(5).random(prim.shape)
     got = _kernels.greedy_thinning(prim, reps, wrap, 2, 0.05, order)
-    assert _kernels._last_graph is None
+    assert _kernels._kept is None
     assert joins == [(1, True), (2, True)]
     want = brute_force_greedy(prim, reps, wrap, 2, 0.05, order)
     assert got.tolist() == want
@@ -979,15 +1093,14 @@ def test_a_writable_table_carries_no_graph(monkeypatch):
 
 
 def test_a_graph_is_not_carried_to_another_reps_table(monkeypatch):
-    # one read-only prim with two read-only reps tables: identity only at
-    # n = 1, then with the seam lifts at n = 2; the graph of the first
-    # misses the pairs only a lift brings close
+    # one read-only prim with two read-only reps tables: no lifts at n = 1,
+    # then the seam lifts at n = 2; the graph of the first misses the pairs
+    # only a lift brings close
     handle, make_cloud = KERNEL_SYSTEMS["suspension_time1"]()
     cloud = make_cloud(handle, 0)
     prim = cloud.orbit_table(handle, 2)
     lifted = cloud.rep_table(handle, 2)
-    identity = np.array(lifted[:, :, :1])
-    identity.setflags(write=False)
+    identity = _no_reps(prim)
     wrap = cloud.space.wrap_mask
     order = np.arange(len(cloud))
     joins = _count_joins(monkeypatch)
@@ -1012,12 +1125,12 @@ def test_a_dead_reps_table_never_matches_a_new_one(monkeypatch):
     order = np.arange(prim.shape[1])
     joins = _count_joins(monkeypatch)
     for seed in range(3):
-        reps = np.stack([prim, prim + np.array([0.0, 0.25 + 0.05 * seed])], axis=2)
+        reps = np.array((prim + np.array([0.0, 0.25 + 0.05 * seed]))[:, :, None, :])
         reps.setflags(write=False)
         got = _kernels.greedy_thinning(prim, reps, wrap, 1, 0.05, order)
         assert got.tolist() == brute_force_greedy(prim, reps, wrap, 1, 0.05, order)
-        assert _kernels._last_graph[1]() is reps
+        assert _kernels._kept.owners[1]() is reps
         del reps
         gc.collect()
-        assert _kernels._last_graph[1]() is None
+        assert _kernels._kept.owners[1]() is None
     assert joins == [(1, True)] * 3

@@ -429,6 +429,20 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_run_rejects_a_nan_radius(tmp_path, capsys):
+    # json.loads reads NaN; the run used to fail inside numpy with "need at
+    # least one array to concatenate"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        '{"experiment": "estimate", "resolution": 8, "n_schedule": [1, 2], "delta_schedule": [NaN]}'
+    )
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delta must be positive and finite, got nan" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [

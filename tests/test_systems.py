@@ -178,6 +178,33 @@ def test_perturbed_rejects_epsilon_above_threshold(time1):
         PerturbedHandle(time1, -0.01, CenterShear())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: Roof(v), "roof constant"),
+        (lambda v: Roof(1.0, [((1, 0), v)]), "roof amplitude"),
+        (lambda v: TimeTMapHandle(SuspensionFlow(ToralMapHandle([[2, 1], [1, 1]]), Roof(1.0)), v), "flow time"),
+        (
+            lambda v: PerturbedHandle(
+                TimeTMapHandle(SuspensionFlow(ToralMapHandle([[2, 1], [1, 1]]), Roof(1.0)), 1.0),
+                v,
+                CenterShear(),
+            ),
+            "epsilon",
+        ),
+    ],
+    ids=["roof_constant", "roof_amplitude", "time_t", "epsilon"],
+)
+def test_system_parameters_that_are_not_finite_are_rejected(build, message, value):
+    # NaN passed every comparison these checks made, and the time-t and
+    # perturbed maps then stepped to NaN heights without an error
+    if message == "epsilon" and value == -math.inf:
+        message = ">= 0"
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
 @pytest.mark.parametrize("roof", [1.0, 2.5])
 def test_center_shear_determinant_above_half_below_threshold(roof):
     # det D(shear) = 1 + eps * sigma'(s) and |sigma'| <= lipschitz(c), so
