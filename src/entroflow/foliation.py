@@ -156,12 +156,19 @@ class LeafSegment:
         if self.points.shape[0] == 1:
             out = np.repeat(self.points, a.size, axis=0)
         else:
-            i = np.searchsorted(self.arc_coords, a, side="right") - 1
-            i = np.clip(i, 0, self.points.shape[0] - 2)
-            lo, hi = self.arc_coords[i], self.arc_coords[i + 1]
-            w = (a - lo) / (hi - lo)
-            out = self.space.lerp(self.points[i], self.points[i + 1], w[:, None])
+            out = _points_at(self.space, self.points, self.arc_coords, a)
         return out[0] if scalar else out
+
+
+def _points_at(space, points, arc_coords, a):
+    """Points of a polyline of two or more vertices at arcs `a` within the
+    range of its increasing vertex arc coordinates `arc_coords`; an arc on a
+    vertex is placed at the start of the edge that vertex begins."""
+    i = np.searchsorted(arc_coords, a, side="right") - 1
+    i = np.clip(i, 0, points.shape[0] - 2)
+    lo, hi = arc_coords[i], arc_coords[i + 1]
+    w = (a - lo) / (hi - lo)
+    return space.lerp(points[i], points[i + 1], w[:, None])
 
 
 def _segment(kind, space, pts, spacing_bound, arc_coords=None, chords=None):
@@ -295,15 +302,15 @@ def _arc_march(curve, space, radius, spacing):
 def _leaf_segment(sys, x, radius, spacing, stable):
     kind = "stable" if stable else "unstable"
     radius = float(radius)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    # written so that NaN fails it
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be >= 0 and finite, got {radius}")
     x = _canonical_point(sys, x)
     if radius == 0:
         return _segment(kind, sys.space, x[None, :], 1.0)
-    if spacing is None:
-        spacing = radius / 20.0
-    if spacing > radius / 10.0 + 1e-12:
-        raise ValueError("spacing must be at most radius/10")
+    spacing = radius / 20.0 if spacing is None else float(spacing)
+    if not 0 < spacing <= radius / 10.0 + 1e-12:
+        raise ValueError(f"spacing must be positive and at most radius/10, got {spacing}")
     if isinstance(sys, ToralMapHandle):
         return _eigenline_segment(sys, None, x, radius, spacing, stable)
     if isinstance(sys, (TimeTMapHandle, PerturbedHandle)):
@@ -758,8 +765,9 @@ def build_product_box(sys, x, delta, samples_per_axis):
     """
     _require_center(sys)
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    # written so that NaN fails it
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if delta > BOX_DELTA_CAP + 1e-12:
         raise ValueError(
             f"delta {delta} is above the product-box cap "

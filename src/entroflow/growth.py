@@ -6,6 +6,15 @@ fitting log(count) against the step number recovers the expansion rate;
 on the linear model systems the count table is an exact staircase of the
 eigenvalue.  The same counts feed the disk-versus-box comparison and the
 perturbation continuity probe.
+
+unstable_rate_estimate never holds the grown segment whole, which would
+take memory growing like the expansion factor to the power N.  It grows
+the segment depth-first in pieces of at most PIECE_VERTICES vertices:
+each piece runs through the last scheduled step, is packed at every
+scheduled step and is dropped before its right neighbour starts.
+refine_step treats each edge on its own, and each step's arclength runs
+on from piece to piece as one sequential sum, so counts, arclengths and
+centers are the bytes the whole polyline gives.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
 from .foliation import VertexBudgetExceeded
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
+#: a piece of a grown segment is cut once a step leaves it with more
+#: vertices than this; smaller pieces lower the peak memory of a growth
+#: and add per-call overhead
+PIECE_VERTICES = 1 << 14
 
 
 def grow_segment(
@@ -28,7 +41,10 @@ def grow_segment(
     """Apply the map `steps` times to an unstable segment.
 
     The result is a polyline through the image with consecutive chords
-    at most `spacing`.  Zero steps return the segment unchanged.
+    at most `spacing`.  It is held whole, so its vertex count is bounded
+    by vertex_budget (None for no bound); unstable_rate_estimate calls it
+    one step at a time on bounded pieces, with no budget.  Zero steps
+    return the segment unchanged.
     """
     if seg.kind != "unstable":
         raise ValueError(f"grow_segment expects an unstable segment, got {seg.kind!r}")
@@ -36,8 +52,9 @@ def grow_segment(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     spacing = float(spacing)
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    # written so that NaN fails it
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     if steps == 0:
         return seg
     pts = seg.points
@@ -48,6 +65,12 @@ def grow_segment(
     return foliation._segment("unstable", sys.space, pts, spacing, chords=chords)
 
 
+def _center_arcs(two_delta, start, stop):
+    """Arcs of packing centers start..stop-1: the first half a disk in from
+    the segment start, the others one disk diameter apart."""
+    return two_delta / 2.0 + 2.0 * two_delta * np.arange(start, stop)
+
+
 def disk_center_arcs(arclength, two_delta):
     """Arc positions of a maximal left-to-right packing by radius-two_delta disks.
 
@@ -56,21 +79,125 @@ def disk_center_arcs(arclength, two_delta):
     An arclength below two_delta fits no disk.
     """
     two_delta = float(two_delta)
-    if two_delta <= 0:
-        raise ValueError("two_delta must be positive")
+    # both checks written so that NaN fails them
+    if not 0 < two_delta < math.inf:
+        raise ValueError(f"two_delta must be positive and finite, got {two_delta}")
     arclength = float(arclength)
+    if not 0 <= arclength < math.inf:
+        raise ValueError(f"arclength must be >= 0 and finite, got {arclength}")
     if arclength < two_delta:
         return np.empty(0)
     count = 1 + int(math.floor((arclength - two_delta) / (2.0 * two_delta) + 1e-12))
-    return two_delta / 2.0 + 2.0 * two_delta * np.arange(count)
+    return _center_arcs(two_delta, 0, count)
+
+
+def _place_centers(space, points, arc_coords, two_delta, first):
+    """Packing centers first, first + 1, ... whose arcs lie before the end
+    of a polyline piece, placed by LeafSegment.point_at's arithmetic.
+
+    arc_coords holds the piece's vertex arcs along the whole segment, and
+    the centers before `first` lie before the piece; a center exactly on
+    the piece's end vertex belongs to the next piece.  Every counted
+    center lies about half a disk or more before the segment's end, so
+    the pieces of a segment place all of them, and at most one more.
+    """
+    end = arc_coords[-1]
+    stop = max(first, int((end - two_delta / 2.0) / (2.0 * two_delta)) + 2)
+    arcs = _center_arcs(two_delta, first, stop)
+    arcs = arcs[arcs < end]
+    if arcs.size == 0:
+        return np.empty((0, points.shape[1]))
+    return foliation._points_at(space, points, arc_coords, arcs)
 
 
 def count_disjoint_disks(seg, two_delta):
     """Greedy packing count along a segment, with the disk center points."""
-    arcs = disk_center_arcs(seg.arclength, two_delta)
-    if arcs.size == 0:
-        return 0, np.empty((0, seg.points.shape[1]))
-    return int(arcs.size), seg.point_at(arcs)
+    count = disk_center_arcs(seg.arclength, two_delta).size
+    centers = _place_centers(seg.space, seg.points, seg.arc_coords, float(two_delta), 0)
+    return count, centers[:count]
+
+
+class _Packing:
+    """The packing of one step's grown segment, fed its pieces from the left.
+
+    The arclength runs on over the pieces' chords as one sequential sum,
+    the arithmetic of a whole segment's arc coordinates.
+    """
+
+    def __init__(self, two_delta):
+        self.two_delta = two_delta
+        self.arclength = 0.0
+        self.centers = []
+        self.placed = 0
+
+    def add(self, piece):
+        arcs = np.cumsum(np.concatenate(([self.arclength], piece.chords)))
+        self.arclength = float(arcs[-1])
+        pts = _place_centers(piece.space, piece.points, arcs, self.two_delta, self.placed)
+        self.centers.append(pts)
+        self.placed += pts.shape[0]
+
+    def close(self):
+        """(count, centers, center arcs) of the whole segment."""
+        arcs = disk_center_arcs(self.arclength, self.two_delta)
+        return arcs.size, np.concatenate(self.centers)[: arcs.size], arcs
+
+
+def _cut(piece):
+    """Copies of consecutive runs of a piece's vertices, at most
+    PIECE_VERTICES each, neighbours sharing their end vertex.  A copy owns
+    its memory; a view would keep the whole piece alive."""
+    edges = piece.vertex_count - 1
+    k = -(-edges // (PIECE_VERTICES - 1))
+    cuts = [edges * i // k for i in range(k + 1)]
+    return [
+        foliation._segment(
+            "unstable",
+            piece.space,
+            piece.points[a : b + 1].copy(),
+            piece.spacing_bound,
+            chords=piece.chords[a:b].copy(),
+        )
+        for a, b in zip(cuts, cuts[1:])
+    ]
+
+
+def _grow_in_pieces(sys, seed, spacing, packings, budget):
+    """Grow the seed through the last step of `packings` depth-first in
+    pieces, feeding every piece at a step in `packings` to its packing.
+
+    A piece grows one step at a time through grow_segment.  Before a step
+    a piece of more than PIECE_VERTICES vertices is cut (_cut); the copies
+    to the right of the first wait on a stack, so the pieces of every
+    step reach its packing from left to right.
+
+    The budget bounds the whole polyline's vertex count at each step.
+    totals[k] counts it over the pieces grown to step k so far; once one
+    exceeds the budget no piece grows to that step again, and the pieces
+    still waiting grow through the steps before it.  refine_step keeps
+    every vertex, so a step's total never falls below an earlier step's,
+    and the error names the first step over the budget.
+    """
+    last = max(packings)
+    totals = [1] * (last + 1)
+    over = last + 1  # the first step known to exceed the budget
+    stack = [(seed, 0)]
+    while stack:
+        piece, step = stack.pop()
+        while step < min(last, over - 1):
+            if piece.vertex_count > PIECE_VERTICES:
+                piece, *rest = _cut(piece)
+                stack.extend((p, step) for p in reversed(rest))
+            piece = grow_segment(sys, piece, 1, spacing, None)
+            step += 1
+            totals[step] += piece.vertex_count - 1
+            if budget is not None and totals[step] > budget:
+                over = step
+                break
+            if step in packings:
+                packings[step].add(piece)
+    if over <= last:
+        raise VertexBudgetExceeded(over, totals[over], budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +261,10 @@ def unstable_rate_estimate(
     At every N in the increasing schedule the grown segment is packed by
     disjoint radius-2*delta disks in the leaf metric; the rate is the
     least-squares slope of log(count) against N over the positive counts.
+    The segment is grown in bounded pieces (module docstring);
+    vertex_budget bounds the vertex count of the whole grown polyline at
+    each step, summed over its pieces, and VertexBudgetExceeded names the
+    first step over it.
     """
     schedule = [int(n) for n in N_schedule]
     if not schedule:
@@ -141,32 +272,25 @@ def unstable_rate_estimate(
     if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("N_schedule must be strictly increasing positive integers")
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if spacing is None:
-        spacing = delta / 10.0
-    spacing = float(spacing)
-    if spacing > delta / 10.0 + 1e-12:
-        raise ValueError("spacing must be at most delta/10 to resolve the packing")
+    # both checks written so that NaN fails them
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    spacing = delta / 10.0 if spacing is None else float(spacing)
+    if not 0 < spacing <= delta / 10.0 + 1e-12:
+        raise ValueError(
+            f"spacing must be positive and at most delta/10 to resolve the packing, got {spacing}"
+        )
     x = np.asarray(x, dtype=float)
-    seg = foliation.unstable_segment(sys, x, delta)
-    two_delta = 2.0 * delta
+    packings = {n: _Packing(2.0 * delta) for n in schedule}
+    seed = foliation.unstable_segment(sys, x, delta)
+    _grow_in_pieces(sys, seed, spacing, packings, vertex_budget)
     counts, lengths, centers, arcs = [], [], [], []
-    prev = 0
     for n in schedule:
-        try:
-            seg = grow_segment(sys, seg, n - prev, spacing, vertex_budget)
-        except VertexBudgetExceeded as exc:
-            # re-key the step index to the absolute iterate number
-            raise VertexBudgetExceeded(
-                prev + exc.step_index, exc.needed, exc.budget
-            ) from None
-        prev = n
-        cnt, pts = count_disjoint_disks(seg, two_delta)
-        counts.append((n, cnt))
-        lengths.append((n, seg.arclength))
+        count, pts, center_arcs = packings[n].close()
+        counts.append((n, count))
+        lengths.append((n, packings[n].arclength))
         centers.append(pts)
-        arcs.append(disk_center_arcs(seg.arclength, two_delta))
+        arcs.append(center_arcs)
     rate, stderr = fit_packing_counts(counts)
     return GrowthCurve(
         base_point=tuple(float(v) for v in x),

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import entropy, foliation, systems
+from entroflow import config, entropy, foliation, growth, systems
 from entroflow.foliation import unstable_segment
 from entroflow.growth import (
     GrowthCurve,
@@ -23,6 +25,11 @@ from conftest import LOG_LAMBDA
 
 LAMBDA = math.exp(LOG_LAMBDA)
 CAT = systems.cat_map()
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+TIME1 = systems.TimeTMapHandle(
+    systems.SuspensionFlow(systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0)),
+    1.0,
+)
 
 
 def test_packing_positions_frozen():
@@ -361,3 +368,211 @@ def test_fork_map_keeps_order_and_reraises_worker_errors():
         entropy._fork_map(_over_budget, [1, 2], 2)
     assert (info.value.step_index, info.value.needed, info.value.budget) == (3, 101, 10)
     assert info.value.reached_step == 2
+
+
+# --------------------------------------------------------------------------
+# non-finite radii and spacings
+
+_CAT_SEED = unstable_segment(CAT, np.array([0.2, 0.3]), 0.05)
+
+# entry point -> (call with the bad value, the argument its error names)
+NONFINITE_CALLS = {
+    "grow_segment": (lambda v: grow_segment(CAT, _CAT_SEED, 2, v), "spacing"),
+    "unstable_rate_estimate-delta": (
+        lambda v: unstable_rate_estimate(CAT, (0.2, 0.3), v, [1, 2]),
+        "delta",
+    ),
+    "unstable_rate_estimate-spacing": (
+        lambda v: unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [1, 2], spacing=v),
+        "spacing",
+    ),
+    "unstable_segment-radius": (
+        lambda v: unstable_segment(CAT, np.array([0.2, 0.3]), v),
+        "radius",
+    ),
+    "unstable_segment-spacing": (
+        lambda v: unstable_segment(CAT, np.array([0.2, 0.3]), 0.05, spacing=v),
+        "spacing",
+    ),
+    "build_product_box": (
+        lambda v: foliation.build_product_box(TIME1, np.array([0.2, 0.3, 0.37]), v, 8),
+        "delta",
+    ),
+    "disk_center_arcs-arclength": (lambda v: disk_center_arcs(v, 0.1), "arclength"),
+    "disk_center_arcs-two_delta": (lambda v: disk_center_arcs(10.0, v), "two_delta"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_CALLS))
+def test_nonfinite_radius_or_spacing_is_rejected_by_name(entry, value):
+    call, name = NONFINITE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
+# --------------------------------------------------------------------------
+# growth in bounded pieces
+
+
+def whole_polyline_curve(sys, x, delta, schedule):
+    """Counts, arclengths, centers and center arcs of the whole grown
+    polyline at each scheduled step: grow_segment and count_disjoint_disks."""
+    seg = unstable_segment(sys, np.asarray(x, dtype=float), delta)
+    rows, prev = [], 0
+    for n in schedule:
+        seg = grow_segment(sys, seg, n - prev, delta / 10.0)
+        prev = n
+        count, centers = count_disjoint_disks(seg, 2.0 * delta)
+        rows.append((n, count, seg.arclength, centers, disk_center_arcs(seg.arclength, 2.0 * delta)))
+    return rows
+
+
+def assert_curve_is(curve, rows):
+    assert curve.counts == tuple((n, c) for n, c, *_ in rows)
+    assert curve.arclengths == tuple((n, length) for n, _, length, *_ in rows)
+    for got, want in zip(curve.centers, [r[3] for r in rows], strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(curve.center_arcs, [r[4] for r in rows], strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _piece_cases():
+    growth_cfg = json.loads((CONFIG_DIR / "growth_catmap.json").read_text())
+    return {
+        # the shipped growth config's inputs
+        "cat_map": (CAT, growth_cfg["x"], growth_cfg["delta"], growth_cfg["N_schedule"]),
+        "suspension_time1": (TIME1, (0.2, 0.3, 0.37), 0.02, [1, 2, 4, 5, 6, 7, 8]),
+        "center_shear_0.04": (
+            PerturbedHandle(TIME1, 0.04, CenterShear()), (0.2, 0.3, 0.37), 0.02, range(1, 9)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["cat_map", "suspension_time1", "center_shear_0.04"])
+def test_small_pieces_give_the_whole_polyline_bytes(case, monkeypatch):
+    sys, x, delta, schedule = _piece_cases()[case]
+    rows = whole_polyline_curve(sys, x, delta, schedule)
+    assert_curve_is(unstable_rate_estimate(sys, x, delta, schedule), rows)
+    # many seams: a piece is cut once it holds more than 64 vertices
+    monkeypatch.setattr(growth, "PIECE_VERTICES", 64)
+    inputs = []
+
+    def counted(sys_, piece, *args):
+        inputs.append(piece.vertex_count)
+        return grow_segment(sys_, piece, *args)
+
+    monkeypatch.setattr(growth, "grow_segment", counted)
+    assert_curve_is(unstable_rate_estimate(sys, x, delta, schedule), rows)
+    assert max(inputs) <= 64
+    assert len(inputs) > 20 * schedule[-1]
+
+
+def test_cut_pieces_share_seams_and_own_their_memory(monkeypatch):
+    monkeypatch.setattr(growth, "PIECE_VERTICES", 64)
+    piece = grow_segment(CAT, _CAT_SEED, 3, 0.005)
+    assert piece.vertex_count > 3 * 64
+    pieces = growth._cut(piece)
+    assert max(p.vertex_count for p in pieces) <= 64
+    assert len(pieces) == -(-(piece.vertex_count - 1) // 63)
+    for a, b in zip(pieces, pieces[1:]):
+        assert np.array_equal(a.points[-1], b.points[0])
+    joined = np.concatenate([pieces[0].points] + [p.points[1:] for p in pieces[1:]])
+    assert np.array_equal(joined, piece.points)
+    assert np.array_equal(np.concatenate([p.chords for p in pieces]), piece.chords)
+    # a view would keep the whole piece alive
+    assert all(p.points.base is None and p.chords.base is None for p in pieces)
+
+
+def _line_piece(xs):
+    """A piece of the horizontal line at height 0.5 on the torus through
+    the given abscissas, exact binary fractions, so chords and arcs are exact."""
+    pts = np.stack([np.asarray(xs, dtype=float), np.full(len(xs), 0.5)], axis=1)
+    return foliation._segment("unstable", CAT.space, pts, 0.25)
+
+
+@pytest.mark.parametrize("end", [0.84375, 0.875])
+def test_centers_on_a_seam_and_at_the_end(end):
+    # disks of radius 0.125: centers at arcs 0.0625 + 0.25 k
+    xs = [0.0625 * i for i in range(14)] + [end]
+    whole = _line_piece(xs)
+    pieces = [_line_piece(xs[:6]), _line_piece(xs[5:14]), _line_piece(xs[13:])]
+    packing = growth._Packing(0.125)
+    for piece in pieces:
+        packing.add(piece)
+    # 0.3125 lies exactly on the first seam and 0.8125 on the second: each
+    # is placed by the piece to the seam's right
+    assert [c.shape[0] for c in packing.centers] == [1, 2, 1]
+    count, centers, arcs = packing.close()
+    assert packing.arclength == whole.arclength == end
+    assert np.array_equal(arcs, disk_center_arcs(end, 0.125))
+    whole_count, whole_centers = count_disjoint_disks(whole, 0.125)
+    assert count == whole_count
+    assert np.array_equal(centers, whole_centers)
+    assert np.array_equal(centers, whole.point_at(arcs))
+    if end == 0.875:
+        # the last center sits half a disk before the end and is counted
+        assert count == 4 and arcs[-1] == end - 0.0625
+    else:
+        # the center placed in the last half disk is not counted
+        assert count == 3 and packing.placed == 4
+
+
+def test_budget_names_the_first_step_over_it(monkeypatch):
+    monkeypatch.setattr(growth, "PIECE_VERTICES", 64)
+    x, delta = (0.2, 0.3), 0.02
+    seg = unstable_segment(CAT, np.array(x), delta)
+    totals = []
+    for _ in range(8):
+        seg = grow_segment(CAT, seg, 1, delta / 10.0)
+        totals.append(seg.vertex_count)
+    assert totals == sorted(totals)
+    for step in (2, 5, 8):
+        # the whole polyline fits the budget up to step - 1 and not at step;
+        # growing depth-first, the first piece alone overflows a later step's
+        # total before the other pieces have reached this one
+        budget = totals[step - 1] - 1
+        with pytest.raises(VertexBudgetExceeded) as info:
+            unstable_rate_estimate(CAT, x, delta, range(1, 9), vertex_budget=budget)
+        err = info.value
+        assert err.step_index == step
+        assert err.reached_step == step - 1
+        assert budget < err.needed <= totals[step - 1]
+        assert err.budget == budget
+    curve = unstable_rate_estimate(CAT, x, delta, range(1, 9), vertex_budget=totals[-1])
+    assert curve.counts[-1][0] == 8
+
+
+# --------------------------------------------------------------------------
+# the closed form on constant roofs: arclength 2 delta lambda^N
+
+
+def _closed_form_cases():
+    growth_cfg = config.parse_config(json.loads((CONFIG_DIR / "growth_catmap.json").read_text()))
+    cont_cfg = config.parse_config(
+        json.loads((CONFIG_DIR / "continuity_center_shear.json").read_text())
+    )
+    # the eps = 0 member: one seam crossing per step on roof 1, so K_N = N
+    eps0 = PerturbedHandle(
+        config.system_from_config(cont_cfg.system),
+        0.0,
+        config._build_shape(cont_cfg.shape, cont_cfg.harmonics, cont_cfg.direction),
+    )
+    return {
+        "growth_catmap": (config.system_from_config(growth_cfg.system), growth_cfg),
+        "continuity_eps0": (eps0, cont_cfg),
+    }
+
+
+@pytest.mark.parametrize("pieces", [None, 256])
+@pytest.mark.parametrize("case", ["growth_catmap", "continuity_eps0"])
+def test_growth_matches_the_closed_form(case, pieces, monkeypatch):
+    sys, cfg = _closed_form_cases()[case]
+    if pieces is not None:
+        monkeypatch.setattr(growth, "PIECE_VERTICES", pieces)
+    curve = unstable_rate_estimate(sys, cfg.x, cfg.delta, cfg.N_schedule)
+    two_delta = 2.0 * cfg.delta
+    for (n, count), (_, length) in zip(curve.counts, curve.arclengths, strict=True):
+        exact = two_delta * LAMBDA**n
+        assert abs(length - exact) <= 1e-9 * exact
+        assert count == disk_center_arcs(exact, two_delta).size
