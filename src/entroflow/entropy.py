@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -134,6 +135,18 @@ class SeparatedSet:
     @property
     def count(self):
         return int(self.indices.size)
+
+
+def _whole(value, name):
+    """value as an int, or a ValueError naming `name` unless it is a whole
+    number (a whole float such as 2.0 passes; NaN and inf do not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        as_float = float(value)
+    if not as_float.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(as_float)
 
 
 def _check_radius(delta):
@@ -328,7 +341,7 @@ def entropy_estimate(
     forked processes; every row depends only on (system, cloud, n, delta,
     order_seed), hence the table is identical for any worker count.
     """
-    n_schedule = sorted(set(int(n) for n in n_schedule))
+    n_schedule = sorted(set(_whole(n, "each n_schedule entry") for n in n_schedule))
     if not n_schedule or n_schedule[0] < 1:
         raise ValueError("n_schedule must contain integers >= 1")
     delta_schedule = sorted(set(float(d) for d in delta_schedule), reverse=True)

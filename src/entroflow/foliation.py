@@ -812,6 +812,81 @@ class DensityReport:
     passed: bool
 
 
+def _lifted_density_samples(fl, x, center_radius, leaf_radius):
+    """The density samples of the leaf through x, each with the 9 wrap
+    shifts of its 3 seam lifts: (27 N, 3), sample-major."""
+    spacing = DENSITY_RADIUS_BOUND / 4.0
+    ku = int(math.floor(leaf_radius / spacing + 1e-9))
+    kc = int(math.floor(center_radius / spacing + 1e-9))
+    taus = np.arange(-ku, ku + 1) * spacing
+    cts = np.arange(-kc, kc + 1) * spacing
+    u_pts = _suspension_leaf_points(fl, x, taus)
+    samples = np.concatenate([fl.flow(u_pts, c) for c in cts], axis=0)
+    reps = fl.space.lift_reps(samples)  # (N, 3, 3)
+    shifts = np.array(
+        [[i, j, 0.0] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
+    )
+    return (reps[:, None, :, :] + shifts[None, :, None, :]).reshape(-1, 3)
+
+
+def _nearest_distances(points, probes):
+    """Euclidean distance from each probe to its nearest point, exactly.
+
+    The points are hashed into cubes of side DENSITY_RADIUS_BOUND / 2,
+    twice the density sample spacing.  A probe searches the cubes within
+    `reach` of its own cube along every axis.  Every point outside them
+    lies more than `reach` sides away, so a best distance below
+    (reach - margin) sides is final; the margin covers the rounding of
+    floor at cube edges.  The probes left open search again at twice the
+    reach, until their search covers every cube.  Squared differences are
+    summed over axes 0, 1, 2 in that order and the root is taken of the
+    minimum, as cKDTree does, so the distances match it bit for bit.
+    """
+    side = DENSITY_RADIUS_BOUND / 2.0
+    margin = 1e-6
+    lo = points.min(axis=0)
+    cubes = np.floor((points - lo) / side).astype(np.int64)
+    dims = cubes.max(axis=0) + 1
+    keys = (cubes[:, 0] * dims[1] + cubes[:, 1]) * dims[2] + cubes[:, 2]
+    order = np.argsort(keys, kind="stable")
+    points = points[order]
+    # the points of cube k are points[starts[k]:starts[k + 1]], so a run of
+    # cubes along axis 2 is one slice
+    starts = np.searchsorted(keys[order], np.arange(dims.prod() + 1))
+    # a probe beyond the grid searches from the cube next to its edge: every
+    # point is still at least as far from it as the reach bound says
+    homes = np.clip(np.floor((probes - lo) / side), -1, dims).astype(np.int64)
+    best2 = np.full(len(probes), np.inf)
+    left = np.arange(len(probes))
+    reach = 1
+    while left.size:
+        # a few hundred probes at a time bound the gathered points
+        for part in np.array_split(left, -(-left.size // 512)):
+            # each probe's window as (x, y) columns, a run of cubes along
+            # axis 2 in each, and then the points of those runs
+            first = np.clip(homes[part] - reach, 0, dims)
+            stop = np.clip(homes[part] + reach + 1, 0, dims)
+            ny = stop[:, 1] - first[:, 1]
+            per_probe = (stop[:, 0] - first[:, 0]) * ny
+            owner = np.repeat(np.arange(part.size), per_probe)
+            k = np.arange(owner.size) - np.repeat(np.cumsum(per_probe) - per_probe, per_probe)
+            column = (first[owner, 0] + k // ny[owner]) * dims[1] + first[owner, 1] + k % ny[owner]
+            a = starts[column * dims[2] + first[owner, 2]]
+            count = starts[column * dims[2] + stop[owner, 2]] - a
+            owner = np.repeat(owner, count)
+            idx = np.repeat(a - (np.cumsum(count) - count), count) + np.arange(owner.size)
+            diff = points[idx] - probes[part][owner]
+            d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2]
+            part_best = np.full(part.size, np.inf)
+            np.minimum.at(part_best, owner, d2)
+            best2[part] = part_best
+        covered = np.all((homes[left] - reach <= 0) & (homes[left] + reach + 1 >= dims), axis=1)
+        final = covered | (np.sqrt(best2[left]) < (reach - margin) * side)
+        left = left[~final]
+        reach *= 2
+    return np.sqrt(best2)
+
+
 def density_check(sys, x, center_radius, leaf_radius, probe_points):
     """Covering radius of the center-saturated unstable leaf over a probe
     grid; the finite surrogate for density of the center-unstable plaque.
@@ -820,40 +895,35 @@ def density_check(sys, x, center_radius, leaf_radius, probe_points):
     DENSITY_RADIUS_BOUND, along the eigenline and the flow, so sample sets
     are nested across leaf radii and the covering radius cannot increase
     when the leaf grows.  Distances are Euclidean over the wrap and seam
-    lifts of every sample.
+    lifts of every sample, each probe's to its nearest lift exactly.
     """
     _require_center(sys)
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
-    spacing = DENSITY_RADIUS_BOUND / 4.0
-    ku = int(math.floor(leaf_radius / spacing + 1e-9))
-    kc = int(math.floor(center_radius / spacing + 1e-9))
-    taus = np.arange(-ku, ku + 1) * spacing
-    cts = np.arange(-kc, kc + 1) * spacing
-    u_pts = _suspension_leaf_points(fl, x, taus)
-    blocks = [fl.flow(u_pts, c) for c in cts]
-    samples = np.concatenate(blocks, axis=0)
-    reps = fl.space.lift_reps(samples)  # (N, 3, 3)
-    shifts = np.array(
-        [[i, j, 0.0] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
-    )
-    lifted = (reps[:, None, :, :] + shifts[None, :, None, :]).reshape(-1, 3)
-    # scipy is loaded here only: importing it costs more than the rest of
-    # the package together
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(lifted)
+    center_radius = float(center_radius)
+    leaf_radius = float(leaf_radius)
+    # written so that NaN fails them
+    if not 0 <= center_radius < math.inf:
+        raise ValueError(f"center_radius must be >= 0 and finite, got {center_radius}")
+    if not 0 <= leaf_radius < math.inf:
+        raise ValueError(f"leaf_radius must be >= 0 and finite, got {leaf_radius}")
     probes = getattr(probe_points, "points", probe_points)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    dists, _ = tree.query(probes, k=1, workers=-1)
-    cov = float(np.max(dists))
+    if probes.ndim != 2 or probes.shape[0] == 0 or probes.shape[1] != 3:
+        raise ValueError(
+            f"probe_points must be a nonempty (P, 3) array, got shape {probes.shape}"
+        )
+    if not np.all(np.isfinite(probes)):
+        raise ValueError("probe_points must be finite")
+    lifted = _lifted_density_samples(fl, x, center_radius, leaf_radius)
+    cov = float(np.max(_nearest_distances(lifted, probes)))
     return DensityReport(
         covering_radius=cov,
-        sample_count=samples.shape[0],
+        sample_count=lifted.shape[0] // 27,
         probe_count=probes.shape[0],
-        leaf_radius=float(leaf_radius),
-        center_radius=float(center_radius),
-        spacing=float(spacing),
+        leaf_radius=leaf_radius,
+        center_radius=center_radius,
+        spacing=DENSITY_RADIUS_BOUND / 4.0,
         bound=DENSITY_RADIUS_BOUND,
         passed=cov <= DENSITY_RADIUS_BOUND + 1e-12,
     )

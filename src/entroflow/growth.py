@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import foliation
-from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
+from .entropy import SampleCloud, _fork_map, _ols_line, _whole, entropy_estimate
 from .foliation import VertexBudgetExceeded
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -48,7 +48,7 @@ def grow_segment(
     """
     if seg.kind != "unstable":
         raise ValueError(f"grow_segment expects an unstable segment, got {seg.kind!r}")
-    steps = int(steps)
+    steps = _whole(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     spacing = float(spacing)
@@ -266,7 +266,7 @@ def unstable_rate_estimate(
     each step, summed over its pieces, and VertexBudgetExceeded names the
     first step over it.
     """
-    schedule = [int(n) for n in N_schedule]
+    schedule = [_whole(n, "each N_schedule entry") for n in N_schedule]
     if not schedule:
         raise ValueError("N_schedule must be nonempty")
     if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -10,8 +11,12 @@ import pytest
 
 import entroflow
 from entroflow import systems
+from entroflow.config import parse_config, system_from_config
 from entroflow.foliation import (
+    DENSITY_RADIUS_BOUND,
     _canonical_point,
+    _lifted_density_samples,
+    _nearest_distances,
     _suspension_leaf_points,
     build_product_box,
     center_holonomy,
@@ -28,6 +33,7 @@ from entroflow.systems import BaseShear, CenterShear, PerturbedHandle, TimeTMapH
 from conftest import LOG_LAMBDA
 
 LAMBDA = math.exp(LOG_LAMBDA)
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def line_residual(points, origin, direction):
@@ -384,10 +390,95 @@ def test_base_point_dimension_must_match(cat, time1):
         unstable_segment(cat, [[0.2, 0.3, 0.4]], 0.05)
 
 
-def test_import_does_not_load_scipy():
-    # only the density check uses scipy; a fresh import must not pay for it
+def test_density_check_never_imports_scipy():
+    # the nearest-sample search is plain numpy; scipy must not be loaded
     src = str(pathlib.Path(entroflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, entroflow; print('scipy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from entroflow import foliation, systems\n"
+        "fl = systems.SuspensionFlow([[2, 1], [1, 1]], systems.Roof(1.0))\n"
+        "h = systems.TimeTMapHandle(fl, 1.0)\n"
+        "rep = foliation.density_check(h, [0.2, 0.3, 0.4], 0.1, 0.5, h.space.grid(3))\n"
+        "print(rep.probe_count, 'scipy' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["27", "False"]
+
+
+# --------------------------------------------------------------------------
+# the nearest-sample search of the density check
+
+
+def _brute_nearest(points, probes):
+    """Nearest distance from each probe over every point, with the search's
+    arithmetic: squares summed over axes 0, 1, 2, root of the minimum."""
+    diff = probes[:, None, :] - points[None, :, :]
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2]
+    return np.sqrt(d2.min(axis=1))
+
+
+@pytest.mark.parametrize("name", ["foliation_check", "foliation_check_perturbed"])
+def test_density_rows_of_the_foliation_configs_are_pinned(name):
+    # the covering radii the cKDTree search gave; the perturbed config reads
+    # only its reference flow, so both give the same rows
+    cfg = parse_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    handle = system_from_config(cfg.system)
+    probes = handle.space.grid(cfg.probe_resolution)
+    covers = [
+        density_check(handle, cfg.x, cfg.center_radius, float(radius), probes).covering_radius
+        for radius in cfg.leaf_radii
+    ]
+    assert covers == [0.2545420724883544, 0.1606382907488285, 0.0987000105922801, 0.03970257324478099]
+
+
+@pytest.mark.parametrize("leaf_radius", [1.0, 8.0])
+@pytest.mark.parametrize("roof", ["constant", "trig"])
+def test_nearest_distances_match_ckdtree(roof, leaf_radius, time1, flow_trig):
+    spatial = pytest.importorskip("scipy.spatial")
+    handle = time1 if roof == "constant" else TimeTMapHandle(flow_trig, 1.0)
+    fl = handle.reference_flow
+    lifted = _lifted_density_samples(fl, np.array([0.2, 0.3, 0.4]), 1.0, leaf_radius)
+    probes = handle.space.grid(12)
+    want, _ = spatial.cKDTree(lifted).query(probes, k=1)
+    assert np.array_equal(_nearest_distances(lifted, probes), want)
+
+
+def test_nearest_distances_widen_to_a_lone_sample(time1):
+    # one sample: most probes find no lift within a cube or two, and the last
+    # two probes sit outside the lifts' bounding box, one beyond any cube
+    # index an int64 holds
+    fl = time1.reference_flow
+    lifted = _lifted_density_samples(fl, np.array([0.2, 0.3, 0.4]), 0.0, 0.0)
+    assert lifted.shape == (27, 3)
+    probes = np.concatenate([time1.space.grid(5), [[3.0, -2.5, 4.0], [1e20, 0.5, 0.5]]])
+    for probe in probes[-2:]:
+        assert np.any(probe < lifted.min(axis=0)) or np.any(probe > lifted.max(axis=0))
+    got = _nearest_distances(lifted, probes)
+    assert np.array_equal(got, _brute_nearest(lifted, probes))
+    assert got[-2] > 20 * DENSITY_RADIUS_BOUND
+    rep = density_check(time1, [0.2, 0.3, 0.4], 0.0, 0.0, probes)
+    assert rep.sample_count == 1 and rep.covering_radius == float(got.max())
+
+
+@pytest.mark.parametrize(
+    "probes, match",
+    [
+        (np.zeros((0, 3)), r"a nonempty \(P, 3\) array, got shape \(0, 3\)"),
+        (np.zeros((4, 2)), r"a nonempty \(P, 3\) array, got shape \(4, 2\)"),
+        (np.zeros((2, 2, 3)), r"a nonempty \(P, 3\) array, got shape \(2, 2, 3\)"),
+        (np.array([[0.1, 0.2, math.nan]]), "finite"),
+        (np.array([[0.1, math.inf, 0.3]]), "finite"),
+    ],
+    ids=["empty", "width-2", "3-d", "nan", "inf"],
+)
+def test_density_check_rejects_bad_probes(probes, match, time1):
+    with pytest.raises(ValueError, match="^probe_points must be " + match):
+        density_check(time1, [0.2, 0.3, 0.4], 1.0, 1.0, probes)
+
+
+@pytest.mark.parametrize("name", ["center_radius", "leaf_radius"])
+def test_density_check_rejects_a_negative_radius(name, time1):
+    radii = {"center_radius": 1.0, "leaf_radius": 1.0, name: -1.0}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+        density_check(time1, [0.2, 0.3, 0.4], probe_points=time1.space.grid(3), **radii)

@@ -400,6 +400,14 @@ NONFINITE_CALLS = {
     ),
     "disk_center_arcs-arclength": (lambda v: disk_center_arcs(v, 0.1), "arclength"),
     "disk_center_arcs-two_delta": (lambda v: disk_center_arcs(10.0, v), "two_delta"),
+    "density_check-center_radius": (
+        lambda v: foliation.density_check(TIME1, [0.2, 0.3, 0.4], v, 1.0, TIME1.space.grid(3)),
+        "center_radius",
+    ),
+    "density_check-leaf_radius": (
+        lambda v: foliation.density_check(TIME1, [0.2, 0.3, 0.4], 1.0, v, TIME1.space.grid(3)),
+        "leaf_radius",
+    ),
 }
 
 
@@ -409,6 +417,34 @@ def test_nonfinite_radius_or_spacing_is_rejected_by_name(entry, value):
     call, name = NONFINITE_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(value)
+
+
+# entry point -> (call with the step number, the argument its error names);
+# each call returns a plain value that == can compare
+STEP_CALLS = {
+    "grow_segment": (
+        lambda v: grow_segment(CAT, _CAT_SEED, v, 0.005).points.tolist(),
+        "steps",
+    ),
+    "unstable_rate_estimate": (
+        lambda v: unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [v, 3]).counts,
+        "each N_schedule entry",
+    ),
+    "entropy_estimate": (
+        lambda v: entropy.entropy_estimate(CAT, entropy.grid_cloud(CAT, 8), [v, 3], [0.2]).counts,
+        "each n_schedule entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(STEP_CALLS))
+def test_a_step_number_that_is_not_whole_is_rejected_by_name(entry, value):
+    call, name = STEP_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+        call(value)
+    # a whole float runs as its integer
+    assert call(2.0) == call(2)
 
 
 # --------------------------------------------------------------------------
