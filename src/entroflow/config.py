@@ -125,8 +125,9 @@ class SweepConfig:
     """Grid of runs derived from a base estimate or growth config.
 
     grid holds (parameter, values) rows; supported parameters are
-    t (system time), epsilon (shear strength), delta (scale) and
-    n (schedule horizon, expanded to 1..n).  Points run in lexicographic
+    t (system time, on a time_t or perturbed base system), epsilon
+    (shear strength, on a perturbed one), delta (scale) and n (schedule
+    horizon, expanded to 1..n).  Points run in lexicographic
     order: parameters sorted by name, values in listed order.
     """
 
@@ -148,6 +149,8 @@ _EXPERIMENTS = {
 }
 
 _GRID_PARAMS = ("delta", "epsilon", "n", "t")
+#: the system kinds that read a swept system parameter
+_GRID_KINDS = {"epsilon": ("perturbed",), "t": ("time_t", "perturbed")}
 
 
 def _parse_fields(cls, data, context):
@@ -204,6 +207,12 @@ def parse_config(data):
         values = raw_grid[name]
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep parameter {name!r} needs a nonempty value list")
+        kinds = _GRID_KINDS.get(name)
+        if kinds and base.system.kind not in kinds:
+            raise ValueError(
+                f"sweep parameter {name!r} needs a {' or '.join(kinds)} system, "
+                f"got kind {base.system.kind!r}"
+            )
         grid.append((name, _deep_tuple(values)))
     return SweepConfig(base=base, grid=tuple(grid))
 

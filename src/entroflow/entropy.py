@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .systems import SystemHandle
+from .systems import SystemHandle, _whole
 
 __all__ = [
     "SampleCloud",
@@ -135,18 +134,6 @@ class SeparatedSet:
     @property
     def count(self):
         return int(self.indices.size)
-
-
-def _whole(value, name):
-    """value as an int, or a ValueError naming `name` unless it is a whole
-    number (a whole float such as 2.0 passes; NaN and inf do not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        as_float = float(value)
-    if not as_float.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(as_float)
 
 
 def _check_radius(delta):
@@ -468,7 +455,7 @@ def exhaustive_max_separated(dn_matrix, delta):
 
 def grid_cloud(sys: SystemHandle, resolution):
     """Uniform grid cloud; resolution floor is delta >= 4 * grid step."""
-    pts = sys.space.grid(int(resolution))
+    pts = sys.space.grid(resolution)
     return SampleCloud(sys.space, pts)
 
 

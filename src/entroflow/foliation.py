@@ -70,6 +70,8 @@ def _canonical_point(sys, x):
         raise ValueError(
             f"base point of dimension {x.size} given to a system of dimension {sys.dim}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"base point must be finite, got {x.tolist()}")
     return sys.space.canonicalize(x[None, :])[0]
 
 
@@ -149,26 +151,20 @@ class LeafSegment:
         """Chart point at cumulative arclength `arc` (clipped to range).
 
         A scalar arc gives one point of shape (dim,); an array of k arcs
-        gives the k points as a (k, dim) array.
+        gives the k points as a (k, dim) array.  An arc on a vertex is
+        placed at the start of the edge that vertex begins.
         """
         scalar = np.ndim(arc) == 0
         a = np.clip(np.atleast_1d(np.asarray(arc, dtype=float)), 0.0, self.arclength)
         if self.points.shape[0] == 1:
             out = np.repeat(self.points, a.size, axis=0)
         else:
-            out = _points_at(self.space, self.points, self.arc_coords, a)
+            i = np.searchsorted(self.arc_coords, a, side="right") - 1
+            i = np.clip(i, 0, self.points.shape[0] - 2)
+            lo, hi = self.arc_coords[i], self.arc_coords[i + 1]
+            w = (a - lo) / (hi - lo)
+            out = self.space.lerp(self.points[i], self.points[i + 1], w[:, None])
         return out[0] if scalar else out
-
-
-def _points_at(space, points, arc_coords, a):
-    """Points of a polyline of two or more vertices at arcs `a` within the
-    range of its increasing vertex arc coordinates `arc_coords`; an arc on a
-    vertex is placed at the start of the edge that vertex begins."""
-    i = np.searchsorted(arc_coords, a, side="right") - 1
-    i = np.clip(i, 0, points.shape[0] - 2)
-    lo, hi = arc_coords[i], arc_coords[i + 1]
-    w = (a - lo) / (hi - lo)
-    return space.lerp(points[i], points[i + 1], w[:, None])
 
 
 def _segment(kind, space, pts, spacing_bound, arc_coords=None, chords=None):

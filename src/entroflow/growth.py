@@ -7,14 +7,18 @@ on the linear model systems the count table is an exact staircase of the
 eigenvalue.  The same counts feed the disk-versus-box comparison and the
 perturbation continuity probe.
 
-unstable_rate_estimate never holds the grown segment whole, which would
-take memory growing like the expansion factor to the power N.  It grows
-the segment depth-first in pieces of at most PIECE_VERTICES vertices:
-each piece runs through the last scheduled step, is packed at every
-scheduled step and is dropped before its right neighbour starts.
-refine_step treats each edge on its own, and each step's arclength runs
-on from piece to piece as one sequential sum, so counts, arclengths and
-centers are the bytes the whole polyline gives.
+A packing is a function of the grown segment's arclength alone
+(disk_center_arcs), so unstable_rate_estimate keeps one running
+arclength per scheduled step and never holds the grown segment whole,
+which would take memory growing like the expansion factor to the power
+N.  It grows the segment depth-first in pieces of at most PIECE_VERTICES
+vertices: each piece runs through the last scheduled step, adds its
+chords to the arclength of every scheduled step it passes and is dropped
+before its right neighbour starts.  refine_step treats each edge on its
+own, and each step's arclength runs on from piece to piece as one
+sequential sum, so counts, arclengths and center arcs are the bytes the
+whole polyline gives.  count_disjoint_disks packs a whole segment and
+places the center points too.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import foliation
-from .entropy import SampleCloud, _fork_map, _ols_line, _whole, entropy_estimate
+from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
 from .foliation import VertexBudgetExceeded
+from .systems import _whole
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
 #: a piece of a grown segment is cut once a step leaves it with more
@@ -65,12 +70,6 @@ def grow_segment(
     return foliation._segment("unstable", sys.space, pts, spacing, chords=chords)
 
 
-def _center_arcs(two_delta, start, stop):
-    """Arcs of packing centers start..stop-1: the first half a disk in from
-    the segment start, the others one disk diameter apart."""
-    return two_delta / 2.0 + 2.0 * two_delta * np.arange(start, stop)
-
-
 def disk_center_arcs(arclength, two_delta):
     """Arc positions of a maximal left-to-right packing by radius-two_delta disks.
 
@@ -88,59 +87,13 @@ def disk_center_arcs(arclength, two_delta):
     if arclength < two_delta:
         return np.empty(0)
     count = 1 + int(math.floor((arclength - two_delta) / (2.0 * two_delta) + 1e-12))
-    return _center_arcs(two_delta, 0, count)
-
-
-def _place_centers(space, points, arc_coords, two_delta, first):
-    """Packing centers first, first + 1, ... whose arcs lie before the end
-    of a polyline piece, placed by LeafSegment.point_at's arithmetic.
-
-    arc_coords holds the piece's vertex arcs along the whole segment, and
-    the centers before `first` lie before the piece; a center exactly on
-    the piece's end vertex belongs to the next piece.  Every counted
-    center lies about half a disk or more before the segment's end, so
-    the pieces of a segment place all of them, and at most one more.
-    """
-    end = arc_coords[-1]
-    stop = max(first, int((end - two_delta / 2.0) / (2.0 * two_delta)) + 2)
-    arcs = _center_arcs(two_delta, first, stop)
-    arcs = arcs[arcs < end]
-    if arcs.size == 0:
-        return np.empty((0, points.shape[1]))
-    return foliation._points_at(space, points, arc_coords, arcs)
+    return two_delta / 2.0 + 2.0 * two_delta * np.arange(count)
 
 
 def count_disjoint_disks(seg, two_delta):
-    """Greedy packing count along a segment, with the disk center points."""
-    count = disk_center_arcs(seg.arclength, two_delta).size
-    centers = _place_centers(seg.space, seg.points, seg.arc_coords, float(two_delta), 0)
-    return count, centers[:count]
-
-
-class _Packing:
-    """The packing of one step's grown segment, fed its pieces from the left.
-
-    The arclength runs on over the pieces' chords as one sequential sum,
-    the arithmetic of a whole segment's arc coordinates.
-    """
-
-    def __init__(self, two_delta):
-        self.two_delta = two_delta
-        self.arclength = 0.0
-        self.centers = []
-        self.placed = 0
-
-    def add(self, piece):
-        arcs = np.cumsum(np.concatenate(([self.arclength], piece.chords)))
-        self.arclength = float(arcs[-1])
-        pts = _place_centers(piece.space, piece.points, arcs, self.two_delta, self.placed)
-        self.centers.append(pts)
-        self.placed += pts.shape[0]
-
-    def close(self):
-        """(count, centers, center arcs) of the whole segment."""
-        arcs = disk_center_arcs(self.arclength, self.two_delta)
-        return arcs.size, np.concatenate(self.centers)[: arcs.size], arcs
+    """Greedy packing count along a whole segment, with the disk center points."""
+    arcs = disk_center_arcs(seg.arclength, two_delta)
+    return arcs.size, seg.point_at(arcs)
 
 
 def _cut(piece):
@@ -162,14 +115,17 @@ def _cut(piece):
     ]
 
 
-def _grow_in_pieces(sys, seed, spacing, packings, budget):
-    """Grow the seed through the last step of `packings` depth-first in
-    pieces, feeding every piece at a step in `packings` to its packing.
+def _grow_in_pieces(sys, seed, spacing, lengths, budget):
+    """Grow the seed through the last step of `lengths` depth-first in
+    pieces, adding the chords of every piece at a step in `lengths` to
+    that step's arclength.
 
     A piece grows one step at a time through grow_segment.  Before a step
     a piece of more than PIECE_VERTICES vertices is cut (_cut); the copies
     to the right of the first wait on a stack, so the pieces of every
-    step reach its packing from left to right.
+    step arrive from left to right, and each arclength runs on over them
+    as one sequential sum, the arithmetic of a whole segment's arc
+    coordinates.
 
     The budget bounds the whole polyline's vertex count at each step.
     totals[k] counts it over the pieces grown to step k so far; once one
@@ -178,7 +134,7 @@ def _grow_in_pieces(sys, seed, spacing, packings, budget):
     every vertex, so a step's total never falls below an earlier step's,
     and the error names the first step over the budget.
     """
-    last = max(packings)
+    last = max(lengths)
     totals = [1] * (last + 1)
     over = last + 1  # the first step known to exceed the budget
     stack = [(seed, 0)]
@@ -194,8 +150,12 @@ def _grow_in_pieces(sys, seed, spacing, packings, budget):
             if budget is not None and totals[step] > budget:
                 over = step
                 break
-            if step in packings:
-                packings[step].add(piece)
+            if step in lengths:
+                # no name holds the cumsum, which would keep it alive
+                # while the next piece grows
+                lengths[step] = float(
+                    np.cumsum(np.concatenate(([lengths[step]], piece.chords)))[-1]
+                )
     if over <= last:
         raise VertexBudgetExceeded(over, totals[over], budget)
 
@@ -204,10 +164,11 @@ def _grow_in_pieces(sys, seed, spacing, packings, budget):
 class GrowthCurve:
     """Packing counts of an iterated unstable disk and the fitted rate.
 
-    counts holds rows (N, disjoint_disk_count); centers and center_arcs
-    hold, per schedule entry, the packed disk centers and their arc
-    positions along the grown segment.  Counts never decrease and center
-    arcs stay at least 4*delta apart, both checked at construction.
+    counts holds rows (N, disjoint_disk_count); center_arcs holds, per
+    schedule entry, the arc positions of the packed disk centers along
+    the grown segment, and arclengths rows (N, arclength).  Counts never
+    decrease and center arcs stay at least 4*delta apart, both checked
+    at construction.
     """
 
     base_point: tuple
@@ -215,7 +176,6 @@ class GrowthCurve:
     counts: tuple
     rate: float
     rate_stderr: float
-    centers: tuple
     center_arcs: tuple
     arclengths: tuple
 
@@ -262,9 +222,9 @@ def unstable_rate_estimate(
     disjoint radius-2*delta disks in the leaf metric; the rate is the
     least-squares slope of log(count) against N over the positive counts.
     The segment is grown in bounded pieces (module docstring);
-    vertex_budget bounds the vertex count of the whole grown polyline at
-    each step, summed over its pieces, and VertexBudgetExceeded names the
-    first step over it.
+    vertex_budget, None or a whole number, bounds the vertex count of the
+    whole grown polyline at each step, summed over its pieces, and
+    VertexBudgetExceeded names the first step over it.
     """
     schedule = [_whole(n, "each N_schedule entry") for n in N_schedule]
     if not schedule:
@@ -280,17 +240,16 @@ def unstable_rate_estimate(
         raise ValueError(
             f"spacing must be positive and at most delta/10 to resolve the packing, got {spacing}"
         )
+    if vertex_budget is not None:
+        vertex_budget = _whole(vertex_budget, "vertex_budget")
+        if vertex_budget < 0:
+            raise ValueError(f"vertex_budget must be None or >= 0, got {vertex_budget}")
     x = np.asarray(x, dtype=float)
-    packings = {n: _Packing(2.0 * delta) for n in schedule}
+    lengths = dict.fromkeys(schedule, 0.0)
     seed = foliation.unstable_segment(sys, x, delta)
-    _grow_in_pieces(sys, seed, spacing, packings, vertex_budget)
-    counts, lengths, centers, arcs = [], [], [], []
-    for n in schedule:
-        count, pts, center_arcs = packings[n].close()
-        counts.append((n, count))
-        lengths.append((n, packings[n].arclength))
-        centers.append(pts)
-        arcs.append(center_arcs)
+    _grow_in_pieces(sys, seed, spacing, lengths, vertex_budget)
+    arcs = [disk_center_arcs(lengths[n], 2.0 * delta) for n in schedule]
+    counts = [(n, a.size) for n, a in zip(schedule, arcs)]
     rate, stderr = fit_packing_counts(counts)
     return GrowthCurve(
         base_point=tuple(float(v) for v in x),
@@ -298,9 +257,8 @@ def unstable_rate_estimate(
         counts=tuple(counts),
         rate=rate,
         rate_stderr=stderr,
-        centers=tuple(centers),
         center_arcs=tuple(arcs),
-        arclengths=tuple(lengths),
+        arclengths=tuple((n, lengths[n]) for n in schedule),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,18 @@ _EIG_TOL = 1e-9
 #: within the tolerance
 _CENTER_TIME_CROSSINGS = 12
 _CENTER_TIME_TOL = 1e-8
+
+
+def _whole(value, name):
+    """value as an int, or a ValueError naming `name` unless it is a whole
+    number (a whole float such as 2.0 passes; NaN and inf do not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        as_float = float(value)
+    if not as_float.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(as_float)
 
 
 def wrap_unit(x):
@@ -115,6 +128,7 @@ class TorusSpace:
         return rng.random((count, self.dim))
 
     def grid(self, resolution):
+        resolution = _whole(resolution, "resolution")
         if resolution ** self.dim > 2 ** 20:
             raise ValueError(
                 f"grid of {resolution}^{self.dim} points exceeds the 2^20 cap"
@@ -483,6 +497,7 @@ class MappingTorusSpace:
 
     def grid(self, resolution):
         """Probe grid: base resolution^2 times `resolution` height fractions."""
+        resolution = _whole(resolution, "resolution")
         if resolution ** 3 > 2 ** 20:
             raise ValueError("suspension grid exceeds the 2^20 cap")
         ax = np.arange(resolution) / resolution

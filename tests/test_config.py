@@ -69,11 +69,37 @@ def test_sweep_validation():
         parse_config({"experiment": "sweep", "grid": {"t": [1.0]}})
 
 
+@pytest.mark.parametrize(
+    "kind, grid, error",
+    [
+        ("toral", {"t": [0.5, 1.0]}, "'t' needs a time_t or perturbed system, got kind 'toral'"),
+        # parameters are checked in sorted order
+        (
+            "toral",
+            {"t": [0.5, 1.0], "epsilon": [0.0, 0.1]},
+            "'epsilon' needs a perturbed system, got kind 'toral'",
+        ),
+        ("time_t", {"epsilon": [0.0, 0.1]}, "'epsilon' needs a perturbed system, got kind 'time_t'"),
+    ],
+    ids=["t-on-toral", "epsilon-on-toral", "epsilon-on-time_t"],
+)
+@pytest.mark.parametrize("experiment", ["estimate", "growth"])
+def test_sweep_over_a_parameter_the_base_does_not_read(experiment, kind, grid, error):
+    base = {"experiment": experiment, "system": {"kind": kind}}
+    with pytest.raises(ValueError) as info:
+        parse_config({"experiment": "sweep", "base": base, "grid": grid})
+    assert str(info.value) == f"sweep parameter {error}"
+    # a perturbed base reads both
+    base["system"]["kind"] = "perturbed"
+    sweep = parse_config({"experiment": "sweep", "base": base, "grid": grid})
+    assert [name for name, _ in sweep.grid] == sorted(grid)
+
+
 def test_grid_points_lexicographic_order():
     sweep = parse_config(
         {
             "experiment": "sweep",
-            "base": {"experiment": "growth"},
+            "base": {"experiment": "growth", "system": {"kind": "time_t"}},
             "grid": {"t": [0.5, 1.0], "delta": [0.02, 0.04]},
         }
     )

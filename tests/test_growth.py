@@ -104,7 +104,6 @@ def test_growth_curve_rejects_bad_tables():
             counts=((1, 5), (2, 3)),
             rate=0.0,
             rate_stderr=0.0,
-            centers=(np.zeros((0, 2)), np.zeros((0, 2))),
             center_arcs=(np.array([]), np.array([])),
             arclengths=((1, 0.1), (2, 0.2)),
         )
@@ -115,7 +114,6 @@ def test_growth_curve_rejects_bad_tables():
             counts=((1, 2),),
             rate=0.0,
             rate_stderr=0.0,
-            centers=(np.zeros((2, 2)),),
             center_arcs=(np.array([0.02, 0.05]),),
             arclengths=((1, 0.1),),
         )
@@ -145,7 +143,9 @@ def test_rate_estimate_cat_map_window():
 def test_packing_centers_are_separated():
     # the packing/separation bridge: disk centers are (N, delta)-separated
     curve = unstable_rate_estimate(CAT, (0.2, 0.3), 0.02, [5])
-    centers = curve.centers[0]
+    grown = grow_segment(CAT, unstable_segment(CAT, np.array([0.2, 0.3]), 0.02), 5, 0.002)
+    count, centers = count_disjoint_disks(grown, 0.04)
+    assert curve.counts == ((5, count),)
     assert centers.shape[0] == 61
     assert pairwise_min_dn(CAT, centers, 5) > 0.02
 
@@ -349,7 +349,7 @@ def test_continuity_probe_worker_count_does_not_change_curve(time1):
     for a, b in zip(one.curves, two.curves):
         assert a.counts == b.counts
         assert a.arclengths == b.arclengths
-        for x, y in zip(a.centers + a.center_arcs, b.centers + b.center_arcs):
+        for x, y in zip(a.center_arcs, b.center_arcs, strict=True):
             assert np.array_equal(x, y)
 
 
@@ -371,7 +371,7 @@ def test_fork_map_keeps_order_and_reraises_worker_errors():
 
 
 # --------------------------------------------------------------------------
-# non-finite radii and spacings
+# non-finite base points, radii and spacings
 
 _CAT_SEED = unstable_segment(CAT, np.array([0.2, 0.3]), 0.05)
 
@@ -407,6 +407,24 @@ NONFINITE_CALLS = {
     "density_check-leaf_radius": (
         lambda v: foliation.density_check(TIME1, [0.2, 0.3, 0.4], 1.0, v, TIME1.space.grid(3)),
         "leaf_radius",
+    ),
+    "unstable_rate_estimate-x": (
+        lambda v: unstable_rate_estimate(CAT, (v, 0.3), 0.05, [1, 2]),
+        "base point",
+    ),
+    "build_product_box-x": (
+        lambda v: foliation.build_product_box(TIME1, np.array([0.2, 0.3, v]), 0.05, 8),
+        "base point",
+    ),
+    "density_check-x": (
+        lambda v: foliation.density_check(TIME1, [0.2, v, 0.4], 1.0, 1.0, TIME1.space.grid(3)),
+        "base point",
+    ),
+    "center_holonomy-y": (
+        lambda v: foliation.center_holonomy(
+            TIME1, [0.2, 0.3, 0.4], [0.2, 0.3, v], np.array([[0.2, 0.3, 0.4]]), 2
+        ),
+        "base point",
     ),
 }
 
@@ -447,29 +465,61 @@ def test_a_step_number_that_is_not_whole_is_rejected_by_name(entry, value):
     assert call(2.0) == call(2)
 
 
+# entry point -> (call with the grid resolution, the argument its error
+# names); each call returns a plain value that == can compare
+GRID_CALLS = {
+    "TorusSpace.grid": (lambda v: CAT.space.grid(v).tolist(), "resolution"),
+    "MappingTorusSpace.grid": (lambda v: TIME1.space.grid(v).tolist(), "resolution"),
+    "grid_cloud": (lambda v: entropy.grid_cloud(CAT, v).points.tolist(), "resolution"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(GRID_CALLS))
+def test_a_grid_resolution_that_is_not_whole_is_rejected_by_name(entry, value):
+    call, name = GRID_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+        call(value)
+    # a whole float, as a JSON config may carry it, runs as its integer
+    assert call(4.0) == call(4)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+def test_a_vertex_budget_that_is_not_whole_is_rejected_by_name(value):
+    with pytest.raises(ValueError, match=f"^vertex_budget must be a whole number, got {value!r}$"):
+        unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [1, 2, 3], vertex_budget=value)
+
+
+def test_vertex_budget_is_none_or_a_whole_number_at_least_zero():
+    with pytest.raises(ValueError, match="^vertex_budget must be None or >= 0, got -1$"):
+        unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [1, 2, 3], vertex_budget=-1)
+    unbounded = unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [1, 2, 3], vertex_budget=None)
+    whole_float = unstable_rate_estimate(CAT, (0.2, 0.3), 0.05, [1, 2, 3], vertex_budget=1e6)
+    assert unbounded.counts == whole_float.counts
+    assert unbounded.arclengths == whole_float.arclengths
+
+
 # --------------------------------------------------------------------------
 # growth in bounded pieces
 
 
 def whole_polyline_curve(sys, x, delta, schedule):
-    """Counts, arclengths, centers and center arcs of the whole grown
-    polyline at each scheduled step: grow_segment and count_disjoint_disks."""
+    """Counts, arclengths and center arcs of the whole grown polyline at
+    each scheduled step: grow_segment and count_disjoint_disks."""
     seg = unstable_segment(sys, np.asarray(x, dtype=float), delta)
     rows, prev = [], 0
     for n in schedule:
         seg = grow_segment(sys, seg, n - prev, delta / 10.0)
         prev = n
-        count, centers = count_disjoint_disks(seg, 2.0 * delta)
-        rows.append((n, count, seg.arclength, centers, disk_center_arcs(seg.arclength, 2.0 * delta)))
+        count, _ = count_disjoint_disks(seg, 2.0 * delta)
+        rows.append((n, count, seg.arclength, disk_center_arcs(seg.arclength, 2.0 * delta)))
     return rows
 
 
 def assert_curve_is(curve, rows):
     assert curve.counts == tuple((n, c) for n, c, *_ in rows)
     assert curve.arclengths == tuple((n, length) for n, _, length, *_ in rows)
-    for got, want in zip(curve.centers, [r[3] for r in rows], strict=True):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for got, want in zip(curve.center_arcs, [r[4] for r in rows], strict=True):
+    for got, want in zip(curve.center_arcs, [r[3] for r in rows], strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -518,40 +568,6 @@ def test_cut_pieces_share_seams_and_own_their_memory(monkeypatch):
     assert np.array_equal(np.concatenate([p.chords for p in pieces]), piece.chords)
     # a view would keep the whole piece alive
     assert all(p.points.base is None and p.chords.base is None for p in pieces)
-
-
-def _line_piece(xs):
-    """A piece of the horizontal line at height 0.5 on the torus through
-    the given abscissas, exact binary fractions, so chords and arcs are exact."""
-    pts = np.stack([np.asarray(xs, dtype=float), np.full(len(xs), 0.5)], axis=1)
-    return foliation._segment("unstable", CAT.space, pts, 0.25)
-
-
-@pytest.mark.parametrize("end", [0.84375, 0.875])
-def test_centers_on_a_seam_and_at_the_end(end):
-    # disks of radius 0.125: centers at arcs 0.0625 + 0.25 k
-    xs = [0.0625 * i for i in range(14)] + [end]
-    whole = _line_piece(xs)
-    pieces = [_line_piece(xs[:6]), _line_piece(xs[5:14]), _line_piece(xs[13:])]
-    packing = growth._Packing(0.125)
-    for piece in pieces:
-        packing.add(piece)
-    # 0.3125 lies exactly on the first seam and 0.8125 on the second: each
-    # is placed by the piece to the seam's right
-    assert [c.shape[0] for c in packing.centers] == [1, 2, 1]
-    count, centers, arcs = packing.close()
-    assert packing.arclength == whole.arclength == end
-    assert np.array_equal(arcs, disk_center_arcs(end, 0.125))
-    whole_count, whole_centers = count_disjoint_disks(whole, 0.125)
-    assert count == whole_count
-    assert np.array_equal(centers, whole_centers)
-    assert np.array_equal(centers, whole.point_at(arcs))
-    if end == 0.875:
-        # the last center sits half a disk before the end and is counted
-        assert count == 4 and arcs[-1] == end - 0.0625
-    else:
-        # the center placed in the last half disk is not counted
-        assert count == 3 and packing.placed == 4
 
 
 def test_budget_names_the_first_step_over_it(monkeypatch):
