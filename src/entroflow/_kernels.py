@@ -6,7 +6,10 @@ its d_n distance to every previously accepted point exceeds delta.
 Distances are evaluated on precomputed orbit representative tables:
   prim: (n, N, C) primary chart coordinates per iterate,
   reps: (n, N, R, C) the other representatives of each point (R=0 on the
-        torus, R=2 on a mapping torus: one lift through each seam side).
+        torus; on a mapping torus R=2, one lift through each seam side,
+        except that SampleCloud.rep_table gives R=0 when no lift comes
+        within its largest radius of any point at any iterate: a pair
+        then conflicts exactly as it does through prim alone).
 A point is always its own representative.  The pair distance is
 symmetrized: a pair (i, j) conflicts at (n, delta) when, at every iterate
 below n, the least of |prim_i - prim_j|^2, min_r |prim_i - reps_j,r|^2 and
@@ -36,7 +39,7 @@ shift - span exceeds the padded radius at every iterate below n, on some
 unwrapped axis, is dropped; the bound is first lowered by RADIUS_PAD's
 relative term times shift + span, which covers the rounding of both.  So
 no conflict decision changes.  On a product box under a roof of 1 both
-seam lifts go and only prim is compared with prim.
+seam lifts would go; SampleCloud does not build them there at all.
 
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it, and the ordered greedy runs over that graph
@@ -245,13 +248,20 @@ class _Tree:
         self.pairs = (0, root, root)
         leaf = self.levels[-1]
         nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
+        shape = (prim.shape[0], leaf.size - 1, prim.shape[2])
         boxes = []
         for x in self.sets:
-            x = np.take(x, self.perm, axis=1)
-            off = _offsets(x, leaf, nid, 1, wrap)
-            lo = np.minimum.reduceat(off, leaf[:-1], axis=1)
-            hi = np.maximum.reduceat(off, leaf[:-1], axis=1)
-            boxes.append((x[:, leaf[:-1]] + 0.5 * (lo + hi), 0.5 * (hi - lo)))
+            # one iterate at a time, the same arithmetic on an (N, C)
+            # working set rather than (n, N, C) temporaries
+            c, h = np.empty(shape), np.empty(shape)
+            for k in range(shape[0]):
+                xk = np.take(x[k], self.perm, axis=0)
+                off = _offsets(xk, leaf, nid, 0, wrap)
+                lo = np.minimum.reduceat(off, leaf[:-1], axis=0)
+                hi = np.maximum.reduceat(off, leaf[:-1], axis=0)
+                c[k] = xk[leaf[:-1]] + 0.5 * (lo + hi)
+                h[k] = 0.5 * (hi - lo)
+            boxes.append((c, h))
         self.boxes = [boxes]
         for _ in range(len(self.levels) - 1):
             self.boxes.insert(0, [self._merge(c, h) for c, h in self.boxes[0]])
@@ -583,6 +593,11 @@ def _is_permutation(order, N):
     return bool(seen.all())
 
 
+def padded_radius(delta):
+    """The search radius for delta, padded by RADIUS_PAD."""
+    return delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]
+
+
 def _near_sets(prim, reps, wrap, r2):
     """Indices of the other representative sets that may come within
     sqrt(r2) of prim.
@@ -604,15 +619,16 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     """Accepted indices of the greedy separated/covering pass.
 
     prim: (n_max, N, C); reps: (n_max, N, R, C), the other representatives
-    of each point (none on the torus); order: a permutation of range(N),
-    else ValueError, as for n outside 1..n_max and a delta that is not
-    positive and finite.  Accept iff d_n to all previously accepted >
-    delta; the accepted set is maximal: every unaccepted point sits within
-    delta of an accepted one.  Representative sets that _near_sets rules
-    out are dropped first.  Over read-only tables the tree order and the
-    listed conflict graph are kept (_kept_state), and a later call at a
-    larger n on the same tables and delta filters the graph instead of
-    searching the tree.
+    of each point (none on the torus, nor on a mapping-torus cloud that no
+    seam lift comes near: see SampleCloud.rep_table); order: a permutation
+    of range(N), else ValueError, as for n outside 1..n_max and a delta
+    that is not positive and finite.  Accept iff d_n to all previously
+    accepted > delta; the accepted set is maximal: every unaccepted point
+    sits within delta of an accepted one.  Representative sets that
+    _near_sets rules out are dropped first.  Over read-only tables the
+    tree order and the listed conflict graph are kept (_kept_state), and a
+    later call at a larger n on the same tables and delta filters the
+    graph instead of searching the tree.
     """
     n = int(n)
     if n < 1 or n > prim.shape[0]:
@@ -628,7 +644,7 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
         raise ValueError("order must be a permutation of the cloud indices")
     if order.size == 0:
         return np.zeros(0, dtype=np.int64)
-    r2 = (delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]) ** 2
+    r2 = padded_radius(delta) ** 2
     state = _kept_state(prim, reps, wrap)
     keep = _near_sets(prim, reps, wrap, r2)
     if keep.size < reps.shape[2]:

@@ -83,16 +83,31 @@ class SampleCloud:
         return cached[:n]
 
     def rep_table(self, sys: SystemHandle, n):
-        """The other representatives of each orbit point, for the kernels:
-        (n, N, R, C), space.lift_reps without its first (identity) lift, so
-        R = 0 on the torus and 2 on a mapping torus; only the iterates past
-        the cached ones are lifted."""
+        """The other representatives of each orbit point, for the kernels
+        at radii up to DELTA_CAP: (n, N, R, C).
+
+        R = 0 on the torus, and on a mapping torus while space.lifts_clear
+        finds, at every iterate, that no seam lift comes within the padded
+        radius of DELTA_CAP of any point (as on product boxes and unstable
+        disks well below the roof): at any admissible delta a pair then
+        conflicts exactly when it does through prim alone, so no decision
+        moves, and no table is built that the kernel's screen would drop
+        whole.  Otherwise R = 2: the lifts of space.lift_reps without its
+        first (identity) one.  A full table lifts only the iterates past
+        the cached ones; an empty one that an extension's new iterates
+        break is rebuilt in full, as a cold cloud builds it.
+        """
         key = ("reps", sys.describe())
         cached = self._orbit_cache.get(key)
         if cached is None or cached.shape[0] < n:
             orbits = self.orbit_table(sys, n)
-            if cached is None:
-                cached = self.space.lift_reps(orbits[0])[None, :, 1:]
+            done = 0 if cached is None else cached.shape[0]
+            if cached is None or cached.shape[2] == 0:
+                radius = _kernels.padded_radius(DELTA_CAP)
+                if all(self.space.lifts_clear(orbits[i], radius) for i in range(done, n)):
+                    cached = np.empty(orbits.shape[:2] + (0, orbits.shape[2]))
+                else:
+                    cached = self.space.lift_reps(orbits[0])[None, :, 1:]
             cached = _extended(cached, n, lambda table, i: self.space.lift_reps(orbits[i])[:, 1:])
             cached.setflags(write=False)
             self._orbit_cache[key] = cached

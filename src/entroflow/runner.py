@@ -121,6 +121,8 @@ def _run_continuity(cfg, workers):
 
 
 def _run_foliation(cfg, workers):
+    # checked before the holonomy and non-expansion work it would follow
+    probe_resolution = systems._positive_whole(cfg.probe_resolution, "probe_resolution")
     handle = system_from_config(cfg.system)
     # a plain toral map has no reference flow to read
     foliation._require_center(handle)
@@ -139,7 +141,7 @@ def _run_foliation(cfg, workers):
         handle, cfg.nonexpansion_samples, cfg.horizon, cfg.rng_seed
     )
     roof = fl.roof
-    probes = handle.space.grid(cfg.probe_resolution)
+    probes = handle.space.grid(probe_resolution)
     density_rows = []
     for leaf_radius in cfg.leaf_radii:
         rep = foliation.density_check(

@@ -47,14 +47,29 @@ _CENTER_TIME_TOL = 1e-8
 
 def _whole(value, name):
     """value as an int, or a ValueError naming `name` unless it is a whole
-    number (a whole float such as 2.0 passes; NaN and inf do not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        as_float = float(value)
-    if not as_float.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(as_float)
+    number (a whole float such as 2.0 passes; NaN and inf do not, nor do a
+    string or a bool, though int and float would take "3" and True, nor
+    None or anything else float refuses)."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+        try:
+            as_float = float(value)
+        except TypeError:
+            as_float = math.nan
+        if as_float.is_integer():
+            return int(as_float)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _positive_whole(value, name):
+    """value as an int >= 1, or a ValueError naming `name`."""
+    value = _whole(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def wrap_unit(x):
@@ -128,7 +143,7 @@ class TorusSpace:
         return rng.random((count, self.dim))
 
     def grid(self, resolution):
-        resolution = _whole(resolution, "resolution")
+        resolution = _positive_whole(resolution, "resolution")
         if resolution ** self.dim > 2 ** 20:
             raise ValueError(
                 f"grid of {resolution}^{self.dim} points exceeds the 2^20 cap"
@@ -146,6 +161,11 @@ class TorusSpace:
         """Equivalent representatives per point: the point itself only."""
         pts = np.asarray(pts, dtype=float)
         return pts[..., None, :]
+
+    def lifts_clear(self, pts, radius):
+        """Whether no other representative of a point of pts comes within
+        radius of one: always, as a torus point has none."""
+        return True
 
 
 class Roof:
@@ -429,6 +449,21 @@ class MappingTorusSpace:
         slack = 1e-9 * (roof.roof_max + np.abs(ph) + np.abs(qh))
         return np.flatnonzero(~(d0 + np.abs(ph - qh) + slack < roof.roof_min))
 
+    def lifts_clear(self, pts, radius):
+        """Whether no seam lift of a point of pts comes within radius of one.
+
+        The bound of _lifted_rows over a whole cloud: each lifted chart
+        value between two points of pts is at least roof_min - span, span
+        the spread of their heights.  Less the slack _lifted_rows allows
+        for the rounding of the lifted values (1e-9 times roof_max and the
+        two heights, here the largest), that bound must exceed radius.
+        NaN heights fail the test.
+        """
+        h = np.asarray(pts, dtype=float)[:, 2]
+        roof = self.flow.roof
+        slack = 1e-9 * (roof.roof_max + 2.0 * np.abs(h).max())
+        return bool(roof.roof_min - (h.max() - h.min()) - slack > radius)
+
     def distance(self, p, q):
         """Symmetrized lift distance (min over lifts of either argument).
 
@@ -497,7 +532,7 @@ class MappingTorusSpace:
 
     def grid(self, resolution):
         """Probe grid: base resolution^2 times `resolution` height fractions."""
-        resolution = _whole(resolution, "resolution")
+        resolution = _positive_whole(resolution, "resolution")
         if resolution ** 3 > 2 ** 20:
             raise ValueError("suspension grid exceeds the 2^20 cap")
         ax = np.arange(resolution) / resolution

@@ -18,6 +18,7 @@ from entroflow.config import (
     serialize_config,
     system_from_config,
 )
+from entroflow.records import config_hash
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -30,6 +31,27 @@ def test_shipped_configs_round_trip(path):
     cfg = parse_config(data)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
+
+
+# the record id of each shipped config: a change to parsing or to the
+# canonical dict that moved one would orphan every record stored under it
+SHIPPED_IDS = {
+    "catmap_estimate": "3de949e72bd7db73a793a1df30e3d2fe8651595ed8c6850a07258d4fa8090121",
+    "continuity_center_shear": "9446c4ff4437bb55637e557b00acad4a1b0089baf7ff20c4851696577e878f13",
+    "doubling_estimate": "eae114338dc156ac03d71e26af911ddacf4d9c29f2cb2f2db43706f6edae7892",
+    "flow_family_sweep": "528b3b98766e3ddd498258551e8e7afa39929d04680d26ea54401c4aa9392d5d",
+    "foliation_check": "b552e7ec7e74f98ec5f6efeec0b6ce9bd4a84274eb2580d2394e94df6c2491d3",
+    "foliation_check_perturbed": "81baafd2111dfd65a5ab695f3042bd9b3cc0ec1f34e44a1f292dabf9748925be",
+    "growth_catmap": "8e0a191919979ba765066c16ad11f1760f1484be308501337c82c95c7b94c6fc",
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem
+)
+def test_shipped_configs_keep_their_record_ids(path):
+    cfg = parse_config(json.loads(path.read_text()))
+    assert config_hash(serialize_config(cfg)) == SHIPPED_IDS[path.stem]
 
 
 def test_unknown_top_level_key_named():

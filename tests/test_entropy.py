@@ -335,13 +335,14 @@ def test_rep_tables_hold_the_other_representatives():
         cloud = random_cloud(handle, 40, 0)
         reps = cloud.rep_table(handle, 3)
         assert reps.shape == (3, len(cloud), 0, handle.space.dim)
+    # the seam clouds reach their lifts, so they keep them
     time1 = KERNEL_SYSTEMS["suspension_time1"]()[0]
-    cloud = _seam_cloud(time1, 0)
-    orbits = cloud.orbit_table(time1, 3)
-    want = np.stack([time1.space.lift_reps(o)[:, 1:] for o in orbits])
-    reps = cloud.rep_table(time1, 3)
-    assert reps.shape == (3, len(cloud), 2, 3)
-    assert reps.tobytes() == want.tobytes()
+    for seed in range(3):
+        cloud = _seam_cloud(time1, seed)
+        want = _lift_table(time1.space, cloud.orbit_table(time1, 3))
+        reps = cloud.rep_table(time1, 3)
+        assert reps.shape == (3, len(cloud), 2, 3)
+        assert reps.tobytes() == want.tobytes()
 
 
 # --- kernel equivalence ------------------------------------------------------
@@ -701,10 +702,12 @@ def _spy_near_sets(monkeypatch):
     return kept
 
 
-def _check_both_paths(handle, cloud, ns, delta, monkeypatch):
-    """greedy_thinning equals the brute-force greedy on the join and the scan path."""
+def _check_both_paths(handle, cloud, ns, delta, monkeypatch, reps=None):
+    """greedy_thinning equals the brute-force greedy on the join and the
+    scan path, over the cloud's rep table unless reps is given."""
     prim = cloud.orbit_table(handle, max(ns))
-    reps = cloud.rep_table(handle, max(ns))
+    if reps is None:
+        reps = cloud.rep_table(handle, max(ns))
     wrap = cloud.space.wrap_mask
     orders = [np.arange(len(cloud))] + [
         np.random.default_rng(s).permutation(len(cloud)) for s in range(2)
@@ -718,14 +721,24 @@ def _check_both_paths(handle, cloud, ns, delta, monkeypatch):
                 assert got.tolist() == greedy_over(conflict, order)
 
 
+def _lift_table(space, orbits):
+    """Both seam lifts of every orbit point, read-only: the table
+    SampleCloud.rep_table builds when a lift may reach a point."""
+    reps = np.stack([space.lift_reps(o)[:, 1:] for o in orbits])
+    reps.setflags(write=False)
+    return reps
+
+
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
 def test_screen_drops_seam_lifts_on_a_product_box(time1, delta, monkeypatch):
     # box heights stay within 0.1 of 0.37 under a roof of 1: neither seam
-    # lift comes near any point, so only prim is compared with prim
+    # lift comes near any point, so only prim is compared with prim.  The
+    # cloud's own table holds no lifts (see below); the screen gets them here
     box = foliation.build_product_box(time1, np.array([0.2, 0.3, 0.37]), 0.05, 8)
     cloud = SampleCloud(time1.space, box.d_samples)
+    reps = _lift_table(time1.space, cloud.orbit_table(time1, 4))
     kept = _spy_near_sets(monkeypatch)
-    _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
+    _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch, reps)
     assert kept and all(k == [] for k in kept)
 
 
@@ -822,6 +835,165 @@ def test_screen_keeps_the_lifts_of_the_seam_clouds(monkeypatch):
                 _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, delta, np.arange(len(cloud)))
     assert len(kept) == 3 * 3 * 3 + 3 * 2
     assert all(k == [0, 1] for k in kept)
+
+
+# --- seam-clear clouds ---------------------------------------------------------
+
+
+def _diskbox_cloud(handle, kind, scale, samples):
+    """The box or disk cloud disk_vs_box_comparison builds at x = (0.2, 0.3, 0.37)."""
+    x = np.array([0.2, 0.3, 0.37])
+    if kind == "box":
+        return SampleCloud(handle.space, foliation.build_product_box(handle, x, scale, samples).d_samples)
+    seg = foliation.unstable_segment(handle, x, scale)
+    return SampleCloud(handle.space, seg.point_at(np.linspace(0.0, seg.arclength, samples)))
+
+
+@pytest.mark.parametrize("kind, samples", [("box", 8), ("disk", 300)])
+def test_seam_clear_clouds_get_no_lift_table(time1, kind, samples, monkeypatch):
+    # box and disk heights stay within 0.05 of 0.37 under a roof of 1, at
+    # every iterate of the time-1 map: no lift comes within DELTA_CAP of
+    # any point, so the table holds none, and every cell up to DELTA_CAP
+    # accepts what the full lift table and the brute-force rule accept
+    cloud = _diskbox_cloud(time1, kind, 0.05, samples)
+    prim = cloud.orbit_table(time1, 3)
+    reps = cloud.rep_table(time1, 3)
+    assert reps.shape == (3, len(cloud), 0, 3) and not reps.flags.writeable
+    lifted = _lift_table(time1.space, prim)
+    wrap = cloud.space.wrap_mask
+    orders = [np.arange(len(cloud))] + [
+        np.random.default_rng(s).permutation(len(cloud)) for s in range(2)
+    ]
+    for join_budget in (_kernels.JOIN_PAIRS_PER_NODE, 0):
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", join_budget)
+        for delta in (entropy.DELTA_CAP, 0.1, 0.05, 0.025):
+            for n in (1, 2, 3):
+                conflict = brute_force_conflicts(prim, lifted, wrap, n, delta)
+                for order in orders:
+                    want = greedy_over(conflict, order)
+                    assert _kernels.greedy_thinning(prim, reps, wrap, n, delta, order).tolist() == want
+                    assert _kernels.greedy_thinning(prim, lifted, wrap, n, delta, order).tolist() == want
+
+
+@pytest.mark.parametrize("kind, samples", [("box", 40), ("disk", 2500)])
+@pytest.mark.parametrize("scale", [0.05, 0.025])
+def test_criterion_5_clouds_get_no_lift_table(time1, kind, samples, scale):
+    # the full-size clouds of criterion 5 and of the disk-vs-box benchmark
+    cloud = _diskbox_cloud(time1, kind, scale, samples)
+    assert cloud.rep_table(time1, 3).shape == (3, len(cloud), 0, 3)
+
+
+def test_a_cloud_that_reaches_the_seam_later_gets_the_full_table(monkeypatch):
+    # heights in [0.35, 0.45] under the time-0.3 map stay clear of the seam
+    # at iterates 0 and 1 and straddle it at iterate 2: extended to n = 3,
+    # the empty table is rebuilt with every iterate lifted, bitwise as a
+    # cold cloud lifts it, and the kernel decides every cell by the lifts.
+    # The flow is not shared with other tests, as lift_reps is replaced on
+    # its space
+    flow = systems.SuspensionFlow(systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0))
+    handle = systems.TimeTMapHandle(flow, 0.3)
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([rng.random((300, 2)), rng.uniform(0.35, 0.45, (300, 1))], axis=1)
+    cold = SampleCloud(handle.space, pts).rep_table(handle, 3)
+    grown = SampleCloud(handle.space, pts)
+    assert grown.rep_table(handle, 1).shape == (1, 300, 0, 3)
+    assert grown.rep_table(handle, 2).shape == (2, 300, 0, 3)
+    lifted = []
+    lift = handle.space.lift_reps
+    monkeypatch.setattr(handle.space, "lift_reps", lambda p: lifted.append(len(p)) or lift(p))
+    reps = grown.rep_table(handle, 3)
+    assert lifted == [300] * 3
+    assert reps.shape == cold.shape == (3, 300, 2, 3)
+    assert reps.tobytes() == cold.tobytes()
+    assert reps.tobytes() == _lift_table(handle.space, grown.orbit_table(handle, 3)).tobytes()
+    # shorter tables are now views of the full one
+    assert grown.rep_table(handle, 2).shape == (2, 300, 2, 3)
+    prim = grown.orbit_table(handle, 3)
+    wrap = grown.space.wrap_mask
+    order = np.random.default_rng(1).permutation(300)
+    for n in (1, 2, 3):
+        want = brute_force_greedy(prim, reps, wrap, n, 0.2, order)
+        assert _kernels.greedy_thinning(prim, reps, wrap, n, 0.2, order).tolist() == want
+        # the lifts decide nothing before iterate 2, and some pairs there
+        without = _kernels.greedy_thinning(prim, reps[:, :, :0], wrap, n, 0.2, order).tolist()
+        assert (without == want) == (n < 3)
+
+
+def test_lifts_clear_keeps_the_rounding_slack(time1):
+    # heights spread over [0, s] with 1 - s just above the padded DELTA_CAP:
+    # 1e-9 above it is inside the slack (1e-9 times roof_max and twice the
+    # largest height), so the lifts stay; 1e-8 above it is clear
+    radius = _kernels.padded_radius(entropy.DELTA_CAP)
+    rng = np.random.default_rng(2)
+    for margin, clear in ((1e-9, False), (1e-8, True)):
+        span = 1.0 - radius - margin
+        h = np.concatenate([[0.0, span], rng.uniform(0.0, span, 98)])
+        pts = np.concatenate([rng.random((100, 2)), h[:, None]], axis=1)
+        assert time1.space.lifts_clear(pts, radius) is clear
+        cloud = SampleCloud(time1.space, pts)
+        assert cloud.rep_table(time1, 1).shape[2] == (0 if clear else 2)
+
+
+def test_a_variable_roof_is_bounded_by_its_lowest_value(flow_trig):
+    # the roof 1 + 0.2 cos(2 pi x1) is 0.8 at x1 = 0.5: q sits 0.01 below it
+    # there, its downward lift 0.01 below p at the image base.  The heights
+    # spread over 0.79, which clears roof_max = 1.2 by far more than
+    # DELTA_CAP but roof_min = 0.8 by less, so the table keeps the lifts
+    handle = systems.TimeTMapHandle(flow_trig, 1.0)
+    q = np.array([0.5, 0.3, 0.79])
+    p = np.concatenate([handle.suspension.base_map.step(q[:2]), [0.0]])
+    rng = np.random.default_rng(3)
+    others = np.concatenate([rng.random((40, 2)), rng.uniform(0.3, 0.5, (40, 1))], axis=1)
+    cloud = SampleCloud(handle.space, np.concatenate([[p, q], others]))
+    prim = cloud.orbit_table(handle, 1)
+    reps = cloud.rep_table(handle, 1)
+    assert reps.shape[2] == 2
+    wrap = cloud.space.wrap_mask
+    order = np.arange(len(cloud))
+    want = brute_force_greedy(prim, _lift_table(handle.space, prim), wrap, 1, 0.05, order)
+    assert 1 not in want
+    assert brute_force_greedy(prim, reps[:, :, :0], wrap, 1, 0.05, order) != want
+    assert _kernels.greedy_thinning(prim, reps, wrap, 1, 0.05, order).tolist() == want
+
+
+def _all_iterate_boxes(tree):
+    """The node boxes of every level with the leaf boxes built for all
+    iterates at once, the build _Tree did before it went one iterate at a
+    time; the reference for that change."""
+    leaf = tree.levels[-1]
+    nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
+    boxes = []
+    for x in tree.sets:
+        x = np.take(x, tree.perm, axis=1)
+        off = _kernels._offsets(x, leaf, nid, 1, tree.wrap)
+        lo = np.minimum.reduceat(off, leaf[:-1], axis=1)
+        hi = np.maximum.reduceat(off, leaf[:-1], axis=1)
+        boxes.append((x[:, leaf[:-1]] + 0.5 * (lo + hi), 0.5 * (hi - lo)))
+    levels = [boxes]
+    for _ in range(len(tree.levels) - 1):
+        levels.insert(0, [tree._merge(c, h) for c, h in levels[0]])
+    return levels
+
+
+@pytest.mark.parametrize("case", ["cat_map", "suspension_time1", "dense_seam"])
+def test_tree_boxes_match_the_all_iterate_build(case):
+    if case == "cat_map":
+        handle, cloud = CAT, grid_cloud(CAT, 24)
+    else:
+        handle = KERNEL_SYSTEMS["suspension_time1"]()[0]
+        cloud = _seam_cloud(handle, 0) if case == "suspension_time1" else _dense_seam_cloud(handle, 0, 300)
+    prim = cloud.orbit_table(handle, 4)
+    reps = cloud.rep_table(handle, 4)
+    assert reps.shape[2] == (0 if case == "cat_map" else 2)
+    wrap = cloud.space.wrap_mask
+    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), prim, reps, wrap)
+    want = _all_iterate_boxes(tree)
+    assert len(tree.boxes) == len(want) == len(tree.levels)
+    for got_level, want_level in zip(tree.boxes, want):
+        assert len(got_level) == len(want_level) == 1 + reps.shape[2]
+        for (gc_, gh), (wc, wh) in zip(got_level, want_level):
+            assert gc_.shape == wc.shape and gc_.tobytes() == wc.tobytes()
+            assert gh.shape == wh.shape and gh.tobytes() == wh.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import config, entropy, foliation, growth, systems
+from entroflow import config, entropy, foliation, growth, runner, systems
 from entroflow.foliation import unstable_segment
 from entroflow.growth import (
     GrowthCurve,
@@ -455,11 +456,17 @@ STEP_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+# int() and float() take a numeric string and a bool: grid("3") made 9
+# points and grid(True) one; grid("x") and grid(None) failed without
+# naming the field
+NOT_WHOLE = [1.5, math.nan, math.inf, "3", "x", True, np.True_, None, [3]]
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
 @pytest.mark.parametrize("entry", sorted(STEP_CALLS))
 def test_a_step_number_that_is_not_whole_is_rejected_by_name(entry, value):
     call, name = STEP_CALLS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(value))}$"):
         call(value)
     # a whole float runs as its integer
     assert call(2.0) == call(2)
@@ -474,14 +481,45 @@ GRID_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
 @pytest.mark.parametrize("entry", sorted(GRID_CALLS))
 def test_a_grid_resolution_that_is_not_whole_is_rejected_by_name(entry, value):
     call, name = GRID_CALLS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(value))}$"):
         call(value)
     # a whole float, as a JSON config may carry it, runs as its integer
     assert call(4.0) == call(4)
+
+
+# the grid resolutions a config carries, through the runner; each call
+# fails before any work is done
+CONFIG_GRID_CALLS = {
+    "estimate resolution": (
+        lambda v: runner.run_config(config.EstimateConfig(resolution=v), 1),
+        "resolution",
+    ),
+    "foliation-check probe_resolution": (
+        lambda v: runner.run_config(config.FoliationCheckConfig(probe_resolution=v), 1),
+        "probe_resolution",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
+@pytest.mark.parametrize("entry", sorted(CONFIG_GRID_CALLS))
+def test_a_config_resolution_that_is_not_whole_is_rejected_by_name(entry, value):
+    call, name = CONFIG_GRID_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+# grid(-2) made an empty grid
+@pytest.mark.parametrize("value", [0, -2, -2.0])
+@pytest.mark.parametrize("entry", sorted(GRID_CALLS) + sorted(CONFIG_GRID_CALLS))
+def test_a_grid_resolution_below_one_is_rejected_by_name(entry, value):
+    call, name = {**GRID_CALLS, **CONFIG_GRID_CALLS}[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {int(value)}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
