@@ -30,17 +30,6 @@ The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
 candidate with exactly the arithmetic stated.
 
-Before the tree is built, representative sets that can never come close
-are screened out.  On an unwrapped axis c (the height of a mapping torus)
-at iterate k, every pair in either direction has
-|prim_i,c - reps_j,r,c| >= shift - span, with shift = min_j
-|reps_j,r,c - prim_j,c| and span = max - min of prim_k,c.  A set whose
-shift - span exceeds the padded radius at every iterate below n, on some
-unwrapped axis, is dropped; the bound is first lowered by RADIUS_PAD's
-relative term times shift + span, which covers the rounding of both.  So
-no conflict decision changes.  On a product box under a roof of 1 both
-seam lifts would go; SampleCloud does not build them there at all.
-
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it, and the ordered greedy runs over that graph
 in rounds (_edge_greedy; Blelloch, Fineman and Shun, SPAA 2012).  A round
@@ -73,9 +62,7 @@ iterate n..n'-1, passes the rule's test for that iterate: the rule is a
 conjunction over iterates (d_n' >= d_n).  So the graph at n', filtered at
 those iterates by the same arithmetic (_conflicts on the tables' iterates
 from n on), is the graph a self-join at n' would list, and the ordered
-greedy over it accepts the same sequence.  The screen may keep fewer sets
-at n than at n', but a set it drops can never pass the test, so the
-decisions do not depend on it.
+greedy over it accepts the same sequence.
 
 Between calls the kernel keeps one state (_Kept) for one pair of
 read-only tables: the last tree order, by split iterate (n = 1 and 2
@@ -598,23 +585,6 @@ def padded_radius(delta):
     return delta * (1.0 + RADIUS_PAD[0]) + RADIUS_PAD[1]
 
 
-def _near_sets(prim, reps, wrap, r2):
-    """Indices of the other representative sets that may come within
-    sqrt(r2) of prim.
-
-    A set goes when, at every iterate, some unwrapped axis puts its
-    shift - span bound, less the rounding slack, above sqrt(r2) (see the
-    module docstring).
-    """
-    flat = ~wrap
-    p = prim[..., flat]
-    shift = np.abs(reps[..., flat] - p[:, :, None]).min(axis=1)
-    span = (p.max(axis=1) - p.min(axis=1))[:, None]
-    gap = shift - span - RADIUS_PAD[0] * (shift + span)
-    far = (gap > math.sqrt(r2)).any(axis=2).all(axis=0)
-    return np.flatnonzero(~far)
-
-
 def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     """Accepted indices of the greedy separated/covering pass.
 
@@ -624,8 +594,7 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     of range(N), else ValueError, as for n outside 1..n_max and a delta
     that is not positive and finite.  Accept iff d_n to all previously
     accepted > delta; the accepted set is maximal: every unaccepted point
-    sits within delta of an accepted one.  Representative sets that
-    _near_sets rules out are dropped first.  Over read-only tables the
+    sits within delta of an accepted one.  Over read-only tables the
     tree order and the listed conflict graph are kept (_kept_state), and a
     later call at a larger n on the same tables and delta filters the
     graph instead of searching the tree.
@@ -646,9 +615,6 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
         return np.zeros(0, dtype=np.int64)
     r2 = padded_radius(delta) ** 2
     state = _kept_state(prim, reps, wrap)
-    keep = _near_sets(prim, reps, wrap, r2)
-    if keep.size < reps.shape[2]:
-        reps = reps[:, :, keep]
 
     def conflicts_from(k):
         """The rule at iterates k..n-1 (all of them for k = 0)."""

@@ -77,7 +77,7 @@ class GrowthConfig:
     delta: float = 0.02
     N_schedule: tuple = (4, 5, 6, 7, 8, 9, 10)
     spacing: float = 0.0
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    vertex_budget: int | None = DEFAULT_VERTEX_BUDGET
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,28 @@ _GRID_PARAMS = ("delta", "epsilon", "n", "t")
 _GRID_KINDS = {"epsilon": ("perturbed",), "t": ("time_t", "perturbed")}
 
 
+#: the JSON values each field annotation takes, and how an error names
+#: them; bool, a subclass of int, is rejected everywhere
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "tuple": ((list, tuple), "a list"),
+}
+
+
+def _check_type(f, value, context):
+    """Reject a value whose JSON type does not fit the field's annotation."""
+    if f.type not in _JSON_TYPES:
+        return
+    types, what = _JSON_TYPES[f.type]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(
+            f"config key {context}{f.name!r} must be {what}, got {type(value).__name__} {value!r}"
+        )
+
+
 def _parse_fields(cls, data, context):
     if not isinstance(data, dict):
         raise ValueError(f"config section {context or 'top level'} must be an object")
@@ -165,6 +187,7 @@ def _parse_fields(cls, data, context):
         if f.name not in data:
             continue
         value = data[f.name]
+        _check_type(f, value, context)
         if f.name == "system":
             kwargs[f.name] = _parse_fields(SystemConfig, value, context + "system.")
         elif isinstance(value, (list, tuple)):

@@ -91,11 +91,11 @@ class SampleCloud:
         radius of DELTA_CAP of any point (as on product boxes and unstable
         disks well below the roof): at any admissible delta a pair then
         conflicts exactly when it does through prim alone, so no decision
-        moves, and no table is built that the kernel's screen would drop
-        whole.  Otherwise R = 2: the lifts of space.lift_reps without its
-        first (identity) one.  A full table lifts only the iterates past
-        the cached ones; an empty one that an extension's new iterates
-        break is rebuilt in full, as a cold cloud builds it.
+        moves; this is the kernel's only seam-lift screen.  Otherwise
+        R = 2: the lifts of space.lift_reps without its first (identity)
+        one.  A full table lifts only the iterates past the cached ones; an
+        empty one that an extension's new iterates break is rebuilt in
+        full, as a cold cloud builds it.
         """
         key = ("reps", sys.describe())
         cached = self._orbit_cache.get(key)

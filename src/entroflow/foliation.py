@@ -7,7 +7,10 @@ covering-radius surrogate for density of center-saturated unstable leaves.
 
 Leaves are exact eigenlines on the torus.  On a mapping torus the unstable
 leaf of a time-t map is the base eigenline plus a geometrically convergent
-height series (zero for constant roofs).  Perturbed maps share the leaves
+height series (zero for constant roofs).  One routine refines polylines:
+the bisection passes of refine_step, which grow unstable disks under the
+map and, on eigenline parameters under the closed form, build the curved
+leaves of a variable roof.  Perturbed maps share the leaves
 of their reference: both shear shapes move a point by an amount that
 depends on its height alone, so they carry each horizontal eigenline
 segment {(x + tau v, h)} onto another by a translation, and the reference
@@ -235,18 +238,14 @@ def _suspension_leaf_points(fl, x, taus, stable=False):
 
 
 def _eigenline_segment(sys, fl, x, radius, spacing, stable):
-    """Closed-form leaf segment: uniform eigenline grid, marched when the
-    variable-roof height series stretches arclength past the parameter."""
+    """Closed-form leaf segment: a uniform eigenline grid, whose parameter
+    is arclength; under a variable roof, whose height series bends the
+    leaf, each side is refined by the passes of refine_step (_leaf_side)."""
     kind = "stable" if stable else "unstable"
     if fl is not None and not fl.roof.is_constant:
-        taus = _arc_march(
-            lambda t: _suspension_leaf_points(fl, x, t, stable=stable),
-            fl.space,
-            radius,
-            spacing,
-        )
-        pts = _suspension_leaf_points(fl, x, taus, stable=stable)
-        return _segment(kind, sys.space, pts, spacing)
+        neg = _leaf_side(fl, x, radius, spacing, stable, -1.0)
+        pos = _leaf_side(fl, x, radius, spacing, stable, 1.0)
+        return _segment(kind, sys.space, np.concatenate([neg[:0:-1], pos]), spacing)
     count = int(math.ceil(2.0 * radius / spacing))
     taus = np.linspace(-radius, radius, count + 1)
     if fl is not None:
@@ -259,40 +258,58 @@ def _eigenline_segment(sys, fl, x, radius, spacing, stable):
     return _segment(kind, sys.space, pts, spacing, arc_coords=taus + radius)
 
 
-def _arc_march(curve, space, radius, spacing):
-    """Parameter samples reaching chord arclength `radius` on both sides of
-    parameter 0, keeping every chord below `spacing`."""
+def _leaf_side(fl, x, radius, spacing, stable, sign):
+    """Vertices of one side of a variable-roof leaf, from x outward, whose
+    chords sum to radius.
 
-    def one_side(sign):
-        taus = [0.0]
-        prev = curve(np.array([0.0]))[0]
-        acc = 0.0
-        step = spacing * 0.5
-        while acc < radius - 1e-12:
-            trial_tau = taus[-1] + sign * step
-            trial = curve(np.array([trial_tau]))[0]
-            d = float(space.distance(prev, trial))
-            if d > spacing * 0.95:
-                step *= 0.5
-                if step < 1e-12:
-                    raise RuntimeError("leaf march stalled; spacing too tight")
-                continue
-            if acc + d > radius:
-                # partial final step, linearized on the local chord
-                frac = (radius - acc) / d
-                trial_tau = taus[-1] + sign * step * frac
-                trial = curve(np.array([trial_tau]))[0]
-                d = float(space.distance(prev, trial))
-            taus.append(trial_tau)
-            prev = trial
-            acc += d
-            if d < 0.4 * spacing:
-                step = min(step * 1.6, spacing * 0.9)
-        return taus
+    A uniform grid of eigenline parameters on [0, sign * radius] is
+    refined by the passes of refine_step, with parameter midpoints as
+    pre-images and the leaf's closed form as the map, so every vertex lies
+    on the leaf.  A downward seam crossing divides the parameter by the
+    eigenvalue, so the side can fall short of radius: its parameter range
+    is then extended at the speed of its last piece, and only the new part
+    is refined.  The side ends on a vertex solved on its last edge
+    (_chord_end).
+    """
+    space = fl.space
 
-    neg = one_side(-1.0)
-    pos = one_side(+1.0)
-    return np.array(neg[:0:-1] + pos)
+    def curve(t):
+        return _suspension_leaf_points(fl, x, t, stable=stable)
+
+    taus, pts, arcs = [], [], []
+    start, length, total = 0.0, float(radius), 0.0
+    while total < radius:
+        grid = start + sign * np.linspace(0.0, length, int(math.ceil(length / spacing)) + 1)
+        pre, img, keys, finals = _bisection_passes(
+            grid[:, None], lambda t: curve(t[:, 0]), lambda a, b: 0.5 * (a + b), space, spacing
+        )
+        order = _polyline_order(grid.size, keys)
+        # a later piece starts on the last vertex of the one before
+        first = 1 if taus else 0
+        taus.append(np.take(pre.pop_concatenated()[:, 0], order)[first:])
+        pts.append(np.take(img.pop_concatenated(), order, axis=0)[first:])
+        arcs.append(np.cumsum(np.concatenate([[total], _final_chords(finals, order)]))[1:])
+        piece, total = arcs[-1][-1] - total, arcs[-1][-1]
+        start = taus[-1][-1]
+        length = 1.25 * (radius - total) * length / piece + spacing
+    taus, pts = np.concatenate(taus), np.concatenate(pts)
+    arc = np.concatenate([[0.0], *arcs])
+    j = int(np.searchsorted(arc, radius)) - 1  # the last vertex short of radius
+    end = _chord_end(curve, space, taus[j], taus[j + 1], pts[j], radius - arc[j])
+    return np.concatenate([pts[: j + 1], end[None, :]])
+
+
+def _chord_end(curve, space, t0, t1, p0, target):
+    """The point of curve at chord `target` from p0, between parameters t0
+    (where the chord is shorter) and t1 (where it is not): the bracket is
+    cut into 1024 parts three times over, keeping the part of the first
+    crossing, and the chord is interpolated linearly across the last."""
+    for _ in range(3):
+        ts = np.linspace(t0, t1, 1025)
+        d = space.distance(p0[None, :], curve(ts))
+        i = int(np.clip(np.searchsorted(np.maximum.accumulate(d), target), 1, 1024))
+        t0, t1 = ts[i - 1], ts[i]
+    return curve(np.array([t0 + (t1 - t0) * (target - d[i - 1]) / (d[i] - d[i - 1])]))[0]
 
 
 def _leaf_segment(sys, x, radius, spacing, stable):
@@ -377,32 +394,52 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     chords.  Raises VertexBudgetExceeded, tagged with step_index, when the
     refined polyline would need more than `budget` vertices.
     """
-    img, keys, finals = _bisection_passes(sys, pts, spacing, budget, step_index)
-    n0 = img.parts[0].shape[0]
+    space = sys.space
+    # the pre-images go with the passes: only the images are sorted
+    img, keys, finals = _bisection_passes(
+        pts,
+        lambda p: np.atleast_2d(sys.step(p)),
+        lambda a, b: space.lerp(a, b, 0.5),
+        space,
+        spacing,
+        budget,
+        step_index,
+    )[1:]
+    order = _polyline_order(img.parts[0].shape[0], keys)
+    imgs = np.take(img.pop_concatenated(), order, axis=0)
+    return imgs, _final_chords(finals, order)
+
+
+def _polyline_order(n0, keys):
+    """Vertex ids in polyline order, from the n0 input vertices and the
+    key parts of the passes, which are dropped before the sort."""
     # the input vertices sit at fraction 0 of their own edge
     edge = np.concatenate([np.arange(n0), *(e for e, _ in keys)])
     frac = np.concatenate([np.zeros(n0, dtype=np.uint64), *(f for _, f in keys)])
-    keys.clear()  # drop the key parts before the sort
-    order = np.lexsort((frac, edge))
-    del edge, frac
-    imgs = np.take(img.pop_concatenated(), order, axis=0)
+    keys.clear()
+    return np.lexsort((frac, edge))
+
+
+def _final_chords(finals, order):
+    """The chords of the passes' final edges in polyline order."""
     # a final chord is filed under the id of its edge's first vertex
     by_id = np.empty(order.size)
     for ids, part in finals:
         by_id[ids] = part
-    return imgs, np.take(by_id, order[:-1])
+    return np.take(by_id, order[:-1])
 
 
-def _bisection_passes(sys, pts, spacing, budget, step_index):
+def _bisection_passes(pts, image, midpoint, space, spacing, budget=None, step_index=1):
     """The passes of refine_step, with every vertex kept in pass order.
 
-    Returns the images by id (_Parts), the (input edge, fraction) key
-    parts of each pass's midpoints, and the (first vertex ids, chords)
-    of the edges each pass left whole.
+    pts are the input pre-images, image maps pre-image rows to chart
+    points and midpoint(a, b) gives the pre-image midpoint of each edge.
+    Returns the pre-images and the images by id (_Parts), the (input
+    edge, fraction) key parts of each pass's midpoints, and the (first
+    vertex ids, chords) of the edges each pass left whole.
     """
-    space = sys.space
     pre = _Parts(pts)
-    img = _Parts(np.atleast_2d(sys.step(pts)))
+    img = _Parts(image(pts))
     keys = []
     finals = []
     # the edges this pass may bisect: at first edge j joins vertices j and
@@ -431,11 +468,11 @@ def _bisection_passes(sys, pts, spacing, budget, step_index):
         del good, kept
         halves = None
         if bad.size == 0:
-            return img, keys, finals
+            return pre, img, keys, finals
         if budget is not None and img.total + bad.size > budget:
             raise VertexBudgetExceeded(step_index, img.total + bad.size, budget)
-        mids = space.lerp(pre.rows(lo), pre.rows(hi), 0.5)
-        mid_imgs = np.atleast_2d(sys.step(mids))
+        mids = midpoint(pre.rows(lo), pre.rows(hi))
+        mid_imgs = image(mids)
         chords = np.empty(2 * bad.size)
         chords[0::2] = space.distance(img.rows(lo), mid_imgs)
         chords[1::2] = space.distance(mid_imgs, img.rows(hi))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -235,3 +236,52 @@ def test_serialize_is_plain_json():
     text = json.dumps(serialize_config(sweep), sort_keys=True)
     assert json.loads(text)["base"]["resolution"] == 32
     assert json.loads(text)["grid"] == {"n": [2, 4]}
+
+
+# (experiment, key, JSON value, accepted); a nested key is "system.<name>"
+TYPED_CASES = [
+    ("estimate", "resolution", 32, True),
+    ("estimate", "resolution", "32", False),
+    ("estimate", "resolution", True, False),
+    ("estimate", "resolution", 32.0, False),
+    ("estimate", "order_seed", None, False),
+    ("foliation-check", "holonomy_depth", 4.5, False),
+    ("growth", "delta", 0.05, True),
+    ("growth", "delta", 1, True),
+    ("growth", "delta", "0.05", False),
+    ("growth", "delta", False, False),
+    ("growth", "delta", None, False),
+    ("growth", "vertex_budget", None, True),
+    ("growth", "vertex_budget", 1000, True),
+    ("growth", "vertex_budget", "1000", False),
+    ("growth", "vertex_budget", 1e6, False),
+    ("growth", "system.kind", "toral", True),
+    ("growth", "system.kind", 1, False),
+    ("growth", "system.roof_constant", 1, True),
+    ("growth", "system.roof_constant", True, False),
+    ("growth", "system.matrix", [[2, 1], [1, 1]], True),
+    ("growth", "system.matrix", "[[2, 1], [1, 1]]", False),
+    ("growth", "N_schedule", [1, 2], True),
+    ("growth", "N_schedule", 2, False),
+    ("continuity", "shape", "center_shear", True),
+    ("continuity", "shape", ["center_shear"], False),
+    ("continuity", "eps_schedule", {"0": 0.0}, False),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, accepted", TYPED_CASES)
+def test_each_field_takes_its_json_type(kind, key, value, accepted):
+    # a field whose JSON type does not fit its annotation fails at parse
+    # time, by name; an int is a number, a bool is neither
+    if key.startswith("system."):
+        data = {"experiment": kind, "system": {key[len("system."):]: value}}
+        named = "system." + repr(key[len("system."):])
+    else:
+        data = {"experiment": kind, key: value}
+        named = repr(key)
+    if accepted:
+        cfg = parse_config(data)
+        assert parse_config(serialize_config(cfg)) == cfg
+    else:
+        with pytest.raises(ValueError, match=f"config key {re.escape(named)} must be"):
+            parse_config(data)

@@ -685,21 +685,7 @@ def test_an_interval_graph_in_index_order_reaches_the_finish(dense_part, monkeyp
     assert len(finishes) == 1 and 0 < finishes[0] <= 2 * N - 3
 
 
-# --- the seam-lift screen ----------------------------------------------------
-
-
-def _spy_near_sets(monkeypatch):
-    """Record the representative sets each kernel call keeps."""
-    kept = []
-    near_sets = _kernels._near_sets
-
-    def spy(*args):
-        keep = near_sets(*args)
-        kept.append(keep.tolist())
-        return keep
-
-    monkeypatch.setattr(_kernels, "_near_sets", spy)
-    return kept
+# --- far and near seam lifts ------------------------------------------------
 
 
 def _check_both_paths(handle, cloud, ns, delta, monkeypatch, reps=None):
@@ -730,16 +716,14 @@ def _lift_table(space, orbits):
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
-def test_screen_drops_seam_lifts_on_a_product_box(time1, delta, monkeypatch):
+def test_far_seam_lifts_on_a_product_box_match_brute_force(time1, delta, monkeypatch):
     # box heights stay within 0.1 of 0.37 under a roof of 1: neither seam
     # lift comes near any point, so only prim is compared with prim.  The
-    # cloud's own table holds no lifts (see below); the screen gets them here
+    # cloud's own table holds no lifts (see below); the full one is given
     box = foliation.build_product_box(time1, np.array([0.2, 0.3, 0.37]), 0.05, 8)
     cloud = SampleCloud(time1.space, box.d_samples)
     reps = _lift_table(time1.space, cloud.orbit_table(time1, 4))
-    kept = _spy_near_sets(monkeypatch)
     _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch, reps)
-    assert kept and all(k == [] for k in kept)
 
 
 def _aligned_pair_cloud(handle, span):
@@ -757,13 +741,11 @@ def _aligned_pair_cloud(handle, span):
 
 
 @pytest.mark.parametrize(
-    "span, delta, lifts_kept",
-    [(0.93, 0.05, False), (0.93, 0.1, True), (0.93, 0.2, True),
-     (0.97, 0.05, True), (0.97, 0.1, True), (0.97, 0.2, True)],
+    "span, delta", [(0.93, 0.05), (0.93, 0.1), (0.93, 0.2), (0.97, 0.05), (0.97, 0.1), (0.97, 0.2)]
 )
-def test_screen_keeps_lifts_that_can_reach_the_radius(time1, span, delta, lifts_kept, monkeypatch):
-    # the screen's bound is 1 - span against delta: at span 0.93 the pair
-    # is 0.07 apart through the lift, at span 0.97 only 0.03
+def test_lifts_that_can_reach_the_radius_decide_the_pair(time1, span, delta, monkeypatch):
+    # the pair is 1 - span apart through the lift: 0.07 at span 0.93,
+    # only 0.03 at span 0.97
     cloud = _aligned_pair_cloud(time1, span)
     prim = cloud.orbit_table(time1, 4)
     reps = cloud.rep_table(time1, 4)
@@ -772,32 +754,28 @@ def test_screen_keeps_lifts_that_can_reach_the_radius(time1, span, delta, lifts_
     identity = brute_force_conflicts(prim, reps[:, :, :0], cloud.space.wrap_mask, 4, delta)
     assert not identity[p, q]
     assert with_lifts[p, q] == (1 - span <= delta)
-    kept = _spy_near_sets(monkeypatch)
     _check_both_paths(time1, cloud, (1, 2, 4), delta, monkeypatch)
-    assert kept and all(k == ([0, 1] if lifts_kept else []) for k in kept)
 
 
-def test_a_lone_far_lift_leaves_only_prim_compared(monkeypatch):
+def test_a_lone_far_lift_leaves_only_prim_compared():
     # the only other representative sits 10 above prim on the unwrapped
-    # axis: the screen drops it, and the pairs still conflict through prim
+    # axis, and the pairs still conflict through prim
     rng = np.random.default_rng(0)
     prim = np.stack([rng.random((200, 2)) for _ in range(3)])
     reps = (prim + np.array([0.0, 10.0]))[:, :, None, :]
     wrap = np.array([True, False])
     order = rng.permutation(200)
-    kept = _spy_near_sets(monkeypatch)
     for n in (1, 3):
         got = _kernels.greedy_thinning(prim, reps, wrap, n, 0.2, order)
         assert got.tolist() == brute_force_greedy(prim, reps, wrap, n, 0.2, order)
         assert got.tolist() == brute_force_greedy(prim, reps[:, :, :0], wrap, n, 0.2, order)
         assert 0 < got.size < order.size
-    assert kept == [[], []]
 
 
-def test_screen_keeps_a_set_that_is_near_at_one_iterate():
+def test_a_set_near_at_one_iterate_decides_the_pair():
     # points 0 and 1 are close through prim at iterate 0 and only through
-    # the second set at iterate 1; that set is 10 away at iterate 0 but must
-    # stay, as the pair conflicts through different sets at each iterate
+    # the second set at iterate 1; that set is 10 away at iterate 0, and
+    # the pair conflicts through different sets at each iterate
     prim = np.array([[[0.1, 0.0], [0.1, 0.01], [0.7, 0.5]], [[0.1, 0.0], [0.6, 0.0], [0.3, 0.5]]])
     shifted = prim + np.array([[[0.0, 10.0]], [[0.5, 0.0]]])
     reps = shifted[:, :, None, :]
@@ -807,34 +785,24 @@ def test_screen_keeps_a_set_that_is_near_at_one_iterate():
     assert _kernels.greedy_thinning(prim, reps, wrap, 2, 0.05, order).tolist() == [0, 2]
 
 
-def test_screen_slack_covers_the_rounding_of_its_bound():
-    # at magnitude 2e8 one ulp is 3e-8: shift rounds 2e8 + 0.05 up, so
-    # shift - span reads 0.05 + 1.2e-8, above the padded radius, while
-    # point 1's representative is exactly delta from point 0
+def test_a_representative_exactly_delta_away_at_a_large_magnitude():
+    # at magnitude 2e8 one ulp is 3e-8, far above the absolute radius pad,
+    # while point 1's representative is exactly delta from point 0
     S, delta = 2e8, 0.05
     prim = np.array([[[0.0], [S]]])
     reps = np.array([[[-(S + delta)], [-delta]]])[:, :, None, :]
     wrap = np.array([False])
-    assert (S + delta) - S > delta * (1 + _kernels.RADIUS_PAD[0]) + _kernels.RADIUS_PAD[1]
     order = np.arange(2)
     assert brute_force_greedy(prim, reps, wrap, 1, delta, order) == [0]
     assert _kernels.greedy_thinning(prim, reps, wrap, 1, delta, order).tolist() == [0]
 
 
-def test_screen_keeps_the_lifts_of_the_seam_clouds(monkeypatch):
+def test_the_seam_clouds_get_the_full_lift_table():
     # the lift tests above must keep exercising the seam lifts
     handle, make_cloud = KERNEL_SYSTEMS["suspension_time1"]()
-    kept = _spy_near_sets(monkeypatch)
-    clouds = [(make_cloud(handle, s), (0.05, 0.1, 0.2)) for s in range(3)]
-    clouds.append((_dense_seam_cloud(handle, 0, 700), (0.05, 0.02)))
-    for cloud, deltas in clouds:
-        prim = cloud.orbit_table(handle, 4)
-        reps = cloud.rep_table(handle, 4)
-        for n in (1, 2, 4):
-            for delta in deltas:
-                _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, delta, np.arange(len(cloud)))
-    assert len(kept) == 3 * 3 * 3 + 3 * 2
-    assert all(k == [0, 1] for k in kept)
+    clouds = [make_cloud(handle, s) for s in range(3)] + [_dense_seam_cloud(handle, 0, 700)]
+    for cloud in clouds:
+        assert cloud.rep_table(handle, 4).shape == (4, len(cloud), 2, 3)
 
 
 # --- seam-clear clouds ---------------------------------------------------------
@@ -1215,7 +1183,7 @@ def test_carried_graph_matches_brute_force_across_gaps(case, monkeypatch):
     prim, reps, wrap = _carry_tables(case)
     joins = _count_joins(monkeypatch)
     if case == "suspension_time1":
-        assert _kernels._near_sets(prim, reps, wrap, 0.1**2).tolist() == [0, 1]
+        assert reps.shape[2] == 2
     for delta in (0.1, 0.05):
         for n in (1, 2, 3, 5, 8):
             conflict = brute_force_conflicts(prim, reps, wrap, n, delta)

@@ -331,6 +331,59 @@ SHEARS = {
 }
 
 
+def _dense_arc_to(fl, x, stable, sign, radius, end):
+    """Arclength of the closed-form leaf from x to its point `end`, by the
+    chords of a uniform grid of 10^5 eigenline parameters on
+    [0, 3 * sign * radius]; the distance from `end` to the grid chord it
+    is projected on, over that chord's sagitta at curvature 100; and the
+    number of seams the leaf crosses before it (a grid step whose chart
+    heights jump by more than half)."""
+    space = fl.space
+    taus = sign * np.linspace(0.0, 3.0 * radius, 10**5)
+    dense = _suspension_leaf_points(fl, x, taus, stable=stable)
+    arc = np.concatenate([[0.0], np.cumsum(space.distance(dense[:-1], dense[1:]))])
+    i = min(int(np.argmin(space.distance(dense, end[None, :]))), taus.size - 2)
+    step = space.displacement(dense[i : i + 1], dense[i + 1 : i + 2])[0]
+    to_end = space.displacement(dense[i : i + 1], end[None, :])[0]
+    along = float(to_end @ step) / float(np.linalg.norm(step))
+    off = float(np.linalg.norm(to_end - along * step / np.linalg.norm(step)))
+    sagitta = 100.0 * float(step @ step) / 8.0
+    crossings = int(np.count_nonzero(np.abs(np.diff(dense[: i + 2, 2])) > 0.5))
+    return arc[i] + along, off / sagitta, crossings
+
+
+@pytest.mark.parametrize("stable", [False, True])
+@pytest.mark.parametrize("radius", [0.05, 0.5, 8.0])
+@pytest.mark.parametrize("x", [(0.2, 0.3, 0.37), (0.7, 0.1, 0.9), (0.5, 0.5, 0.99)])
+def test_variable_roof_leaf_sides_have_arclength_radius(x, radius, stable, flow_trig):
+    # every chord within the spacing and none degenerate; each side's
+    # chords sum to radius, through x, and agree with a dense sampling of
+    # the closed-form curve.  Two things part them: the chord deficit of a
+    # curve of curvature up to 100, (100 * spacing)^2 / 24 relative, and
+    # the seams.  The chart distance takes the nearer lift, and a seam
+    # lift scales the base by the eigenvalue, so an edge across a seam is
+    # measured in one sheet's chart while the dense steps measure each
+    # part in its own: that edge may differ by (lambda - 1) * spacing
+    sys = TimeTMapHandle(flow_trig, 1.0)
+    fl = sys.reference_flow
+    spacing = min(radius / 20.0, 0.002)
+    build = stable_segment if stable else unstable_segment
+    seg = build(sys, np.array(x), radius, spacing=spacing)
+    assert float(np.max(seg.chords)) <= spacing
+    assert float(np.min(seg.chords)) >= 1e-6 * spacing
+    center = _canonical_point(sys, np.array(x))
+    at_x = np.flatnonzero(np.all(seg.points == center, axis=1))
+    assert at_x.size == 1
+    sides = {-1.0: (seg.arc_coords[at_x[0]], seg.points[0]),
+             1.0: (seg.arclength - seg.arc_coords[at_x[0]], seg.points[-1])}
+    for sign, (length, end) in sides.items():
+        assert abs(length - radius) <= 1e-9
+        dense, off, crossings = _dense_arc_to(fl, center, stable, sign, radius, end)
+        assert off <= 1.0
+        bound = 1e-4 * radius + crossings * (LAMBDA - 1.0) * spacing + 1e-9
+        assert abs(dense - length) <= bound
+
+
 def eigenline_offsets(space, through, pts, v):
     """Worst offset of pts from the horizontal line through + tau*v,
     perpendicular to v in the base and in height."""
