@@ -280,15 +280,14 @@ def _leaf_side(fl, x, radius, spacing, stable, sign):
     start, length, total = 0.0, float(radius), 0.0
     while total < radius:
         grid = start + sign * np.linspace(0.0, length, int(math.ceil(length / spacing)) + 1)
-        pre, img, keys, finals = _bisection_passes(
+        pre, img, chords = _bisection_passes(
             grid[:, None], lambda t: curve(t[:, 0]), lambda a, b: 0.5 * (a + b), space, spacing
         )
-        order = _polyline_order(grid.size, keys)
         # a later piece starts on the last vertex of the one before
         first = 1 if taus else 0
-        taus.append(np.take(pre.pop_concatenated()[:, 0], order)[first:])
-        pts.append(np.take(img.pop_concatenated(), order, axis=0)[first:])
-        arcs.append(np.cumsum(np.concatenate([[total], _final_chords(finals, order)]))[1:])
+        taus.append(pre[first:, 0])
+        pts.append(img[first:])
+        arcs.append(np.cumsum(np.concatenate([[total], chords]))[1:])
         piece, total = arcs[-1][-1] - total, arcs[-1][-1]
         start = taus[-1][-1]
         length = 1.25 * (radius - total) * length / piece + spacing
@@ -351,30 +350,7 @@ def stable_segment(sys, x, radius, spacing=None):
 # polyline refinement
 
 
-class VertexBudgetExceeded(RuntimeError):
-    """Raised when refinement would push a grown polyline past the budget.
-
-    Attributes record how far the growth got so callers can shorten the
-    schedule instead of guessing.
-    """
-
-    def __init__(self, step_index, needed, budget):
-        self.reached_step = int(step_index) - 1
-        self.step_index = int(step_index)
-        self.needed = int(needed)
-        self.budget = int(budget)
-        super().__init__(
-            f"vertex budget {budget} exceeded at growth step {step_index} "
-            f"(needs {needed} vertices); completed {self.reached_step} steps"
-        )
-
-    def __reduce__(self):
-        # rebuilt from the constructor's arguments, so that the error
-        # survives the pickling back from a forked worker
-        return type(self), (self.step_index, self.needed, self.budget)
-
-
-def refine_step(sys, pts, spacing, budget=None, step_index=1):
+def refine_step(sys, pts, spacing):
     """One forward step of a polyline with adaptive midpoint insertion.
 
     Every pre-image edge whose image chord exceeds `spacing` is bisected
@@ -382,170 +358,59 @@ def refine_step(sys, pts, spacing, budget=None, step_index=1):
     refined polyline stays on the image curve and chord error is set by
     the local stretch of the map, not by curvature estimates.  Image gaps
     halve each pass, so the loop ends after about log2 of the expansion
-    factor passes; only the edges a pass creates are measured.
-
-    Passes only append: vertex ids number the input vertices, then each
-    pass's midpoints, and an edge is a pair of ids.  The vertices are put
-    in polyline order once at the end, by a dyadic key: the input edge a
-    vertex lies on, then its position along that edge as a 64-bit binary
-    fraction.
+    factor passes (_bisection_passes).
 
     Returns (images, chords): the refined image polyline and its edge
-    chords.  Raises VertexBudgetExceeded, tagged with step_index, when the
-    refined polyline would need more than `budget` vertices.
+    chords.  No vertex count is bounded here: the streamed growth checks
+    its budget over the pieces it grows.
     """
     space = sys.space
-    # the pre-images go with the passes: only the images are sorted
-    img, keys, finals = _bisection_passes(
+    return _bisection_passes(
         pts,
         lambda p: np.atleast_2d(sys.step(p)),
         lambda a, b: space.lerp(a, b, 0.5),
         space,
         spacing,
-        budget,
-        step_index,
     )[1:]
-    order = _polyline_order(img.parts[0].shape[0], keys)
-    imgs = np.take(img.pop_concatenated(), order, axis=0)
-    return imgs, _final_chords(finals, order)
 
 
-def _polyline_order(n0, keys):
-    """Vertex ids in polyline order, from the n0 input vertices and the
-    key parts of the passes, which are dropped before the sort."""
-    # the input vertices sit at fraction 0 of their own edge
-    edge = np.concatenate([np.arange(n0), *(e for e, _ in keys)])
-    frac = np.concatenate([np.zeros(n0, dtype=np.uint64), *(f for _, f in keys)])
-    keys.clear()
-    return np.lexsort((frac, edge))
+def _bisection_passes(pre, image, midpoint, space, spacing):
+    """The passes of refine_step, in polyline order throughout.
 
-
-def _final_chords(finals, order):
-    """The chords of the passes' final edges in polyline order."""
-    # a final chord is filed under the id of its edge's first vertex
-    by_id = np.empty(order.size)
-    for ids, part in finals:
-        by_id[ids] = part
-    return np.take(by_id, order[:-1])
-
-
-def _bisection_passes(pts, image, midpoint, space, spacing, budget=None, step_index=1):
-    """The passes of refine_step, with every vertex kept in pass order.
-
-    pts are the input pre-images, image maps pre-image rows to chart
+    pre are the input pre-images, image maps pre-image rows to chart
     points and midpoint(a, b) gives the pre-image midpoint of each edge.
-    Returns the pre-images and the images by id (_Parts), the (input
-    edge, fraction) key parts of each pass's midpoints, and the (first
-    vertex ids, chords) of the edges each pass left whole.
+    Each pass bisects the edges whose chord exceeds spacing, measures the
+    two halves of each and writes the midpoints in after their edge's
+    first vertex (_interleaved).  Returns (pre-images, images, chords).
     """
-    pre = _Parts(pts)
-    img = _Parts(image(pts))
-    keys = []
-    finals = []
-    # the edges this pass may bisect: at first edge j joins vertices j and
-    # j + 1; later they are the halves of the last pass's bisected edges,
-    # all of dyadic width 2 * half
-    chords = _chords(space, img.parts[0])
-    halves = None
-    half = np.uint64(1 << 63)
+    img = image(pre)
+    chords = _chords(space, img)
     for _ in range(64):
-        over = chords > spacing
-        # vertex and edge ids in int32 while every id of this pass fits
-        fits = img.total + over.size <= np.iinfo(np.int32).max
-        ids = np.arange(over.size, dtype=np.int32 if fits else np.int64)
-        bad, good = ids[over], ids[~over]
-        kept = chords[good]
-        # the chords are measured: free them before the edges are built
-        del ids, over, chords
-        if halves is None:
-            finals.append((good, kept))
-            lo, hi, edge, frac = bad, bad + 1, bad, np.zeros(bad.size, np.uint64)
-        else:
-            finals.append((halves.lo_ids(good), kept))
-            lo, hi, edge, frac = halves.edges(bad)
-        # the last pass's halves are spent too: free them before the step
-        # allocates its temporaries
-        del good, kept
-        halves = None
+        bad = np.flatnonzero(chords > spacing)
         if bad.size == 0:
-            return pre, img, keys, finals
-        if budget is not None and img.total + bad.size > budget:
-            raise VertexBudgetExceeded(step_index, img.total + bad.size, budget)
-        mids = midpoint(pre.rows(lo), pre.rows(hi))
+            return pre, img, chords
+        mids = midpoint(np.take(pre, bad, axis=0), np.take(pre, bad + 1, axis=0))
         mid_imgs = image(mids)
-        chords = np.empty(2 * bad.size)
-        chords[0::2] = space.distance(img.rows(lo), mid_imgs)
-        chords[1::2] = space.distance(mid_imgs, img.rows(hi))
-        halves = _Halves(lo, hi, edge, frac, img.total, half)
-        keys.append((edge, frac + half))
-        pre.append(mids)
-        img.append(mid_imgs)
-        half >>= np.uint64(1)
+        chords[bad] = space.distance(np.take(img, bad, axis=0), mid_imgs)
+        right = space.distance(mid_imgs, np.take(img, bad + 1, axis=0))
+        # midpoint i lands after the i earlier ones, behind its edge
+        at = bad + np.arange(1, bad.size + 1)
+        old = np.ones(img.shape[0] + bad.size, dtype=bool)
+        old[at] = False
+        pre = _interleaved(pre, mids, old, at)
+        img = _interleaved(img, mid_imgs, old, at)
+        # edge k of the result starts on vertex k: the right halves start
+        # on the midpoints, every other edge on an old vertex
+        chords = _interleaved(chords, right, old[:-1], at)
     raise RuntimeError("midpoint refinement failed to settle in 64 passes")
 
 
-class _Parts:
-    """Append-only rows addressed by id: the first part's rows, then the
-    second's, and so on; nothing is copied until the end."""
-
-    def __init__(self, first):
-        self.parts = [first]
-        self.starts = [0]
-        self.total = first.shape[0]
-
-    def append(self, rows):
-        self.parts.append(rows)
-        self.starts.append(self.total)
-        self.total += rows.shape[0]
-
-    def rows(self, ids):
-        if len(self.parts) == 1:
-            return np.take(self.parts[0], ids, axis=0)
-        out = np.empty((ids.size, self.parts[0].shape[1]))
-        part_of = np.searchsorted(self.starts, ids, side="right") - 1
-        for i, (part, start) in enumerate(zip(self.parts, self.starts)):
-            sel = np.flatnonzero(part_of == i)
-            if sel.size:
-                out[sel] = np.take(part, ids[sel] - start, axis=0)
-        return out
-
-    def pop_concatenated(self):
-        """All rows in id order; the parts are dropped."""
-        out = np.concatenate(self.parts)
-        self.parts = []
-        return out
-
-
-class _Halves:
-    """The two halves of each edge a refinement pass bisected.
-
-    Edge i of the pass joined vertex ids lo[i] and hi[i] on input edge
-    edge[i], starting at dyadic fraction frac[i]; its midpoint got id
-    mid_start + i and fraction frac[i] + half.  Half 2i runs from lo[i]
-    to the midpoint, half 2i + 1 from the midpoint to hi[i].
-    """
-
-    def __init__(self, lo, hi, edge, frac, mid_start, half):
-        self.lo, self.hi, self.edge, self.frac = lo, hi, edge, frac
-        self.mid_start, self.half = mid_start, half
-
-    def lo_ids(self, j):
-        """Id of the first vertex of each of halves j."""
-        i = j >> 1
-        return np.where(j & 1, self.mid_start + i, self.lo[i])
-
-    def edges(self, j):
-        """(first ids, second ids, input edge, start fraction) of halves j."""
-        i = j >> 1
-        second = (j & 1).astype(bool)
-        mid = self.mid_start + i
-        frac = self.frac[i]
-        return (
-            np.where(second, mid, self.lo[i]),
-            np.where(second, self.hi[i], mid),
-            self.edge[i],
-            np.where(second, frac + self.half, frac),
-        )
+def _interleaved(rows, new, old_mask, at):
+    """rows at the True places of old_mask, in order, and new at rows `at`."""
+    out = np.empty((old_mask.size,) + rows.shape[1:])
+    out[old_mask] = rows
+    out[at] = new
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,13 @@ N.  It grows the segment depth-first in pieces of at most PIECE_VERTICES
 vertices: each piece runs through the last scheduled step, adds its
 chords to the arclength of every scheduled step it passes and is dropped
 before its right neighbour starts.  refine_step treats each edge on its
-own, and each step's arclength runs on from piece to piece as one
-sequential sum, so counts, arclengths and center arcs are the bytes the
-whole polyline gives.  count_disjoint_disks packs a whole segment and
-places the center points too.
+own and keeps every pass in polyline order, and each step's arclength
+runs on from piece to piece as one sequential sum, so counts,
+arclengths and center arcs are the bytes the whole polyline gives.  The
+vertex budget is checked there alone, on the whole polyline's vertex
+count summed over the pieces; grow_segment and refine_step bound
+nothing.  count_disjoint_disks packs a whole segment and places the
+center points too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 from . import foliation
 from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
-from .foliation import VertexBudgetExceeded
 from .systems import _whole
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -40,16 +42,38 @@ DEFAULT_VERTEX_BUDGET = 10_000_000
 PIECE_VERTICES = 1 << 14
 
 
-def grow_segment(
-    sys, seg, steps, spacing, vertex_budget=DEFAULT_VERTEX_BUDGET
-):
+class VertexBudgetExceeded(RuntimeError):
+    """Raised when a streamed growth would push the whole grown polyline
+    past its vertex budget at some step, counted over its pieces.
+
+    Attributes record how far the growth got so callers can shorten the
+    schedule instead of guessing.
+    """
+
+    def __init__(self, step_index, needed, budget):
+        self.reached_step = int(step_index) - 1
+        self.step_index = int(step_index)
+        self.needed = int(needed)
+        self.budget = int(budget)
+        super().__init__(
+            f"vertex budget {budget} exceeded at growth step {step_index} "
+            f"(needs {needed} vertices); completed {self.reached_step} steps"
+        )
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so that the error
+        # survives the pickling back from a forked worker
+        return type(self), (self.step_index, self.needed, self.budget)
+
+
+def grow_segment(sys, seg, steps, spacing):
     """Apply the map `steps` times to an unstable segment.
 
     The result is a polyline through the image with consecutive chords
-    at most `spacing`.  It is held whole, so its vertex count is bounded
-    by vertex_budget (None for no bound); unstable_rate_estimate calls it
-    one step at a time on bounded pieces, with no budget.  Zero steps
-    return the segment unchanged.
+    at most `spacing`, held whole and unbounded: only the streamed growth
+    of unstable_rate_estimate, which calls this one step at a time on
+    bounded pieces, checks a vertex budget.  Zero steps return the
+    segment unchanged.
     """
     if seg.kind != "unstable":
         raise ValueError(f"grow_segment expects an unstable segment, got {seg.kind!r}")
@@ -63,10 +87,8 @@ def grow_segment(
     if steps == 0:
         return seg
     pts = seg.points
-    for step_index in range(1, steps + 1):
-        pts, chords = foliation.refine_step(
-            sys, pts, spacing, vertex_budget, step_index
-        )
+    for _ in range(steps):
+        pts, chords = foliation.refine_step(sys, pts, spacing)
     return foliation._segment("unstable", sys.space, pts, spacing, chords=chords)
 
 
@@ -127,7 +149,8 @@ def _grow_in_pieces(sys, seed, spacing, lengths, budget):
     as one sequential sum, the arithmetic of a whole segment's arc
     coordinates.
 
-    The budget bounds the whole polyline's vertex count at each step.
+    The budget, the only one growth has, bounds the whole polyline's
+    vertex count at each step.
     totals[k] counts it over the pieces grown to step k so far; once one
     exceeds the budget no piece grows to that step again, and the pieces
     still waiting grow through the steps before it.  refine_step keeps
@@ -144,7 +167,7 @@ def _grow_in_pieces(sys, seed, spacing, lengths, budget):
             if piece.vertex_count > PIECE_VERTICES:
                 piece, *rest = _cut(piece)
                 stack.extend((p, step) for p in reversed(rest))
-            piece = grow_segment(sys, piece, 1, spacing, None)
+            piece = grow_segment(sys, piece, 1, spacing)
             step += 1
             totals[step] += piece.vertex_count - 1
             if budget is not None and totals[step] > budget:
