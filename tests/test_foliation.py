@@ -14,6 +14,7 @@ from entroflow import systems
 from entroflow.config import parse_config, system_from_config
 from entroflow.foliation import (
     DENSITY_RADIUS_BOUND,
+    _bisection_passes,
     _canonical_point,
     _lifted_density_samples,
     _nearest_distances,
@@ -213,7 +214,6 @@ def _stable_fibers_one_by_one(fl, a_samples, s_offs):
     v = base_map.stable_direction
     eig = float(v @ (base_map.matrix.astype(float) @ v))
     lip = fl.roof.lipschitz()
-    omax = float(np.max(np.abs(s_offs)))
     fibers = []
     for a in a_samples:
         offset = np.zeros(s_offs.shape)
@@ -221,10 +221,12 @@ def _stable_fibers_one_by_one(fl, a_samples, s_offs):
             bj = a[None, :2]
             scale = 1.0
             for _ in range(400):
-                if lip * omax * abs(scale) < 1e-13:
+                # each offset stops once its own term is below 1e-13
+                live = lip * np.abs(s_offs) * abs(scale) >= 1e-13
+                if not live.any():
                     break
-                disp = systems.wrap_unit(bj + (s_offs[:, None] * scale) * v[None, :])
-                offset = offset + -(fl.roof.value(bj)[0] - fl.roof.value(disp))
+                disp = systems.wrap_unit(bj + (s_offs[live, None] * scale) * v[None, :])
+                offset[live] = offset[live] + -(fl.roof.value(bj)[0] - fl.roof.value(disp))
                 bj = base_map.step(bj)
                 scale *= eig
         base = systems.wrap_unit(a[None, :2] + s_offs[:, None] * v[None, :])
@@ -244,6 +246,68 @@ def test_product_box_fibers_match_the_per_row_build(roof, delta, time1, flow_tri
         box = build_product_box(sys, np.array(x), delta, 8)
         want = _stable_fibers_one_by_one(fl, box.a_samples, box.s_offsets)
         assert box.d_samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stable", [False, True])
+@pytest.mark.parametrize("x", [(0.2, 0.3, 0.37), (0.7, 0.1, 0.9)])
+def test_a_leaf_offset_gives_the_same_point_alone_and_in_a_batch(x, stable, flow_trig):
+    # each offset truncates its own height series, so a small offset keeps
+    # its bits beside a large one (0.01 beside 8.0 once moved by 1.8e-14)
+    rng = np.random.default_rng(3)
+    taus = np.concatenate([[0.01, 8.0, -0.3, 0.0], rng.uniform(-8.0, 8.0, 24) * rng.random(24) ** 4])
+    batch = _suspension_leaf_points(flow_trig, np.array(x), taus, stable=stable)
+    for tau, point in zip(taus, batch, strict=True):
+        alone = _suspension_leaf_points(flow_trig, np.array(x), [tau], stable=stable)[0]
+        assert alone.tobytes() == point.tobytes()
+
+
+def _bisected_one_by_one(fl, x, taus, stable, spacing):
+    """Leaf parameters and points of a recursive per-edge bisection of the
+    closed-form leaf over the parameter grid taus, every point built
+    alone; an edge is split at its parameter midpoint until its chord is
+    within spacing."""
+    space = fl.space
+
+    def point(t):
+        return _suspension_leaf_points(fl, x, [t], stable=stable)[0]
+
+    def chain(ta, pa, tb, pb, depth):
+        if float(space.distance(pa, pb)) <= spacing or depth >= 64:
+            return [(tb, pb)]
+        tm = 0.5 * (ta + tb)
+        pm = point(tm)
+        return chain(ta, pa, tm, pm, depth + 1) + chain(tm, pm, tb, pb, depth + 1)
+
+    pts = [point(t) for t in taus]
+    out = [(taus[0], pts[0])]
+    for i in range(taus.size - 1):
+        out.extend(chain(taus[i], pts[i], taus[i + 1], pts[i + 1], 0))
+    return np.array([t for t, _ in out]), np.stack([p for _, p in out])
+
+
+@pytest.mark.parametrize("radius, spacing", [(1.0, 0.02), (8.0, 0.01)])
+@pytest.mark.parametrize("stable", [False, True])
+@pytest.mark.parametrize("x", [(0.2, 0.3, 0.37), (0.7, 0.1, 0.9)])
+def test_bisection_passes_match_recursive_bisection_on_a_curved_leaf(
+    x, stable, radius, spacing, flow_trig
+):
+    # the passes batch every pass's midpoints through the closed form; the
+    # reference builds each point alone, edge by edge
+    fl = flow_trig
+    x = np.array(x)
+    taus = np.linspace(-radius, radius, int(math.ceil(2.0 * radius / spacing)) + 1)
+    pre, img, chords = _bisection_passes(
+        taus[:, None],
+        lambda t: _suspension_leaf_points(fl, x, t[:, 0], stable=stable),
+        lambda a, b: 0.5 * (a + b),
+        fl.space,
+        spacing,
+    )
+    want_taus, want_pts = _bisected_one_by_one(fl, x, taus, stable, spacing)
+    assert pre[:, 0].tobytes() == want_taus.tobytes()
+    assert img.tobytes() == want_pts.tobytes()
+    assert np.array_equal(chords, fl.space.distance(want_pts[:-1], want_pts[1:]))
+    assert img.shape[0] > taus.size
 
 
 def test_product_box_delta_cap(time1):
