@@ -413,7 +413,7 @@ def _bisection_passes(pre, image, midpoint, space, spacing):
 
 
 def _interleaved(rows, new, keep, at):
-    """One fresh array holding rows at the indices keep and new at at."""
+    """A fresh array with rows placed at indices `keep` and new at indices `at`."""
     out = np.empty((keep.size + at.size,) + rows.shape[1:])
     _items(out)[keep] = _items(rows)
     _items(out)[at] = _items(new)
