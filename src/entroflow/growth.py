@@ -18,10 +18,10 @@ before its right neighbour starts.  refine_step treats each edge on its
 own and keeps every pass in polyline order, and each step's arclength
 runs on from piece to piece as one sequential sum, so counts,
 arclengths and center arcs are the bytes the whole polyline gives.  The
-vertex budget is checked there alone, on the whole polyline's vertex
-count summed over the pieces; grow_segment and refine_step bound
-nothing.  count_disjoint_disks packs a whole segment and places the
-center points too.
+streamed growth is the only place the vertex budget is checked, on the
+whole polyline's vertex count summed over the pieces; grow_segment and
+refine_step bound nothing.  count_disjoint_disks packs a whole segment
+and places the center points too.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ PIECE_VERTICES = 1 << 14
 
 
 class VertexBudgetExceeded(RuntimeError):
-    """Raised when a streamed growth would push the whole grown polyline
-    past its vertex budget at some step, counted over its pieces.
+    """Raised when the whole polyline of a streamed growth, counted over
+    its pieces, exceeds the vertex budget at some step.
 
     Attributes record how far the growth got so callers can shorten the
     schedule instead of guessing.
