@@ -24,7 +24,11 @@ iterate the boxes stay small even where late iterates have spread a node
 around the torus, so most separated pairs are dropped well above the
 leaves.  The boxes are built from prim and reps on every call, so the
 point order of the tree decides only which points share a node, never
-which pairs conflict.
+which pairs conflict.  That is why one chart serves a whole order: the
+split iterate is unwound once, relative to its first point, and a node
+that straddles that chart's cut is split as if it spanned the circle
+there; its boxes are still built from its own points, so they bound them
+and the candidates stay a superset of the conflicting pairs.
 
 The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
@@ -107,30 +111,40 @@ class _Order:
 
     Level L holds 2^L nodes; node k of level L covers the points
     perm[levels[L][k]:levels[L][k + 1]] and has children 2k and 2k + 1.
-    Nodes are split at their median along their widest axis of coords, all
-    nodes of a level by one sort.
+    Nodes are split at their median along their widest axis, all nodes of
+    a level by one sort.  The widths and medians are read in one chart: the
+    coordinates unwound once, relative to the first point.  A node may
+    straddle that chart's cut on a wrapped axis, and then looks as wide as
+    the circle there, so it may be split along another axis than in a chart
+    of its own.  That changes only which points share a node: _Tree builds
+    every box from each node's own points, so the boxes still bound them
+    and the candidates stay a superset of the conflicting pairs.
     """
 
     def __init__(self, coords, wrap):
-        N = coords.shape[0]
-        perm = np.arange(N)
+        N, C = coords.shape
+        chart = _unwind(coords - coords[:1], wrap)
+        perm, rows = np.arange(N), np.arange(0, N * C, C)
         starts = np.array([0, N], dtype=np.int64)
         self.levels = [starts]
         while -(-N // (starts.size - 1)) > LEAF_SIZE:
             sizes = np.diff(starts)
             nid = np.repeat(np.arange(sizes.size), sizes)
-            off = _offsets(np.take(coords, perm, axis=0), starts, nid, 0, wrap)
-            lo = np.minimum.reduceat(off, starts[:-1], axis=0)
-            hi = np.maximum.reduceat(off, starts[:-1], axis=0)
+            lo = np.minimum.reduceat(chart, starts[:-1], axis=0)
+            hi = np.maximum.reduceat(chart, starts[:-1], axis=0)
             span = hi - lo
             widest = np.argmax(span, axis=1)
-            node = np.arange(sizes.size)
-            w_lo, w_span = lo[node, widest], span[node, widest]
+            flat = np.arange(sizes.size) * C + widest
+            w_lo, w_span = np.take(lo, flat), np.take(span, flat)
             w_span[w_span == 0] = 1.0
-            # node id plus the offset along its widest axis scaled into
+            # node id plus the coordinate along its widest axis scaled into
             # [0, 0.5]: one sort groups the nodes and orders each of them
-            key = off[np.arange(N), widest[nid]] - w_lo[nid]
-            perm = perm[np.argsort(nid + 0.5 * key / w_span[nid])]
+            key = np.take(chart, rows + np.take(widest, nid))
+            key -= np.take(w_lo, nid)
+            key *= 0.5
+            key /= np.take(w_span, nid)
+            sort = np.argsort(key + nid)
+            perm, chart = np.take(perm, sort), np.take(chart, sort, axis=0)
             split = np.empty(2 * sizes.size + 1, dtype=np.int64)
             split[0::2] = starts
             split[1::2] = starts[:-1] + sizes // 2
@@ -209,6 +223,9 @@ def _offsets(x, starts, nid, axis, wrap):
 
 def _unwind(d, wrap):
     """d - round(d) on the wrapped axes (the last axis of d), in place."""
+    if wrap.all():
+        d -= np.rint(d)
+        return d
     for c in np.flatnonzero(wrap):
         col = d[..., c]
         col -= np.round(col)
@@ -264,12 +281,12 @@ class _Tree:
             np.minimum(half[..., a], 0.5, out=half[..., a])
         return c0 + 0.5 * (lo + hi), half
 
-    def _box(self, L, s, k, idx):
-        """Box of set s at iterate k; L=None takes idx as points."""
+    def _gather(self, L, k, idx):
+        """(centre, half) of every set of the nodes idx of level L at
+        iterate k; L=None takes idx as points, with no half."""
         if L is None:
-            return np.take(self.sets[s][k], idx, axis=0), 0.0
-        c, h = self.boxes[L][s]
-        return np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)
+            return [(np.take(x[k], idx, axis=0), None) for x in self.sets]
+        return [(np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)) for c, h in self.boxes[L]]
 
     def close(self, its, r2, La, ia, Lb, ib):
         """Positions of the pairs (ia, ib) whose boxes may hold a conflict.
@@ -281,16 +298,16 @@ class _Tree:
         parts = [s + self._close(its, r2, La, a, Lb, b) for s, (a, b) in chunks]
         return np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
 
-    def _close(self, its, r2, La, ia, Lb, ib):
-        live = np.arange(ia.size)
+    def _close(self, its, r2, La, a, Lb, b):
+        live = np.arange(a.size)
         for k in its:
-            a, b = ia[live], ib[live]
-            pa, pb = self._box(La, 0, k, a), self._box(Lb, 0, k, b)
-            best = _gap2(pa, pb, self.wrap)
-            for s in range(1, len(self.sets)):
-                best = np.minimum(best, _gap2(pa, self._box(Lb, s, k, b), self.wrap))
-                best = np.minimum(best, _gap2(pb, self._box(La, s, k, a), self.wrap))
-            live = live[best <= r2]
+            boxes_a, boxes_b = self._gather(La, k, a), self._gather(Lb, k, b)
+            best = _sq_gap(boxes_a[0], boxes_b[0], self.wrap)
+            for s in range(1, len(boxes_a)):
+                np.minimum(best, _sq_gap(boxes_a[0], boxes_b[s], self.wrap), out=best)
+                np.minimum(best, _sq_gap(boxes_b[0], boxes_a[s], self.wrap), out=best)
+            keep = np.flatnonzero(best <= r2)
+            a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
         return live
 
     def leaf_points(self, leaves):
@@ -302,21 +319,23 @@ class _Tree:
         return row, self.perm[starts[leaves][row] + np.arange(row.size) - first[row]]
 
 
-def _gap2(box_a, box_b, wrap):
-    """Squared lower bound on the distance between points of two boxes."""
-    w = _unwind(box_a[0] - box_b[0], wrap)
-    g = np.maximum(np.abs(w) - box_a[1] - box_b[1], 0.0)
-    return np.sum(g * g, axis=1)
-
-
-def _dist2(x, y, wrap, i, j):
-    """|x_i - y_j|^2 at one iterate, wrapped axes mod 1."""
-    acc = None
-    for c in range(x.shape[1]):
-        d = x[i, c] - y[j, c]
-        if wrap[c]:
-            d -= np.rint(d)
-        acc = d * d if acc is None else acc + d * d
+def _sq_gap(box_a, box_b, wrap):
+    """Squared lower bound on the distance between the points of two boxes,
+    each (centre, half) by rows: |unwind(ca - cb)| - ha - hb, clipped at 0,
+    squared and summed over the axes in order.  A box with half None is a
+    point, and two points give their squared distance."""
+    (ca, ha), (cb, hb) = box_a, box_b
+    g = _unwind(ca - cb, wrap)
+    if ha is not None or hb is not None:
+        np.abs(g, out=g)
+        for h in (ha, hb):
+            if h is not None:
+                g -= h
+        np.maximum(g, 0.0, out=g)
+    np.square(g, out=g)
+    acc = g[:, 0].copy()
+    for c in range(1, g.shape[1]):
+        acc += g[:, c]
     return acc
 
 
@@ -328,15 +347,17 @@ def _conflicts(prim, reps, wrap, delta2, i, j):
     compared with prim one way, as both directions are bitwise equal
     (d - rint(d) is odd in d), and each other representative both ways.
     """
-    live = np.arange(i.size)
+    a, b, live = i, j, np.arange(i.size)
     for it in range(prim.shape[0] - 1, -1, -1):
-        a, b = i[live], j[live]
         p = prim[it]
-        d2 = _dist2(p, p, wrap, a, b)
+        pa, pb = (np.take(p, a, axis=0), None), (np.take(p, b, axis=0), None)
+        d2 = _sq_gap(pa, pb, wrap)
         for r in range(reps.shape[2]):
             q = reps[it, :, r]
-            d2 = np.minimum(d2, np.minimum(_dist2(p, q, wrap, a, b), _dist2(p, q, wrap, b, a)))
-        live = live[d2 <= delta2]
+            qa, qb = (np.take(q, a, axis=0), None), (np.take(q, b, axis=0), None)
+            d2 = np.minimum(d2, np.minimum(_sq_gap(pa, qb, wrap), _sq_gap(pb, qa, wrap)))
+        keep = np.flatnonzero(d2 <= delta2)
+        a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
         if live.size == 0:
             break
     mask = np.zeros(i.size, dtype=bool)

@@ -964,6 +964,148 @@ def test_tree_boxes_match_the_all_iterate_build(case):
             assert gh.shape == wh.shape and gh.tobytes() == wh.tobytes()
 
 
+# --- the lean box test and conflict rule --------------------------------------
+# The references below are the box test and the rule as the kernel computed
+# them before they gathered each iterate's rows once: a squared gap summed by
+# np.sum over the axes, one gather per component, and a box or point fetched
+# per representative set.  The kernel must agree with them bit for bit.
+
+
+def _ref_gap2(box_a, box_b, wrap):
+    """Squared lower bound on the distance between points of two boxes."""
+    w = _kernels._unwind(box_a[0] - box_b[0], wrap)
+    g = np.maximum(np.abs(w) - box_a[1] - box_b[1], 0.0)
+    return np.sum(g * g, axis=1)
+
+
+def _ref_dist2(x, y, wrap, i, j):
+    """|x_i - y_j|^2 at one iterate, wrapped axes mod 1."""
+    acc = None
+    for c in range(x.shape[1]):
+        d = x[i, c] - y[j, c]
+        if wrap[c]:
+            d -= np.rint(d)
+        acc = d * d if acc is None else acc + d * d
+    return acc
+
+
+def _ref_box(tree, L, s, k, idx):
+    """Box of set s at iterate k; L=None takes idx as points."""
+    if L is None:
+        return np.take(tree.sets[s][k], idx, axis=0), 0.0
+    c, h = tree.boxes[L][s]
+    return np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)
+
+
+def _ref_box_gap2(tree, k, La, a, Lb, b):
+    """The symmetrized squared gap between the boxes of (a, b) at iterate k."""
+    pa, pb = _ref_box(tree, La, 0, k, a), _ref_box(tree, Lb, 0, k, b)
+    best = _ref_gap2(pa, pb, tree.wrap)
+    for s in range(1, len(tree.sets)):
+        best = np.minimum(best, _ref_gap2(pa, _ref_box(tree, Lb, s, k, b), tree.wrap))
+        best = np.minimum(best, _ref_gap2(pb, _ref_box(tree, La, s, k, a), tree.wrap))
+    return best
+
+
+def _ref_close(tree, its, r2, La, ia, Lb, ib):
+    live = np.arange(ia.size)
+    for k in its:
+        live = live[_ref_box_gap2(tree, k, La, ia[live], Lb, ib[live]) <= r2]
+    return live
+
+
+def _ref_pair_dist2(prim, reps, wrap, it, a, b):
+    """The symmetrized squared distance of the pairs (a, b) at iterate it."""
+    p = prim[it]
+    d2 = _ref_dist2(p, p, wrap, a, b)
+    for r in range(reps.shape[2]):
+        q = reps[it, :, r]
+        d2 = np.minimum(d2, np.minimum(_ref_dist2(p, q, wrap, a, b), _ref_dist2(p, q, wrap, b, a)))
+    return d2
+
+
+def _ref_conflicts(prim, reps, wrap, delta2, i, j):
+    live = np.arange(i.size)
+    for it in range(prim.shape[0] - 1, -1, -1):
+        live = live[_ref_pair_dist2(prim, reps, wrap, it, i[live], j[live]) <= delta2]
+        if live.size == 0:
+            break
+    mask = np.zeros(i.size, dtype=bool)
+    mask[live] = True
+    return mask
+
+
+def _lean_tables(case):
+    """(prim, reps, wrap) at n = 4: the cat-map grid (no other
+    representatives) or a seam cloud (two seam lifts)."""
+    if case == "cat_map_grid":
+        handle, cloud = CAT, grid_cloud(CAT, 24)
+    else:
+        handle = KERNEL_SYSTEMS["suspension_time1"]()[0]
+        cloud = _seam_cloud(handle, int(case[-1])) if case != "dense_seam" else _dense_seam_cloud(handle, 0, 300)
+    prim, reps = cloud.orbit_table(handle, 4), cloud.rep_table(handle, 4)
+    assert reps.shape[2] == (0 if case == "cat_map_grid" else 2)
+    return prim, reps, cloud.space.wrap_mask
+
+
+def _radii(gaps, extra):
+    """Squared radii at which some of gaps sit exactly: the 10th, 50th and
+    90th percentile values (each one of gaps itself), and extra."""
+    values = np.sort(gaps)
+    return [values[int(q * (values.size - 1))] for q in (0.1, 0.5, 0.9)] + list(extra)
+
+
+LEAN_CASES = ["cat_map_grid", "seam_cloud_0", "seam_cloud_1", "dense_seam"]
+
+
+@pytest.mark.parametrize("case", LEAN_CASES)
+def test_box_test_matches_the_reference_bit_for_bit(case):
+    # node against node at every level and point against node, at radii
+    # some gaps equal exactly: a gap one unit in the last place off the
+    # reference would move a pair across its radius
+    prim, reps, wrap = _lean_tables(case)
+    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), prim, reps, wrap)
+    its = sorted(range(4), key=lambda k: abs(k - 1))
+    rng = np.random.default_rng(0)
+    N = prim.shape[1]
+    for L in range(len(tree.levels)):
+        nodes = tree.levels[L].size - 1
+        a, b = rng.integers(0, nodes, (2, 2000))
+        points = rng.integers(0, N, 2000)
+        for La, ia in ((L, a), (None, points)):
+            for k in its:
+                want = _ref_box_gap2(tree, k, La, ia, L, b)
+                boxes_a, boxes_b = tree._gather(La, k, ia), tree._gather(L, k, b)
+                got = _kernels._sq_gap(boxes_a[0], boxes_b[0], wrap)
+                for s in range(1, len(boxes_a)):
+                    got = np.minimum(got, _kernels._sq_gap(boxes_a[0], boxes_b[s], wrap))
+                    got = np.minimum(got, _kernels._sq_gap(boxes_b[0], boxes_a[s], wrap))
+                assert got.tobytes() == want.tobytes()
+            at_split = _ref_box_gap2(tree, 1, La, ia, L, b)
+            for r2 in _radii(at_split, [_kernels.padded_radius(0.1) ** 2]):
+                got = tree._close(its, r2, La, ia, L, b)
+                assert got.tolist() == _ref_close(tree, its, r2, La, ia, L, b).tolist()
+
+
+@pytest.mark.parametrize("case", LEAN_CASES)
+def test_conflict_rule_matches_the_reference_bit_for_bit(case):
+    # the pair's largest squared distance over the iterates, taken as the
+    # radius, puts that pair exactly delta apart at one iterate and within
+    # it at the others: it must conflict, and so must every pair with the
+    # same distances
+    prim, reps, wrap = _lean_tables(case)
+    rng = np.random.default_rng(1)
+    i, j = rng.integers(0, prim.shape[1], (2, 20000))
+    worst = np.max([_ref_pair_dist2(prim, reps, wrap, it, i, j) for it in range(4)], axis=0)
+    for delta2 in _radii(worst, [0.05**2, 0.1**2, 0.2**2]):
+        want = _ref_conflicts(prim, reps, wrap, delta2, i, j)
+        assert want[worst == delta2].all()
+        assert _kernels._conflicts(prim, reps, wrap, delta2, i, j).tolist() == want.tolist()
+        for n in (1, 2):
+            got = _kernels._conflicts(prim[:n], reps[:n], wrap, delta2, i, j)
+            assert got.tolist() == _ref_conflicts(prim[:n], reps[:n], wrap, delta2, i, j).tolist()
+
+
 @pytest.mark.parametrize(
     "order",
     [
