@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import runner
+from .growth import VertexBudgetExceeded
 from .records import _SIDE_TABLES, load_record, verify_record
 
 
@@ -112,7 +113,8 @@ def main(argv=None):
             record = runner.run(
                 args.config, args.out, workers=args.workers, seed=args.seed
             )
-        except (ValueError, FileNotFoundError) as exc:
+        # 2, as for a rejected config: exit code 1 is verify's failed record
+        except (ValueError, FileNotFoundError, VertexBudgetExceeded) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         show(record)

@@ -4,8 +4,8 @@ An unstable segment iterated forward stretches exponentially along its
 leaf.  Packing the image with disjoint sub-disks in the leaf metric and
 fitting log(count) against the step number recovers the expansion rate;
 on the linear model systems the count table is an exact staircase of the
-eigenvalue.  The same counts feed the disk-versus-box comparison and the
-perturbation continuity probe.
+eigenvalue.  The same counts feed the disk-versus-box comparison, and
+a continuity run grows one curve per shear strength (runner).
 
 A packing is a function of the grown segment's arclength alone
 (disk_center_arcs), so unstable_rate_estimate keeps one running
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import foliation
-from .entropy import SampleCloud, _fork_map, _ols_line, entropy_estimate
+from .entropy import SampleCloud, _ols_line, entropy_estimate
 from .systems import _whole
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -339,41 +339,3 @@ def disk_vs_box_comparison(
         disk_estimate=disk_est,
         box_estimate=box_est,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuityCurve:
-    """Rate of each family member plus the modulus over consecutive entries."""
-
-    entries: tuple
-    modulus: float
-    curves: tuple
-
-
-def continuity_probe(family, eps_schedule, x, delta, N_schedule, workers=1):
-    """Rate curve of a one-parameter family of systems.
-
-    family maps a parameter value to a system handle; every member is
-    probed by unstable_rate_estimate at (x, delta, N_schedule) from the
-    same base chart coordinates, which for the built-in families is the
-    nearest-point transport between perturbed systems.  The modulus is
-    the largest rate jump between consecutive parameter values.
-
-    Members are independent, so workers > 1 farms them to forked
-    processes; each is deterministic, hence the curve is identical for
-    any worker count.
-    """
-    eps_values = [float(e) for e in eps_schedule]
-    if not eps_values:
-        raise ValueError("eps_schedule must be nonempty")
-    curves = _fork_map(
-        lambda eps: unstable_rate_estimate(family(eps), x, delta, N_schedule),
-        eps_values,
-        workers,
-    )
-    entries = [(eps, c.rate, c.rate_stderr) for eps, c in zip(eps_values, curves)]
-    rates = [row[1] for row in entries]
-    modulus = max(
-        (abs(b - a) for a, b in zip(rates, rates[1:])), default=0.0
-    )
-    return ContinuityCurve(tuple(entries), modulus, tuple(curves))

@@ -1,9 +1,11 @@
 """Experiment dispatch: assemble systems, run estimators, persist records.
 
-Every runner returns a JSON-serializable results payload plus the seeds
-it consumed; run() and sweep() wrap them into hashed, replayable
-records on disk.  Worker parallelism stays inside the estimators, so
-results are byte-identical for any worker count.
+Every runner returns a results payload plus the seeds it consumed;
+run() and sweep() wrap them into hashed, replayable records on disk.
+Sweep points and continuity members run one per forked worker, and a
+lone sweep point keeps every worker, so no pool starts inside another.
+Every run is deterministic, so results are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import foliation, growth, systems
 from .config import (
+    GrowthConfig,
     SweepConfig,
-    _build_shape,
     apply_grid_point,
     grid_points,
     override_seeds,
@@ -26,7 +29,7 @@ from .config import (
     serialize_config,
     system_from_config,
 )
-from .entropy import entropy_estimate, grid_cloud, random_cloud
+from .entropy import _fork_map, entropy_estimate, grid_cloud, random_cloud
 from .records import (
     ExperimentRecord,
     config_hash,
@@ -94,30 +97,39 @@ def _run_growth(cfg, workers):
         "x": list(curve.base_point),
         "N_schedule": list(cfg.N_schedule),
         "growth_table": [list(row) for row in curve.table()],
-        "center_arcs": [arc.tolist() for arc in curve.center_arcs],
+        "center_arcs": list(curve.center_arcs),
     }
     return results, {}
 
 
 def _run_continuity(cfg, workers):
-    reference = system_from_config(cfg.system)
-    shape = _build_shape(cfg.shape, cfg.harmonics, cfg.direction)
-    curve = growth.continuity_probe(
-        lambda eps: systems.PerturbedHandle(reference, eps, shape),
-        list(cfg.eps_schedule),
-        np.asarray(cfg.x, dtype=float),
-        cfg.delta,
-        list(cfg.N_schedule),
-        workers=workers,
+    """A sweep over epsilon of one perturbed growth config, one member
+    per worker; the modulus is the largest rate jump between consecutive
+    members."""
+    if cfg.system.kind != "time_t":
+        raise ValueError("reference must be a time-t map of a suspension flow")
+    if not cfg.eps_schedule:
+        raise ValueError("eps_schedule must be nonempty")
+    system = replace(
+        cfg.system,
+        kind="perturbed",
+        shape=cfg.shape,
+        harmonics=cfg.harmonics,
+        direction=cfg.direction,
     )
-    results = {
-        "entries": [list(row) for row in curve.entries],
-        "modulus": curve.modulus,
-        "member_counts": [
-            [[n, c] for n, c in member.counts] for member in curve.curves
+    base = GrowthConfig(system=system, x=cfg.x, delta=cfg.delta, N_schedule=cfg.N_schedule)
+    members = [apply_grid_point(base, {"epsilon": e}) for e in cfg.eps_schedule]
+    outs = _fork_map(lambda c: run_config(c, 1), members, workers)
+    results = [out[0] for out in outs]
+    rates = [r["rate"] for r in results]
+    return {
+        "entries": [
+            [m.system.epsilon, r["rate"], r["rate_stderr"]]
+            for m, r in zip(members, results)
         ],
-    }
-    return results, {}
+        "modulus": max((abs(b - a) for a, b in zip(rates, rates[1:])), default=0.0),
+        "member_counts": [[row[:2] for row in r["growth_table"]] for r in results],
+    }, {}
 
 
 def _run_foliation(cfg, workers):
@@ -205,14 +217,16 @@ def run(config_or_path, out_dir="runs", workers=None, seed=None):
 
     seed, when given, overrides every RNG seed in the config.  A sweep
     config runs the whole grid and returns the aggregate record.
+    workers defaults to one per core and must be at least 1.
     """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = systems._positive_whole(workers, "workers")
     cfg = config_or_path
     if isinstance(cfg, (str, os.PathLike)):
         cfg = load_config_file(cfg)
     if seed is not None:
         cfg = override_seeds(cfg, seed)
-    if workers is None:
-        workers = os.cpu_count() or 1
     if isinstance(cfg, SweepConfig):
         master, _ = sweep(cfg, out_dir, workers=workers)
         return master
@@ -222,34 +236,47 @@ def run(config_or_path, out_dir="runs", workers=None, seed=None):
     return record
 
 
+def _run_point(base, assignment, workers):
+    """The record of one sweep point, or its error as "Type: message"."""
+    try:
+        point_cfg = apply_grid_point(base, assignment)
+        return _make_record(point_cfg, *run_config(point_cfg, workers))
+    except Exception as exc:  # recorded per point, sweep continues
+        return f"{type(exc).__name__}: {exc}"
+
+
 def sweep(cfg, out_dir="runs", workers=1):
     """Run a parsed sweep grid; returns (aggregate record, point records).
 
     Every grid point gets its own hashed record; point failures are
     recorded as error strings without aborting the sweep, and the
-    aggregate CSV is always written.
+    aggregate CSV is always written.  Points run one per forked worker
+    and are written in grid order; a lone point gets every worker.
     """
     if not isinstance(cfg, SweepConfig):
         raise ValueError("sweep needs a config with experiment = 'sweep'")
     param_names = [name for name, _ in cfg.grid]
     t0 = time.perf_counter()
+    assignments = grid_points(cfg)
+    point_workers = workers if len(assignments) == 1 else 1
+    outcomes = _fork_map(
+        lambda a: _run_point(cfg.base, a, point_workers), assignments, workers
+    )
     point_records, point_rows = [], []
-    for assignment in grid_points(cfg):
+    for assignment, outcome in zip(assignments, outcomes):
         entry = {"params": dict(assignment)}
-        try:
-            point_cfg = apply_grid_point(cfg.base, assignment)
-            results, seeds, timings = run_config(point_cfg, workers)
-            record = _make_record(point_cfg, results, seeds, timings)
-            write_record(record, out_dir)
-            point_records.append(record)
+        if isinstance(outcome, str):
+            entry.update(id=None, rate=None, stderr=None, error=outcome)
+        else:
+            write_record(outcome, out_dir)
+            point_records.append(outcome)
+            results = outcome.results
             entry.update(
-                id=record.id,
+                id=outcome.id,
                 rate=results.get("rate"),
                 stderr=results.get("stderr", results.get("rate_stderr")),
                 error=None,
             )
-        except Exception as exc:  # recorded per point, sweep continues
-            entry.update(id=None, rate=None, stderr=None, error=f"{type(exc).__name__}: {exc}")
         point_rows.append(entry)
     master = _make_record(
         cfg,

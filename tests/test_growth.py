@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from entroflow.foliation import unstable_segment
 from entroflow.growth import (
     GrowthCurve,
     VertexBudgetExceeded,
-    continuity_probe,
     count_disjoint_disks,
     disk_center_arcs,
     disk_vs_box_comparison,
@@ -177,34 +177,6 @@ def test_disk_vs_box_report_consistency(time1):
     assert report.box_estimate.cloud_size <= 8 * 8 * 8
 
 
-def test_continuity_probe_commuting_family_flat(time1):
-    shape = CenterShear()
-    curve = continuity_probe(
-        lambda eps: PerturbedHandle(time1, eps, shape),
-        (0.0, 0.02),
-        (0.2, 0.3, 0.37),
-        0.05,
-        [1, 2, 3, 4, 5],
-    )
-    rates = [row[1] for row in curve.entries]
-    assert rates[0] == pytest.approx(rates[1], abs=1e-12)
-    assert curve.modulus == pytest.approx(0.0, abs=1e-12)
-    for member in curve.curves:
-        counts = [c for _, c in member.counts]
-        assert counts == sorted(counts)
-
-
-def test_continuity_probe_validation(time1):
-    shape = CenterShear()
-    family = lambda eps: PerturbedHandle(time1, eps, shape)
-    with pytest.raises(ValueError, match="nonempty"):
-        continuity_probe(family, (), (0.2, 0.3, 0.37), 0.05, [1, 2])
-    with pytest.raises(TypeError, match="wrong_key"):
-        continuity_probe(
-            family, (0.0,), x=(0.2, 0.3, 0.37), delta=0.05, N_schedule=[1, 2], wrong_key=1
-        )
-
-
 def reference_push(sys, pts, spacing):
     """Recursive per-edge bisection of one forward step.
 
@@ -316,21 +288,6 @@ def test_refine_step_matches_insert_reference(case):
         strict=True,
     ):
         assert np.array_equal(a, b)
-
-
-def test_continuity_probe_worker_count_does_not_change_curve(time1):
-    shape = CenterShear()
-    family = lambda eps: PerturbedHandle(time1, eps, shape)
-    args = ((0.0, 0.01, 0.03), (0.2, 0.3, 0.37), 0.05, [1, 2, 3, 4])
-    one = continuity_probe(family, *args)
-    two = continuity_probe(family, *args, workers=2)
-    assert one.entries == two.entries
-    assert one.modulus == two.modulus
-    for a, b in zip(one.curves, two.curves):
-        assert a.counts == b.counts
-        assert a.arclengths == b.arclengths
-        for x, y in zip(a.center_arcs, b.center_arcs, strict=True):
-            assert np.array_equal(x, y)
 
 
 def _square(v):
@@ -623,10 +580,14 @@ def _closed_form_cases():
         json.loads((CONFIG_DIR / "continuity_center_shear.json").read_text())
     )
     # the eps = 0 member: one seam crossing per step on roof 1, so K_N = N
-    eps0 = PerturbedHandle(
-        config.system_from_config(cont_cfg.system),
-        0.0,
-        config._build_shape(cont_cfg.shape, cont_cfg.harmonics, cont_cfg.direction),
+    eps0 = config.system_from_config(
+        replace(
+            cont_cfg.system,
+            kind="perturbed",
+            shape=cont_cfg.shape,
+            harmonics=cont_cfg.harmonics,
+            direction=cont_cfg.direction,
+        )
     )
     return {
         "growth_catmap": (config.system_from_config(growth_cfg.system), growth_cfg),

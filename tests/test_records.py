@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,63 @@ def test_continuity_worker_count_does_not_change_files(tmp_path):
         assert (da / name).read_bytes() == (db / name).read_bytes()
 
 
+def test_continuity_of_a_commuting_family_is_flat(tmp_path):
+    # a center shear carries each unstable leaf rigidly onto an unstable
+    # leaf, so every member packs the eps = 0 counts
+    cfg = ContinuityConfig(eps_schedule=(0.0, 0.02), delta=0.05, N_schedule=(1, 2, 3, 4, 5))
+    record = run_small(cfg, tmp_path, workers=1)
+    assert record.results["modulus"] == 0.0
+    for rows in record.results["member_counts"]:
+        counts = [c for _, c in rows]
+        assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"eps_schedule": ()}, "eps_schedule must be nonempty"),
+        ({"system": SystemConfig()}, "reference must be a time-t map of a suspension flow"),
+        (
+            {"system": SystemConfig(kind="perturbed")},
+            "reference must be a time-t map of a suspension flow",
+        ),
+    ],
+)
+def test_continuity_rejects_an_empty_schedule_or_a_reference_other_than_time_t(
+    tmp_path, change, message
+):
+    out = tmp_path / "runs"
+    with pytest.raises(ValueError, match=message):
+        run_small(replace(SMALL_CONTINUITY, **change), out, workers=1)
+    assert not out.exists()
+
+
+def test_continuity_members_equal_the_points_of_an_epsilon_sweep(tmp_path):
+    cfg = SMALL_CONTINUITY
+    record = run_small(cfg, tmp_path / "continuity", workers=2)
+    system = replace(
+        cfg.system,
+        kind="perturbed",
+        shape=cfg.shape,
+        harmonics=cfg.harmonics,
+        direction=cfg.direction,
+    )
+    base = GrowthConfig(system=system, x=cfg.x, delta=cfg.delta, N_schedule=cfg.N_schedule)
+    _, points = runner.sweep(
+        SweepConfig(base=base, grid=(("epsilon", cfg.eps_schedule),)),
+        out_dir=str(tmp_path / "sweep"),
+        workers=2,
+    )
+    results = record.results
+    assert len(points) == len(results["entries"]) == len(cfg.eps_schedule)
+    for (eps, rate, stderr), counts, point in zip(
+        results["entries"], results["member_counts"], points, strict=True
+    ):
+        assert point.config["system"]["epsilon"] == eps
+        assert (rate, stderr) == (point.results["rate"], point.results["rate_stderr"])
+        assert counts == [row[:2] for row in point.results["growth_table"]]
+
+
 def test_seed_override_changes_seeds_and_id(tmp_path):
     cfg = EstimateConfig(cloud="random", count=200, n_schedule=(1, 2, 3))
     base = run_small(cfg, tmp_path / "base", workers=1)
@@ -356,9 +414,11 @@ def test_sweep_points_share_ids_with_direct_runs(tmp_path):
     assert verify_record(tmp_path / master.id).passed
 
 
-def test_sweep_records_point_failures_and_aggregate(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_records_point_failures_and_aggregate(tmp_path, workers):
+    # at 2 workers the failing point raises inside a forked worker
     sweep_cfg = SweepConfig(base=SMALL_GROWTH, grid=(("delta", (0.05, -1.0)),))
-    master, points = runner.sweep(sweep_cfg, out_dir=str(tmp_path))
+    master, points = runner.sweep(sweep_cfg, out_dir=str(tmp_path), workers=workers)
     rows = master.results["points"]
     assert len(rows) == 2 and len(points) == 1
     assert rows[0]["error"] is None
@@ -441,6 +501,27 @@ def test_cli_run_rejects_a_nan_radius(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "delta must be positive and finite, got nan" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_run_reports_a_vertex_budget_overrun(tmp_path, capsys):
+    # exit code 1 belongs to verify's failed record
+    cfg = GrowthConfig(N_schedule=(1, 2, 3, 4, 5, 6), vertex_budget=100)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex budget 100 exceeded at growth step")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_cli_run_rejects_a_worker_count_below_one(tmp_path, capsys, workers):
+    cfg_path = write_config(tmp_path, SMALL_GROWTH)
+    out = tmp_path / "runs"
+    argv = ["run", "--config", str(cfg_path), "--out", str(out), f"--workers={workers}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
