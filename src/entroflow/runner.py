@@ -1,11 +1,11 @@
 """Experiment dispatch: assemble systems, run estimators, persist records.
 
-Every runner returns a results payload plus the seeds it consumed;
-run() and sweep() wrap them into hashed, replayable records on disk.
-Sweep points and continuity members run one per forked worker, and a
-lone sweep point keeps every worker, so no pool starts inside another.
-Every run is deterministic, so results are byte-identical for any
-worker count.
+Every runner returns a JSON-serializable results payload plus the seeds
+it consumed; run() and sweep() wrap them into hashed, replayable
+records on disk.  Continuity members run one per forked worker, each
+on one core; estimates fork their delta columns; sweep points run one
+after another, each with every worker.  Every run is deterministic, so
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _run_growth(cfg, workers):
         "x": list(curve.base_point),
         "N_schedule": list(cfg.N_schedule),
         "growth_table": [list(row) for row in curve.table()],
-        "center_arcs": list(curve.center_arcs),
+        "center_arcs": [arc.tolist() for arc in curve.center_arcs],
     }
     return results, {}
 
@@ -119,8 +119,13 @@ def _run_continuity(cfg, workers):
     )
     base = GrowthConfig(system=system, x=cfg.x, delta=cfg.delta, N_schedule=cfg.N_schedule)
     members = [apply_grid_point(base, {"epsilon": e}) for e in cfg.eps_schedule]
-    outs = _fork_map(lambda c: run_config(c, 1), members, workers)
-    results = [out[0] for out in outs]
+
+    def member(c):
+        # only what the record reads goes back, not the center arcs
+        results = run_config(c, 1)[0]
+        return {k: results[k] for k in ("rate", "rate_stderr", "growth_table")}
+
+    results = _fork_map(member, members, workers)
     rates = [r["rate"] for r in results]
     return {
         "entries": [
@@ -236,47 +241,34 @@ def run(config_or_path, out_dir="runs", workers=None, seed=None):
     return record
 
 
-def _run_point(base, assignment, workers):
-    """The record of one sweep point, or its error as "Type: message"."""
-    try:
-        point_cfg = apply_grid_point(base, assignment)
-        return _make_record(point_cfg, *run_config(point_cfg, workers))
-    except Exception as exc:  # recorded per point, sweep continues
-        return f"{type(exc).__name__}: {exc}"
-
-
 def sweep(cfg, out_dir="runs", workers=1):
     """Run a parsed sweep grid; returns (aggregate record, point records).
 
     Every grid point gets its own hashed record; point failures are
     recorded as error strings without aborting the sweep, and the
-    aggregate CSV is always written.  Points run one per forked worker
-    and are written in grid order; a lone point gets every worker.
+    aggregate CSV is always written.
     """
     if not isinstance(cfg, SweepConfig):
         raise ValueError("sweep needs a config with experiment = 'sweep'")
     param_names = [name for name, _ in cfg.grid]
     t0 = time.perf_counter()
-    assignments = grid_points(cfg)
-    point_workers = workers if len(assignments) == 1 else 1
-    outcomes = _fork_map(
-        lambda a: _run_point(cfg.base, a, point_workers), assignments, workers
-    )
     point_records, point_rows = [], []
-    for assignment, outcome in zip(assignments, outcomes):
+    for assignment in grid_points(cfg):
         entry = {"params": dict(assignment)}
-        if isinstance(outcome, str):
-            entry.update(id=None, rate=None, stderr=None, error=outcome)
-        else:
-            write_record(outcome, out_dir)
-            point_records.append(outcome)
-            results = outcome.results
+        try:
+            point_cfg = apply_grid_point(cfg.base, assignment)
+            results, seeds, timings = run_config(point_cfg, workers)
+            record = _make_record(point_cfg, results, seeds, timings)
+            write_record(record, out_dir)
+            point_records.append(record)
             entry.update(
-                id=outcome.id,
+                id=record.id,
                 rate=results.get("rate"),
                 stderr=results.get("stderr", results.get("rate_stderr")),
                 error=None,
             )
+        except Exception as exc:  # recorded per point, sweep continues
+            entry.update(id=None, rate=None, stderr=None, error=f"{type(exc).__name__}: {exc}")
         point_rows.append(entry)
     master = _make_record(
         cfg,
