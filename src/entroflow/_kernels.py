@@ -76,10 +76,10 @@ same bytes of the same prim and reps, whose owning arrays are read-only
 (SampleCloud marks its cached tables so) and held by weak references, so
 a table that is gone never matches a new one.  A call on other tables
 drops the state before anything new is built, so at most one order and
-one graph are alive, and a writable table keeps none.  A table extended
-to a larger n is a new array, so the state of the shorter one is dropped
-at the first call on it; callers that want it kept build their tables at
-the largest n first (as entropy_estimate does) and pass views of it.
+one graph are alive, and a writable table keeps none.  Its key leaves
+out the number of iterates, so views of one table at any n share it;
+callers that want it kept build their tables at the largest n first (as
+entropy_estimate does).
 """
 
 from __future__ import annotations

@@ -43,10 +43,12 @@ class SampleCloud:
     """Finite point set in a system's phase space.
 
     Points are canonical and pairwise distinct (duplicates closer than
-    1e-12 per coordinate are dropped at construction).  Orbit tables are
-    computed once per (system, n) and shared read-only: the cached arrays
-    are marked unwritable, which also lets the greedy kernel keep its tree
-    order and conflict graph between calls on them.
+    1e-12 per coordinate are dropped at construction).  Orbit and
+    representative tables are cached per system and shared read-only: a
+    request for at most the cached n is a view of the cached table, a
+    longer one builds the table afresh.  The cached arrays are marked
+    unwritable, which also lets the greedy kernel keep its tree order and
+    conflict graph between calls on views of one table.
     """
 
     def __init__(self, space, points):
@@ -65,62 +67,47 @@ class SampleCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    def orbit_table(self, sys: SystemHandle, n):
-        """(n, N, dim) iterates; cached and extended monotonically.
+    def _cached(self, key, n, build):
+        """The first n rows of the table cached under key.  A request for
+        more rows than are cached replaces the table by build(n)."""
+        table = self._orbit_cache.get(key)
+        if table is None or table.shape[0] < n:
+            table = build(n)
+            table.setflags(write=False)
+            self._orbit_cache[key] = table
+        return table[:n]
 
-        A longer table steps on from the cached last iterate, so each
-        iterate is stepped once and equals the from-scratch table bitwise.
-        """
-        key = sys.describe()
-        cached = self._orbit_cache.get(key)
-        if cached is None or cached.shape[0] < n:
-            if cached is None:
-                cached = sys.orbit_table(self.points, n)
-            else:
-                cached = _extended(cached, n, lambda table, i: sys.step(table[i - 1]))
-            cached.setflags(write=False)
-            self._orbit_cache[key] = cached
-        return cached[:n]
+    def orbit_table(self, sys: SystemHandle, n):
+        """(n, N, dim) iterates, cached per system."""
+        return self._cached(sys.describe(), n, lambda n: sys.orbit_table(self.points, n))
 
     def rep_table(self, sys: SystemHandle, n):
         """The other representatives of each orbit point, for the kernels
-        at radii up to DELTA_CAP: (n, N, R, C).
+        at radii up to DELTA_CAP: (n, N, R, C), cached per system.
 
-        R = 0 on the torus, and on a mapping torus while space.lifts_clear
+        R = 0 on the torus, and on a mapping torus when space.lifts_clear
         finds, at every iterate, that no seam lift comes within the padded
         radius of DELTA_CAP of any point (as on product boxes and unstable
         disks well below the roof): at any admissible delta a pair then
         conflicts exactly when it does through prim alone, so no decision
         moves; this is the kernel's only seam-lift screen.  Otherwise
         R = 2: the lifts of space.lift_reps without its first (identity)
-        one.  A full table lifts only the iterates past the cached ones; an
-        empty one that an extension's new iterates break is rebuilt in
-        full, as a cold cloud builds it.
+        one, at every iterate.
         """
-        key = ("reps", sys.describe())
-        cached = self._orbit_cache.get(key)
-        if cached is None or cached.shape[0] < n:
-            orbits = self.orbit_table(sys, n)
-            done = 0 if cached is None else cached.shape[0]
-            if cached is None or cached.shape[2] == 0:
-                radius = _kernels.padded_radius(DELTA_CAP)
-                if all(self.space.lifts_clear(orbits[i], radius) for i in range(done, n)):
-                    cached = np.empty(orbits.shape[:2] + (0, orbits.shape[2]))
-                else:
-                    cached = self.space.lift_reps(orbits[0])[None, :, 1:]
-            cached = _extended(cached, n, lambda table, i: self.space.lift_reps(orbits[i])[:, 1:])
-            cached.setflags(write=False)
-            self._orbit_cache[key] = cached
-        return cached[:n]
+        return self._cached(
+            ("reps", sys.describe()), n, lambda n: self._lifts(self.orbit_table(sys, n))
+        )
 
-
-def _extended(table, n, row):
-    """table with rows len(table)..n-1 appended, row i computed by row(out, i)."""
-    out = np.empty((n,) + table.shape[1:], dtype=table.dtype)
-    out[: table.shape[0]] = table
-    for i in range(table.shape[0], n):
-        out[i] = row(out, i)
-    return out
+    def _lifts(self, orbits):
+        """rep_table's table over the iterates of orbits."""
+        radius = _kernels.padded_radius(DELTA_CAP)
+        if all(self.space.lifts_clear(o, radius) for o in orbits):
+            return np.empty(orbits.shape[:2] + (0, orbits.shape[2]))
+        # filled an iterate at a time, so that the build peaks at one table
+        out = np.empty(orbits.shape[:2] + (2, orbits.shape[2]))
+        for i, o in enumerate(orbits):
+            out[i] = self.space.lift_reps(o)[:, 1:]
+        return out
 
 
 def _first_of_each_row(rows):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import count_table_violations, fit_count_table
-from .growth import fit_packing_counts
+from .growth import disk_center_arcs, fit_packing_counts
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -69,6 +69,10 @@ def _atomic_write_text(path, text):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -137,9 +141,14 @@ def load_record(path):
     if path.is_dir():
         path = path / "record.json"
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("record is not a JSON object")
     for key in ("id", "config", "results", "seeds", "timings", "version"):
         if key not in data:
             raise ValueError(f"record is missing the {key!r} field")
+    for key in ("config", "results", "seeds", "timings"):
+        if not isinstance(data[key], dict):
+            raise ValueError(f"record field {key!r} is not a JSON object")
     return ExperimentRecord(
         id=data["id"],
         config=data["config"],
@@ -214,6 +223,8 @@ def _verify_estimate(results, failures):
 
 def _verify_growth(results, failures):
     table = _require(results, "growth_table", failures)
+    delta = _require(results, "delta", failures)
+    arcs = _require(results, "center_arcs", failures)
     if table is None:
         return
     counts = [(int(r[0]), int(r[1])) for r in table]
@@ -224,60 +235,60 @@ def _verify_growth(results, failures):
             failures.append(
                 f"growth_table: count drops from {c0} to {c1} between N={n0} and N={n1}"
             )
-    for row in table:
-        n, c, logc = int(row[0]), int(row[1]), float(row[2])
-        if c > 0 and logc != math.log(c):
+    if delta is None or arcs is None:
+        return
+    if len(arcs) != len(table):
+        failures.append(f"center_arcs: {len(arcs)} rows but growth_table has {len(table)}")
+    # a packing is a function of the arclength alone; equal centers are
+    # also 4*delta apart
+    for (n, c), row, arc_row in zip(counts, table, arcs):
+        if c > 0 and float(row[2]) != math.log(c):
             failures.append(f"growth_table: log_count mismatch at N={n}")
-    delta = results.get("delta")
-    arcs = results.get("center_arcs")
-    if arcs is not None and delta is not None:
-        gap = 4.0 * float(delta) - 1e-9
-        for (n, _), arc_row in zip(counts, arcs):
-            arc_row = np.asarray(arc_row, dtype=float)
-            if arc_row.size > 1:
-                diffs = np.diff(arc_row)
-                if float(diffs.min()) < gap:
-                    j = int(np.argmin(diffs))
-                    failures.append(
-                        f"center_arcs: centers {j} and {j + 1} at N={n} are "
-                        f"{diffs[j]:.6f} apart in arc, below 4*delta"
-                    )
+        try:
+            want = disk_center_arcs(row[3], 2.0 * float(delta))
+        except ValueError as exc:
+            failures.append(f"growth_table: arclength at N={n} replays no packing: {exc}")
+            continue
+        if c != want.size:
+            failures.append(
+                f"growth_table: count at N={n} recorded as {c} "
+                f"but arclength {row[3]!r} gives {want.size}"
+            )
+        if arc_row != want.tolist():
+            failures.append(
+                f"center_arcs: centers at N={n} differ from the {want.size} "
+                f"that arclength {row[3]!r} gives"
+            )
 
 
 def _verify_continuity(results, failures):
     entries = _require(results, "entries", failures)
     modulus = _require(results, "modulus", failures)
-    if entries is None or modulus is None:
+    member_counts = _require(results, "member_counts", failures)
+    if entries is None or modulus is None or member_counts is None:
         return
-    rates = [float(r[1]) for r in entries]
-    source = "entries"
-    member_counts = results.get("member_counts")
-    if member_counts is not None:
-        # the modulus is replayed from the member fits, so a wrong entry
-        # rate is reported once, against its counts
-        rates, source = [], "member_counts"
-        if len(member_counts) != len(entries):
+    if len(member_counts) != len(entries):
+        failures.append(
+            f"member_counts: {len(member_counts)} rows but entries has {len(entries)}"
+        )
+    # the modulus is replayed from the member fits, so a wrong entry rate
+    # is reported once, against its counts
+    rates = []
+    for (eps, rate, stderr), rows in zip(entries, member_counts):
+        cs = [int(r[1]) for r in rows]
+        for a, b in zip(cs, cs[1:]):
+            if b < a:
+                failures.append(f"member_counts: count drops from {a} to {b} at epsilon={eps}")
+        want = fit_packing_counts([(int(r[0]), int(r[1])) for r in rows])
+        rates.append(want[0])
+        if (rate, stderr) != want:
             failures.append(
-                f"member_counts: {len(member_counts)} rows "
-                f"but entries has {len(entries)}"
+                f"entries: (rate, stderr) at epsilon={eps} recorded as "
+                f"{(rate, stderr)!r} but member_counts give {want!r}"
             )
-        for (eps, rate, stderr), rows in zip(entries, member_counts):
-            cs = [int(r[1]) for r in rows]
-            for a, b in zip(cs, cs[1:]):
-                if b < a:
-                    failures.append(
-                        f"member_counts: count drops from {a} to {b} at epsilon={eps}"
-                    )
-            want = fit_packing_counts([(int(r[0]), int(r[1])) for r in rows])
-            rates.append(want[0])
-            if (rate, stderr) != want:
-                failures.append(
-                    f"entries: (rate, stderr) at epsilon={eps} recorded as "
-                    f"{(rate, stderr)!r} but member_counts give {want!r}"
-                )
     expect = max((abs(b - a) for a, b in zip(rates, rates[1:])), default=0.0)
     if expect != float(modulus):
-        failures.append(f"modulus: recorded {modulus} but {source} give {expect}")
+        failures.append(f"modulus: recorded {modulus} but member_counts give {expect}")
 
 
 def _verify_foliation(results, failures):

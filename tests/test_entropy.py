@@ -303,31 +303,6 @@ def test_grid_cloud_sizes():
     assert len(grid_cloud(systems.circle_doubling(), 64)) == 64
 
 
-def test_extended_tables_step_each_iterate_once(monkeypatch):
-    # a cold cloud asked for n = 1, 2, 3, 4 steps on from its last cached
-    # iterate and lifts only the new ones; its tables are bitwise the ones
-    # a cloud computes at n = 4 in one go.  The handle is not shared with
-    # other tests, as its step and lift_reps are replaced on the instance
-    time1 = KERNEL_SYSTEMS["suspension_time1"]()[0]
-    rng = np.random.default_rng(7)
-    pts = np.concatenate([rng.random((200, 2)), rng.uniform(0.0, 1.0, (200, 1))], axis=1)
-    at_once = SampleCloud(time1.space, pts)
-    want = (at_once.orbit_table(time1, 4), at_once.rep_table(time1, 4))
-    grown = SampleCloud(time1.space, pts)
-    stepped, lifted = [], []
-    step, lift = time1.step, time1.space.lift_reps
-    monkeypatch.setattr(time1, "step", lambda p: stepped.append(len(p)) or step(p))
-    monkeypatch.setattr(time1.space, "lift_reps", lambda p: lifted.append(len(p)) or lift(p))
-    for n in (1, 2, 3, 4):
-        prim, reps = grown.orbit_table(time1, n), grown.rep_table(time1, n)
-        assert prim.shape[0] == reps.shape[0] == n
-        assert not prim.flags.writeable and not reps.flags.writeable
-    assert stepped == [len(grown)] * 3
-    assert lifted == [len(grown)] * 4
-    assert grown.orbit_table(time1, 4).tobytes() == want[0].tobytes()
-    assert grown.rep_table(time1, 4).tobytes() == want[1].tobytes()
-
-
 def test_rep_tables_hold_the_other_representatives():
     # a point is its own representative, so the table leaves it out: none
     # are left on the torus, the two seam lifts on a mapping torus
@@ -853,9 +828,10 @@ def test_criterion_5_clouds_get_no_lift_table(time1, kind, samples, scale):
 
 def test_a_cloud_that_reaches_the_seam_later_gets_the_full_table(monkeypatch):
     # heights in [0.35, 0.45] under the time-0.3 map stay clear of the seam
-    # at iterates 0 and 1 and straddle it at iterate 2: extended to n = 3,
-    # the empty table is rebuilt with every iterate lifted, bitwise as a
-    # cold cloud lifts it, and the kernel decides every cell by the lifts.
+    # at iterates 0 and 1 and straddle it at iterate 2: asked for n = 3
+    # after n = 2, the empty table is rebuilt with every iterate lifted,
+    # bitwise as a cold cloud lifts it, and the kernel decides every cell
+    # by the lifts.
     # The flow is not shared with other tests, as lift_reps is replaced on
     # its space
     flow = systems.SuspensionFlow(systems.ToralMapHandle([[2, 1], [1, 1]]), systems.Roof(1.0))
@@ -1166,8 +1142,8 @@ def test_tree_order_is_built_once_per_split_iterate(name, path, monkeypatch):
         monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
     handle, make_cloud = KERNEL_SYSTEMS[name]()
     cloud = make_cloud(handle, 0)
-    # the tables at n = 4, as entropy_estimate warms them; a table extended
-    # later is a new array and gets its own order
+    # the tables at n = 4, as entropy_estimate warms them; a table built
+    # later at a larger n is a new array and gets its own order
     cloud.rep_table(handle, 4)
     built = _count_orders(monkeypatch)
     # no conflict graph is carried to a later n: every cell goes through the tree

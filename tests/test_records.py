@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from entroflow.config import (
     parse_config,
     serialize_config,
 )
+from entroflow.growth import fit_packing_counts
 from entroflow.records import (
     _SIDE_TABLES,
     ExperimentRecord,
@@ -92,6 +95,66 @@ def test_load_record_rejects_missing_fields(tmp_path):
         load_record(rdir)
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ("5", "record is not a JSON object"),
+        ("[]", "record is not a JSON object"),
+        ({"config": []}, "'config'"),
+        ({"results": []}, "'results'"),
+        ({"seeds": 1}, "'seeds'"),
+        ({"timings": "0.1"}, "'timings'"),
+    ],
+    ids=["number", "list", "config", "results", "seeds", "timings"],
+)
+def test_load_record_rejects_fields_that_are_not_objects(tmp_path, payload, field):
+    if isinstance(payload, dict):
+        base = {"id": "0", "config": {}, "results": {}, "seeds": {}, "timings": {}, "version": "1"}
+        payload = json.dumps({**base, **payload})
+    path = tmp_path / "record.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match=field):
+        load_record(path)
+
+
+def test_cli_reports_a_record_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cli.main(["run", "--config", str(write_config(tmp_path, SMALL_GROWTH)), "--out", str(out)])
+    good = next(out.iterdir()).name
+    capsys.readouterr()
+    (out / "0bad").mkdir()
+    (out / "0bad" / "record.json").write_text("[]")
+    for command in ("verify", "show"):
+        assert cli.main([command, str(out / "0bad")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not a JSON object" in captured.err
+    # the listing names the bad record and goes on to the next one
+    assert cli.main(["list", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0bad  (unreadable: record is not a JSON object)"
+    assert lines[1].startswith(f"{good[:12]}  growth")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_record_files_take_their_mode_from_the_umask(tmp_path, umask):
+    rec = ExperimentRecord(
+        id=config_hash(serialize_config(SMALL_ESTIMATE)),
+        config=serialize_config(SMALL_ESTIMATE),
+        results={"counts": [[1, 0.2, 1, 0]]},
+        seeds={},
+        timings={},
+    )
+    old = os.umask(umask)
+    try:
+        rdir = write_record(rec, tmp_path)
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in rdir.iterdir())
+    assert names == ["counts.csv", "record.json"]
+    for name in names:
+        assert stat.S_IMODE((rdir / name).stat().st_mode) == 0o666 & ~umask, name
+
+
 @pytest.fixture(scope="module")
 def estimate_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("est")
@@ -164,8 +227,8 @@ def test_verify_catches_center_arc_crowding(growth_run, tmp_path):
     record, rdir = growth_run
     data = json.loads((rdir / "record.json").read_text())
     arcs = data["results"]["center_arcs"]
-    row = max(arcs, key=len)
-    row[1] = row[0] + 0.01
+    k = max(range(len(arcs)), key=lambda i: len(arcs[i]))
+    arcs[k][1] = arcs[k][0] + 0.01
     clone = tmp_path / "clone"
     clone.mkdir()
     (clone / "record.json").write_text(json.dumps(data))
@@ -173,7 +236,11 @@ def test_verify_catches_center_arc_crowding(growth_run, tmp_path):
     write_csv(clone / "growth.csv", header, rows)
     report = verify_record(clone)
     assert not report.passed
-    assert any("apart in arc" in f for f in report.failures)
+    n, _, _, length = data["results"]["growth_table"][k]
+    assert list(report.failures) == [
+        f"center_arcs: centers at N={n} differ from the {len(arcs[k])} "
+        f"that arclength {length!r} gives"
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +342,72 @@ def test_verify_replays_growth_log_count(growth_run, tmp_path):
     assert not report.passed
     n = data["results"]["growth_table"][-1][0]
     assert list(report.failures) == [f"growth_table: log_count mismatch at N={n}"]
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_verify_replays_growth_counts_from_arclengths(growth_run, tmp_path, change):
+    # one count off by one, with its log and the rate fit made to agree:
+    # only the count's own arclength shows the change
+    record, rdir = growth_run
+
+    def edit(results):
+        row = results["growth_table"][-1]
+        row[1] += change
+        row[2] = math.log(row[1])
+        counts = [(r[0], r[1]) for r in results["growth_table"]]
+        results["rate"], results["rate_stderr"] = fit_packing_counts(counts)
+
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "growth.csv")
+    write_csv(tmp_path / "clone" / "growth.csv", header, data["results"]["growth_table"])
+    report = verify_record(tmp_path / "clone")
+    n, count, _, length = data["results"]["growth_table"][-1]
+    assert list(report.failures) == [
+        f"growth_table: count at N={n} recorded as {count} "
+        f"but arclength {length!r} gives {count - change}"
+    ]
+
+
+@pytest.mark.parametrize("change", ["negative arclength", "short center_arcs"])
+def test_verify_reports_a_growth_table_it_cannot_replay(growth_run, tmp_path, change):
+    record, rdir = growth_run
+
+    def edit(results):
+        if change == "negative arclength":
+            results["growth_table"][0][3] = -1.0
+        else:
+            results["center_arcs"].pop()
+
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "growth.csv")
+    write_csv(tmp_path / "clone" / "growth.csv", header, data["results"]["growth_table"])
+    report = verify_record(tmp_path / "clone")
+    table = data["results"]["growth_table"]
+    if change == "negative arclength":
+        want = (
+            f"growth_table: arclength at N={table[0][0]} replays no packing: "
+            "arclength must be >= 0 and finite, got -1.0"
+        )
+    else:
+        want = f"center_arcs: {len(table) - 1} rows but growth_table has {len(table)}"
+    assert list(report.failures) == [want]
+
+
+def test_verify_passes_a_zero_count_with_its_nan_log(growth_run, tmp_path):
+    # an arclength below 2*delta packs no disk; its log count is nan
+    record, rdir = growth_run
+
+    def edit(results):
+        results["growth_table"][0][1:] = [0, math.nan, results["delta"]]
+        results["center_arcs"][0] = []
+        counts = [(r[0], r[1]) for r in results["growth_table"]]
+        results["rate"], results["rate_stderr"] = fit_packing_counts(counts)
+
+    data = _clone_with_results(rdir, tmp_path / "clone", edit)
+    header, _ = read_csv(rdir / "growth.csv")
+    write_csv(tmp_path / "clone" / "growth.csv", header, data["results"]["growth_table"])
+    report = verify_record(tmp_path / "clone")
+    assert report.passed, report.failures
 
 
 def test_verify_replays_continuity_modulus(continuity_run, tmp_path):
@@ -573,6 +706,13 @@ def test_verify_catches_member_counts_row_count(continuity_run, tmp_path, change
     n = len(record.results["entries"])
     m = n - 1 if change == "drop" else n + 1
     assert f"member_counts: {m} rows but entries has {n}" in report.failures
+
+
+def test_verify_requires_member_counts(continuity_run, tmp_path):
+    record, rdir = continuity_run
+    _clone_with_results(rdir, tmp_path / "clone", lambda results: results.pop("member_counts"))
+    report = verify_record(tmp_path / "clone")
+    assert list(report.failures) == ["results.member_counts: missing"]
 
 
 def test_verify_reports_sweep_point_without_rate_or_error(tmp_path, capsys):
