@@ -59,7 +59,9 @@ def _headline(record):
 
 def _summary(record):
     seconds = record.timings.get("compute_seconds")
-    shown = "-" if seconds is None else f"{seconds:.2f}s"
+    # a hand-edited record may hold any JSON value here
+    numeric = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
+    shown = f"{seconds:.2f}s" if numeric else "-"
     return f"{record.id[:12]}  {record.experiment:<16} {shown:>8}  {_headline(record)}"
 
 

@@ -149,6 +149,8 @@ def load_record(path):
     for key in ("config", "results", "seeds", "timings"):
         if not isinstance(data[key], dict):
             raise ValueError(f"record field {key!r} is not a JSON object")
+    if not isinstance(data["id"], str):
+        raise ValueError("record field 'id' is not a string")
     return ExperimentRecord(
         id=data["id"],
         config=data["config"],

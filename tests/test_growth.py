@@ -607,3 +607,61 @@ def test_growth_matches_the_closed_form(case, pieces, monkeypatch):
         exact = two_delta * LAMBDA**n
         assert abs(length - exact) <= 1e-9 * exact
         assert count == disk_center_arcs(exact, two_delta).size
+
+
+# --------------------------------------------------------------------------
+# golden arclengths: every bit of the grown lengths, which the packing
+# counts and rates hide
+
+
+# the eps = 0 and eps = 0.04 members of continuity_center_shear.json: the
+# shear moves whole horizontal segments alike, so both grow the same lengths
+CONTINUITY_ARCLENGTHS = [
+    "0x1.acf04de75bb57p-4",
+    "0x1.18be77de289e9p-2",
+    "0x1.6f7faa105177dp-1",
+    "0x1.e10fe120f0153p+0",
+    "0x1.3adbf396a9db6p+2",
+    "0x1.9c27f13de0a52p+3",
+    "0x1.0dc2767b9355ep+5",
+    "0x1.611eb391a207cp+6",
+    "0x1.ce3d6fbb8f711p+7",
+    "0x1.2e8a3d5a74ec5p+9",  # 605.0799973555482
+]
+
+# the time-1 map of roof 1 + 0.2 cos(2 pi x1), whose leaves climb and
+# cross the seam at varying heights
+TRIG_ROOF_ARCLENGTHS = [
+    "0x1.b1f3a06132914p-4",
+    "0x1.1a71a948c9eb6p-2",
+    "0x1.79638d0239fcep-1",
+    "0x1.e21c925770634p+0",
+    "0x1.0af30fdca16d3p+2",
+    "0x1.541965cde4dfbp+3",
+]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.04])
+def test_continuity_member_arclengths_are_golden(epsilon):
+    cfg = config.parse_config(
+        json.loads((CONFIG_DIR / "continuity_center_shear.json").read_text())
+    )
+    sys = config.system_from_config(
+        replace(
+            cfg.system,
+            kind="perturbed",
+            epsilon=epsilon,
+            shape=cfg.shape,
+            harmonics=cfg.harmonics,
+            direction=cfg.direction,
+        )
+    )
+    curve = unstable_rate_estimate(sys, cfg.x, cfg.delta, cfg.N_schedule)
+    assert [n for n, _ in curve.arclengths] == list(range(1, 11))
+    assert [length.hex() for _, length in curve.arclengths] == CONTINUITY_ARCLENGTHS
+
+
+def test_trig_roof_arclengths_are_golden(flow_trig):
+    sys = systems.TimeTMapHandle(flow_trig, 1.0)
+    curve = unstable_rate_estimate(sys, (0.2, 0.3, 0.37), 0.02, range(1, 7))
+    assert [length.hex() for _, length in curve.arclengths] == TRIG_ROOF_ARCLENGTHS

@@ -104,8 +104,9 @@ def test_load_record_rejects_missing_fields(tmp_path):
         ({"results": []}, "'results'"),
         ({"seeds": 1}, "'seeds'"),
         ({"timings": "0.1"}, "'timings'"),
+        ({"id": 5}, "record field 'id' is not a string"),
     ],
-    ids=["number", "list", "config", "results", "seeds", "timings"],
+    ids=["number", "list", "config", "results", "seeds", "timings", "id"],
 )
 def test_load_record_rejects_fields_that_are_not_objects(tmp_path, payload, field):
     if isinstance(payload, dict):
@@ -133,6 +134,44 @@ def test_cli_reports_a_record_that_is_not_an_object(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0bad  (unreadable: record is not a JSON object)"
     assert lines[1].startswith(f"{good[:12]}  growth")
+
+
+def test_cli_reports_a_record_whose_id_is_not_a_string(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cli.main(["run", "--config", str(write_config(tmp_path, SMALL_GROWTH)), "--out", str(out)])
+    good = next(out.iterdir()).name
+    capsys.readouterr()
+    data = json.loads((out / good / "record.json").read_text())
+    (out / "0bad").mkdir()
+    (out / "0bad" / "record.json").write_text(json.dumps({**data, "id": 5}))
+    for command in ("verify", "show"):
+        assert cli.main([command, str(out / "0bad")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: record field 'id' is not a string\n"
+    assert cli.main(["list", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0bad  (unreadable: record field 'id' is not a string)"
+    assert lines[1].startswith(f"{good[:12]}  growth")
+
+
+@pytest.mark.parametrize(
+    "seconds, shown",
+    [("x", "-"), (True, "-"), ([1.5], "-"), (None, "-"), (3, "3.00s"), (0.125, "0.12s")],
+    ids=["string", "bool", "list", "null", "int", "float"],
+)
+def test_cli_list_shows_a_dash_for_compute_seconds_that_are_not_a_number(
+    tmp_path, capsys, seconds, shown
+):
+    out = tmp_path / "runs"
+    cli.main(["run", "--config", str(write_config(tmp_path, SMALL_GROWTH)), "--out", str(out)])
+    rdir = next(out.iterdir())
+    capsys.readouterr()
+    data = json.loads((rdir / "record.json").read_text())
+    data["timings"]["compute_seconds"] = seconds
+    (rdir / "record.json").write_text(json.dumps(data))
+    assert cli.main(["list", "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.split()[:3] == [rdir.name[:12], "growth", shown]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -859,3 +859,184 @@ def test_perturbed_step_matches_shear_reference(time1, shape, rng):
     else:
         # the profile is evaluated one period up, which can move the last bit
         assert float(np.max(handle.distance(handle.step(off), expect))) < 1e-12
+
+
+# --- column-wise chart arithmetic against the row-wise forms it replaced ----
+# The bodies below are the (N, 2)-slice forms of MappingTorusSpace and
+# SuspensionFlow that the column-wise ones replaced; every value must keep
+# its bits.
+
+
+def _rowwise_chart_dist(p, reps):
+    d = p[..., None, :2] - reps[..., :2]
+    np.abs(d, out=d)
+    np.minimum(d, 1.0 - d, out=d)
+    d *= d
+    sq = np.sum(d, axis=-1)
+    dh = p[..., None, 2] - reps[..., 2]
+    dh *= dh
+    sq += dh
+    return np.sqrt(sq, out=sq)
+
+
+def _rowwise_distance(space, p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p2, q2 = space._rows(p, q)
+    out = _rowwise_chart_dist(p2, q2[:, None, :])[:, 0]
+    far = space._lifted_rows(p2, q2, out)
+    if far.size:
+        pf, qf = p2[far], q2[far]
+        dq = _rowwise_chart_dist(pf, space.lift_reps(qf)).min(axis=-1)
+        dp = _rowwise_chart_dist(qf, space.lift_reps(pf)).min(axis=-1)
+        out[far] = np.minimum(dq, dp)
+    return float(out[0]) if p.ndim == 1 and q.ndim == 1 else out
+
+
+def _rowwise_displacement(space, p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p2, q2 = space._rows(p, q)
+    step = np.concatenate(
+        [systems.wrap_diff(q2[:, :2], p2[:, :2]), q2[:, 2:] - p2[:, 2:]], axis=1
+    )
+    far = space._lifted_rows(p2, q2, np.linalg.norm(step, axis=1))
+    if far.size:
+        pf = p2[far]
+        reps = space.lift_reps(q2[far])
+        diffs = np.concatenate(
+            [
+                systems.wrap_diff(reps[:, :, :2], pf[:, None, :2]),
+                reps[:, :, 2:] - pf[:, None, 2:],
+            ],
+            axis=2,
+        )
+        norms = np.linalg.norm(diffs, axis=2)
+        step[far] = diffs[np.arange(far.size), np.argmin(norms, axis=1)]
+    return step[0] if p.ndim == 1 and q.ndim == 1 else step
+
+
+def _rowwise_settle(fl, base, h):
+    roof = fl.roof
+    roof_at = (lambda b: roof.constant) if roof.is_constant else roof.value
+    for _ in range(10_000):
+        r = roof_at(base)
+        over = h >= r
+        crossing = np.count_nonzero(over)
+        if crossing == 0:
+            break
+        if crossing == h.size:
+            h -= r
+            base = fl.base_map.step(base)
+        else:
+            h[over] -= np.broadcast_to(r, h.shape)[over]
+            base[over] = fl.base_map.step(base[over])
+    for _ in range(10_000):
+        under = h < 0
+        crossing = np.count_nonzero(under)
+        if crossing == 0:
+            break
+        if crossing == h.size:
+            base = fl.base_map.step_back(base)
+            h += roof_at(base)
+        else:
+            base[under] = fl.base_map.step_back(base[under])
+            h[under] += roof_at(base[under])
+    return np.concatenate([base, h[:, None]], axis=1)
+
+
+def _rowwise_canonicalize(fl, pts):
+    rows = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _rowwise_settle(fl, systems.wrap_unit(rows[:, :2]), rows[:, 2].copy())
+
+
+def _rowwise_flow(fl, pts, t):
+    rows = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _rowwise_settle(fl, systems.wrap_unit(rows[:, :2]), rows[:, 2] + t)
+
+
+def _rowwise_lerp(space, p, q, frac):
+    p = np.asarray(p, dtype=float)
+    frac = np.asarray(frac, dtype=float)
+    if frac.ndim == 1:
+        frac = frac[:, None]
+    return _rowwise_canonicalize(space.flow, p + frac * _rowwise_displacement(space, p, q))
+
+
+def _rowwise_step(handle, pts):
+    fl = handle.reference.suspension
+    shape, eps, c = handle.shape, handle.epsilon, fl.roof.constant
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if isinstance(shape, CenterShear):
+        h = shape.height(c, eps, pts[:, 2])
+        sheared = _rowwise_settle(fl, systems.wrap_unit(pts[:, :2]), h)
+    else:
+        sheared = _rowwise_canonicalize(fl, pts)
+        u = eps * shape.profile(c, sheared[:, 2])
+        sheared[:, :2] = systems.wrap_unit(
+            sheared[:, :2] + u[:, None] * np.asarray(shape.direction)
+        )
+    return _rowwise_flow(fl, sheared, handle.reference.t)
+
+
+def _column_cases(fl, rng, count=500):
+    """(p, q) row pairs: canonical rows, rows within 1e-3 of h = 0 and of
+    the roof, whose pairs reach the six-lift path, and the pair families of
+    the six-lift reference (ties on the screen bound among them)."""
+    p = fl.random_points(rng, count)
+    base = rng.random((count, 2))
+    top = np.column_stack([base, fl.roof.value(base) - rng.uniform(0.0, 1e-3, count)])
+    bottom = fl.canonicalize(
+        np.column_stack(
+            [fl.base_map.step(base) + rng.normal(0.0, 1e-3, (count, 2)), rng.uniform(0.0, 1e-3, count)]
+        )
+    )
+    return {
+        **_pair_families(fl, rng),
+        "canonical": (p, fl.random_points(rng, count)),
+        "canonical near": (p, fl.canonicalize(p + rng.normal(0.0, 0.01, (count, 3)))),
+        "near seam": (top, bottom),
+        "near seam mixed": (np.concatenate([top, p]), np.concatenate([bottom, p[::-1]])),
+    }
+
+
+@pytest.mark.parametrize("flow_name", ["flow_const", "flow_trig"])
+def test_column_wise_chart_arithmetic_keeps_the_row_wise_bits(flow_name, request, rng):
+    fl = request.getfixturevalue(flow_name)
+    space = fl.space
+    for name, (p, q) in _column_cases(fl, rng).items():
+        if name.startswith("near seam"):
+            assert space._lifted_rows(p, q, _rowwise_distance(space, p, q)).size > 0
+        i = len(p) // 3
+        # both ways round; one row against many, as a 1-D row and as (1, 3)
+        pairs = [(p, q), (q, p), (p[i], q), (p, q[i]), (p[i : i + 1], q), (p[i], q[i])]
+        for a, b in pairs:
+            for method, reference in (
+                ("distance", _rowwise_distance),
+                ("displacement", _rowwise_displacement),
+            ):
+                assert _same_bits(
+                    getattr(space, method)(a, b), reference(space, a, b)
+                ), (name, method)
+            got = space.lerp(a, b, 0.5)
+            want = _rowwise_lerp(space, a, b, 0.5)
+            assert _same_bits(got, want[0] if got.ndim == 1 else want), name
+        frac = rng.random(len(p))
+        assert _same_bits(space.lerp(p, q, frac), _rowwise_lerp(space, p, q, frac)), name
+    # off-chart rows, signed zeros and heights a hair off the seam too
+    for name, rows in _canonicalization_inputs(fl, rng).items():
+        assert _same_bits(fl.canonicalize(rows), _rowwise_canonicalize(fl, rows)), name
+        for t in (1.0, -0.37, rng.uniform(-3.0, 3.0, len(rows))):
+            assert _same_bits(fl.flow(rows, t), _rowwise_flow(fl, rows, t)), name
+        assert _same_bits(fl.canonicalize(rows[0]), _rowwise_canonicalize(fl, rows[0]))
+        assert _same_bits(fl.flow(rows[0], 0.7), _rowwise_flow(fl, rows[0], 0.7)[0])
+
+
+@pytest.mark.parametrize("shape", [CenterShear(), BaseShear()], ids=["center", "base"])
+def test_column_wise_perturbed_step_keeps_the_row_wise_bits(time1, shape, rng):
+    handle = PerturbedHandle(time1, 0.03, shape)
+    fl = time1.suspension
+    for name, (p, q) in _column_cases(fl, rng).items():
+        for rows in (p, q, p + np.array([1.0, -2.0, 1.0]), np.array([[0.3, -0.0, -0.0]])):
+            assert _same_bits(handle.step(rows), _rowwise_step(handle, rows)), name
+        assert _same_bits(handle.step(p[0]), _rowwise_step(handle, p[0])), name
