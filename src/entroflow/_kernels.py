@@ -56,8 +56,21 @@ resolves a block over its own pairwise conflicts, then only the points it
 accepted are searched in the tree, starting from their nodes' partners
 instead of the root, and every alive point one of them conflicts with is
 removed.  That costs about the number of accepted points times the ball
-size, in few tree descents.  Both paths give the accepted sequence the
-scan defines: the tree, the blocks and the rounds only choose which pairs
+size, in few tree descents.  A query descends only into live subtrees:
+once per block, after the block's own points are marked dead, the scan
+counts the alive points under every node (one reduceat over the tree
+order at the deepest level queried, each level above as the sums of its
+children), and a query drops every node counted empty before it tests
+the node's box.  Points die and never revive, so counts taken before the
+block's queries can only over-count: a dropped node holds only dead
+points, which the scan discards anyway.  A query ends QUERY_STOP levels
+above the leaves, at nodes of about 4 * LEAF_SIZE points (or at the
+partner level, if that is deeper), and every point of the nodes it
+reaches is a candidate: the two deepest levels of box tests cost more
+than the rule on the extra candidates.  The self-join keeps its
+LEAF_SIZE-point leaves, because its leaf pairs expand to the square of
+the leaf size.  Both paths give the accepted sequence the scan defines:
+the tree, the counts, the blocks and the rounds only choose which pairs
 are checked and when, the rule above decides each of them.
 
 A listed conflict graph is carried to later n of its delta column.  A
@@ -98,6 +111,9 @@ JOIN_PAIRS_PER_NODE = 16
 CHUNK_PAIRS = 1 << 15
 #: alive points the scan resolves together, by their pairwise conflicts
 SCAN_BLOCK = 64
+#: scan queries end this many levels above the leaves, at nodes of about
+#: 4 * LEAF_SIZE points (or at the partner level, if that is deeper)
+QUERY_STOP = 2
 #: accepted points searched by the scan's first tree descent; later groups
 #: resize to keep their candidate lists near CHUNK_PAIRS, up to SCAN_BLOCK
 QUERY_GROUP = 16
@@ -113,7 +129,12 @@ class _Order:
     perm[levels[L][k]:levels[L][k + 1]] and has children 2k and 2k + 1.
     Nodes are split at their median along their widest axis, all nodes of
     a level by one sort.  The widths and medians are read in one chart: the
-    coordinates unwound once, relative to the first point.  A node may
+    coordinates unwound once, relative to the first point, held by columns
+    and shifted to start at 0 on every axis.  The sort key of a point is
+    its coordinate along its node's widest axis plus the node's offset,
+    the node index times a power of two above twice the chart's widest
+    span, so the nodes come out in order, each sorted along its axis (up
+    to ties: the sum may round two near coordinates to one key).  A node may
     straddle that chart's cut on a wrapped axis, and then looks as wide as
     the circle there, so it may be split along another axis than in a chart
     of its own.  That changes only which points share a node: _Tree builds
@@ -123,28 +144,27 @@ class _Order:
 
     def __init__(self, coords, wrap):
         N, C = coords.shape
-        chart = _unwind(coords - coords[:1], wrap)
-        perm, rows = np.arange(N), np.arange(0, N * C, C)
+        # the chart by columns, (C, N): the reductions and the reordering
+        # below run on contiguous rows of one coordinate each
+        chart = np.empty((C, N))
+        np.subtract(coords.T, coords[0][:, None], out=chart)
+        for c in np.flatnonzero(wrap):
+            chart[c] -= np.rint(chart[c])
+        chart -= chart.min(axis=1, keepdims=True)
+        # node k's keys lie in [k * gap, k * gap + span], exact offsets
+        gap = 2.0 ** (math.frexp(float(chart.max(initial=0.0)))[1] + 1)
+        perm, cols = np.arange(N), np.arange(N)
         starts = np.array([0, N], dtype=np.int64)
         self.levels = [starts]
         while -(-N // (starts.size - 1)) > LEAF_SIZE:
             sizes = np.diff(starts)
-            nid = np.repeat(np.arange(sizes.size), sizes)
-            lo = np.minimum.reduceat(chart, starts[:-1], axis=0)
-            hi = np.maximum.reduceat(chart, starts[:-1], axis=0)
-            span = hi - lo
-            widest = np.argmax(span, axis=1)
-            flat = np.arange(sizes.size) * C + widest
-            w_lo, w_span = np.take(lo, flat), np.take(span, flat)
-            w_span[w_span == 0] = 1.0
-            # node id plus the coordinate along its widest axis scaled into
-            # [0, 0.5]: one sort groups the nodes and orders each of them
-            key = np.take(chart, rows + np.take(widest, nid))
-            key -= np.take(w_lo, nid)
-            key *= 0.5
-            key /= np.take(w_span, nid)
-            sort = np.argsort(key + nid)
-            perm, chart = np.take(perm, sort), np.take(chart, sort, axis=0)
+            lo = np.minimum.reduceat(chart, starts[:-1], axis=1)
+            hi = np.maximum.reduceat(chart, starts[:-1], axis=1)
+            widest = np.argmax(hi - lo, axis=0)
+            key = np.take(chart, np.repeat(widest * N, sizes) + cols)
+            key += np.repeat(np.arange(sizes.size) * gap, sizes)
+            sort = np.argsort(key)
+            perm, chart = np.take(perm, sort), np.take(chart, sort, axis=1)
             split = np.empty(2 * sizes.size + 1, dtype=np.int64)
             split[0::2] = starts
             split[1::2] = starts[:-1] + sizes // 2
@@ -310,13 +330,23 @@ class _Tree:
             a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
         return live
 
-    def leaf_points(self, leaves):
-        """(row, point) for every point of every listed leaf."""
-        starts = self.levels[-1]
-        sizes = starts[leaves + 1] - starts[leaves]
-        row = np.repeat(np.arange(leaves.size), sizes)
+    def node_points(self, level, nodes):
+        """(row, point) for every point of every listed node of level."""
+        starts = self.levels[level]
+        sizes = starts[nodes + 1] - starts[nodes]
+        row = np.repeat(np.arange(nodes.size), sizes)
         first = np.cumsum(sizes) - sizes
-        return row, self.perm[starts[leaves][row] + np.arange(row.size) - first[row]]
+        return row, self.perm[starts[nodes][row] + np.arange(row.size) - first[row]]
+
+    def alive_counts(self, alive, deepest):
+        """The number of alive points under every node of levels 0..deepest,
+        by level: level deepest by one reduceat over the tree order, each
+        level above as the sums of its children."""
+        starts = self.levels[deepest]
+        counts = [np.add.reduceat(alive[self.perm].astype(np.int32), starts[:-1])]
+        for _ in range(deepest):
+            counts.insert(0, counts[0][0::2] + counts[0][1::2])
+        return counts
 
 
 def _sq_gap(box_a, box_b, wrap):
@@ -441,16 +471,24 @@ class _Partners:
         return row, self.partner[first[row] + np.arange(row.size) - (np.cumsum(count) - count)[row]]
 
 
-def _query(tree, its, r2, points, partners):
-    """(position in points, point) candidates for a few query points."""
+def _query(tree, its, r2, points, partners, counts):
+    """(position in points, point) candidates for a few query points.
+
+    The descent starts from the partners of the points' nodes, ends at
+    level len(counts) - 1 and drops every node that counts gives no alive
+    point before testing its box.
+    """
     row, node = partners.of(points)
-    for L in range(partners.level + 1, len(tree.levels)):
+    live = np.flatnonzero(counts[partners.level][node])
+    row, node = row[live], node[live]
+    for L in range(partners.level + 1, len(counts)):
         row = np.repeat(row, 2)
         node = (2 * node[:, None] + np.arange(2)).ravel()
-        keep = tree.close(its, r2, None, points[row], L, node)
+        live = np.flatnonzero(counts[L][node])
+        keep = live[tree.close(its, r2, None, points[row[live]], L, node[live])]
         row, node = row[keep], node[keep]
-    leaf_row, j = tree.leaf_points(node)
-    return row[leaf_row], j
+    node_row, j = tree.node_points(len(counts) - 1, node)
+    return row[node_row], j
 
 
 def _join_edges(tree, leaves, conflicts):
@@ -548,8 +586,10 @@ def _scan(tree, its, r2, conflicts, order):
     A block is the next SCAN_BLOCK points of the order still alive.  The
     greedy first runs inside the block over its own pairwise conflicts;
     the points it accepts are then searched in the tree, from the partners
-    of their nodes at the level of tree.pairs, and every alive point one
-    of them conflicts with is removed before the next block.
+    of their nodes at the level of tree.pairs down to QUERY_STOP levels
+    above the leaves, through nodes that held an alive point when the
+    block began, and every alive point one of them conflicts with is
+    removed before the next block.
     """
     N = order.size
     alive = np.ones(N, dtype=bool)
@@ -557,18 +597,20 @@ def _scan(tree, its, r2, conflicts, order):
     pos = 0
     group = QUERY_GROUP
     partners = _Partners(tree)
+    deepest = max(len(tree.levels) - 1 - QUERY_STOP, partners.level)
     while True:
         block, pos = _next_alive(order, alive, pos)
         if block.size == 0:
             return accepted
         alive[block] = False
+        counts = tree.alive_counts(alive, deepest)
         iu, ju = np.triu_indices(block.size, 1)
         hit = conflicts(block[iu], block[ju])
         won = block[_edge_greedy(iu[hit], ju[hit], np.arange(block.size))]
         accepted.extend(won.tolist())
         s = 0
         while s < won.size:
-            q, j = _query(tree, its, r2, won[s : s + group], partners)
+            q, j = _query(tree, its, r2, won[s : s + group], partners, counts)
             q += s
             s += group
             # keep a group's candidate list near CHUNK_PAIRS
@@ -612,14 +654,16 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     prim: (n_max, N, C); reps: (n_max, N, R, C), the other representatives
     of each point (none on the torus, nor on a mapping-torus cloud that no
     seam lift comes near: see SampleCloud.rep_table); order: a permutation
-    of range(N), else ValueError, as for n outside 1..n_max and a delta
-    that is not positive and finite.  Accept iff d_n to all previously
-    accepted > delta; the accepted set is maximal: every unaccepted point
-    sits within delta of an accepted one.  Over read-only tables the
-    tree order and the listed conflict graph are kept (_kept_state), and a
-    later call at a larger n on the same tables and delta filters the
-    graph instead of searching the tree.
+    of range(N), else ValueError, as for an n that is not an integer in
+    1..n_max and a delta that is not positive and finite.  Accept iff d_n
+    to all previously accepted > delta; the accepted set is maximal: every
+    unaccepted point sits within delta of an accepted one.  Over read-only
+    tables the tree order and the listed conflict graph are kept
+    (_kept_state), and a later call at a larger n on the same tables and
+    delta filters the graph instead of searching the tree.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 1 or n > prim.shape[0]:
         raise ValueError("n out of range for the orbit table")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .systems import SystemHandle, _whole
+from .systems import SystemHandle, _positive_whole, _whole
 
 __all__ = [
     "SampleCloud",
@@ -150,8 +150,7 @@ def _check_radius(delta):
 
 def dn_distance(sys: SystemHandle, x, y, n):
     """Bowen distance: max over iterates 0..n-1 of the phase-space metric."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_whole(n, "n")
     ox = sys.orbit_table(np.atleast_2d(np.asarray(x, dtype=float)), n)
     oy = sys.orbit_table(np.atleast_2d(np.asarray(y, dtype=float)), n)
     best = 0.0
@@ -171,8 +170,7 @@ def _thinned(sys, cloud, n, delta, order):
     """The greedy kernel's accepted indices over the cloud's tables, scanned
     in order."""
     _check_radius(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_whole(n, "n")
     _require_same_space(sys, cloud)
     prim = cloud.orbit_table(sys, n)
     reps = cloud.rep_table(sys, n)

@@ -515,6 +515,72 @@ def test_scan_matches_brute_force_across_blocks(name, delta, join_fails, monkeyp
         assert len(starts) == len(sizes) and min(starts) > 0
 
 
+@pytest.mark.parametrize("join_fails", ["at_level_1", "at_the_leaves"])
+def test_scan_on_a_product_box_prunes_dead_subtrees(time1, join_fails, monkeypatch):
+    # a 12^3 product box, the criterion-5 box cloud shrunk, scanned at half
+    # its scale.  A query drops every node whose points are all dead before
+    # testing its box; the alive counts are taken once per block, so they
+    # may count points that died since, never miss one that is alive.  The
+    # accepted sequences must stay the brute-force greedy's, and the
+    # queries must test fewer node boxes and return fewer candidates than
+    # the descent that counts every point as alive.  A join that fails at
+    # the leaves leaves partners one level above them, below the level
+    # where queries stop, so those queries test no box and only their
+    # candidates show the pruning
+    if join_fails == "at_level_1":
+        monkeypatch.setattr(_kernels, "JOIN_PAIRS_PER_NODE", 0)
+    else:
+        _join_fails_at_the_leaves(monkeypatch)
+    box = foliation.build_product_box(time1, np.array([0.2, 0.3, 0.37]), 0.05, 12)
+    cloud = SampleCloud(time1.space, box.d_samples)
+    assert len(cloud) == 1728
+    prim = cloud.orbit_table(time1, 3)
+    reps = cloud.rep_table(time1, 3)
+    wrap = cloud.space.wrap_mask
+    delta = 0.025
+    cells = []
+    for n in (1, 2, 3):
+        conflict = brute_force_conflicts(prim, reps, wrap, n, delta)
+        for seed in range(4):
+            order = np.random.default_rng(seed).permutation(len(cloud))
+            cells.append((n, order, greedy_over(conflict, order)))
+    close, query = _kernels._Tree.close, _kernels._query
+    # per descent: node boxes tested, candidates returned
+    tested = []
+
+    def counted_close(self, its, r2, La, ia, Lb, ib):
+        if La is None:
+            tested[-1][0] += ia.size
+        return close(self, its, r2, La, ia, Lb, ib)
+
+    def counted_query(*args):
+        got = query(*args)
+        tested[-1][1] += got[1].size
+        return got
+
+    monkeypatch.setattr(_kernels._Tree, "close", counted_close)
+    monkeypatch.setattr(_kernels, "_query", counted_query)
+    alive_counts = _kernels._Tree.alive_counts
+    for pruned in (True, False):
+        tested.append([0, 0])
+        with monkeypatch.context() as m:
+            if not pruned:
+                m.setattr(
+                    _kernels._Tree,
+                    "alive_counts",
+                    lambda self, alive, deepest: alive_counts(self, np.ones_like(alive), deepest),
+                )
+            for n, order, want in cells:
+                assert _kernels.greedy_thinning(prim, reps, wrap, n, delta, order).tolist() == want
+    assert any(2 * _kernels.SCAN_BLOCK < len(want) for _, _, want in cells)
+    (boxes, candidates), (all_boxes, all_candidates) = tested
+    assert 0 < candidates < all_candidates
+    if join_fails == "at_level_1":
+        assert 0 < boxes < all_boxes
+    else:
+        assert boxes == all_boxes == 0
+
+
 def test_a_join_that_gives_up_leaves_its_last_full_level(monkeypatch):
     # with the default budget the 32^2 cat-map grid at delta = 0.2 lists
     # every level but the leaves; the scan starts from that level, which
@@ -940,6 +1006,54 @@ def test_tree_boxes_match_the_all_iterate_build(case):
             assert gh.shape == wh.shape and gh.tobytes() == wh.tobytes()
 
 
+def _order_chart(coords, wrap):
+    """The chart an _Order splits in: coordinates relative to the first
+    point, wrapped axes unwound."""
+    chart = coords - coords[0]
+    chart[:, wrap] -= np.round(chart[:, wrap])
+    return chart
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "wrap", [[True, True], [True, True, False]], ids=["torus", "mapping_torus"]
+)
+@pytest.mark.parametrize("N", [1, 5, 997, 3000])
+def test_tree_order_splits_each_node_at_its_median(N, wrap, seed):
+    # perm is a permutation; level L has 2^L nodes, each node's children
+    # are its two halves (the first has the floor of half its points); the
+    # leaves hold at most LEAF_SIZE points, their parents more; and every
+    # point of a first child lies at or below every point of the second
+    # along the parent's widest axis of the chart
+    wrap = np.array(wrap)
+    rng = np.random.default_rng(seed)
+    coords = rng.random((N, wrap.size))
+    # a cluster across the cut of the first wrapped axis
+    coords[: N // 4, 0] = rng.uniform(-0.05, 0.05, N // 4) % 1.0
+    order = _kernels._Order(coords, wrap)
+    assert sorted(order.perm.tolist()) == list(range(N))
+    levels = order.levels
+    assert levels[0].tolist() == [0, N]
+    for L, starts in enumerate(levels):
+        assert starts.size == 2**L + 1 and starts[0] == 0 and starts[-1] == N
+        if L + 1 < len(levels):
+            child = levels[L + 1]
+            assert np.array_equal(child[0::2], starts)
+            assert np.array_equal(child[1::2], starts[:-1] + np.diff(starts) // 2)
+    assert np.diff(levels[-1]).max() <= _kernels.LEAF_SIZE
+    if len(levels) > 1:
+        assert np.diff(levels[-2]).max() > _kernels.LEAF_SIZE
+    chart = _order_chart(coords, wrap)
+    for L in range(len(levels) - 1):
+        starts, mid = levels[L], levels[L + 1][1::2]
+        for k in range(starts.size - 1):
+            node = chart[order.perm[starts[k] : starts[k + 1]]]
+            axis = np.argmax(node.max(axis=0) - node.min(axis=0))
+            first = chart[order.perm[starts[k] : mid[k]], axis]
+            second = chart[order.perm[mid[k] : starts[k + 1]], axis]
+            assert first.size == 0 or first.max() <= second.min()
+
+
 # --- the lean box test and conflict rule --------------------------------------
 # The references below are the box test and the rule as the kernel computed
 # them before they gathered each iterate's rows once: a squared gap summed by
@@ -1101,6 +1215,39 @@ def test_greedy_thinning_rejects_an_order_that_is_not_a_permutation(order):
     reps = cloud.rep_table(handle, 2)
     with pytest.raises(ValueError, match="permutation"):
         _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, 2, 0.05, order)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", None], ids=["fraction", "bool", "string", "none"])
+def test_a_step_count_that_is_not_whole_is_rejected(n):
+    # 2.5 used to die slicing the tables (max_separated, min_spanning_greedy)
+    # or building the orbits (dn_distance), or run as n = 2 (the kernel);
+    # True ran as n = 1
+    cloud = random_cloud(CAT, 60, 0)
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        dn_distance(CAT, cloud.points[0], cloud.points[1], n)
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        max_separated(CAT, cloud, n, 0.1)
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        min_spanning_greedy(CAT, cloud, n, 0.1)
+    prim = cloud.orbit_table(CAT, 3)
+    reps = cloud.rep_table(CAT, 3)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, n, 0.1, np.arange(len(cloud)))
+
+
+def test_a_whole_step_count_of_any_type_gives_the_int_result():
+    # a whole float passes the estimator's check as systems._whole takes it;
+    # the kernel takes numpy integers
+    cloud = random_cloud(CAT, 60, 0)
+    want = max_separated(CAT, cloud, 2, 0.1, order_seed=1)
+    got = max_separated(CAT, cloud, 2.0, 0.1, order_seed=1)
+    assert got.n == 2 and got.indices.tolist() == want.indices.tolist()
+    assert min_spanning_greedy(CAT, cloud, np.int64(2), 0.1) == min_spanning_greedy(CAT, cloud, 2, 0.1)
+    prim = cloud.orbit_table(CAT, 2)
+    reps = cloud.rep_table(CAT, 2)
+    order = np.random.default_rng(1).permutation(len(cloud))
+    got = _kernels.greedy_thinning(prim, reps, cloud.space.wrap_mask, np.int32(2), 0.1, order)
+    assert got.tolist() == want.indices.tolist()
 
 
 @pytest.mark.parametrize("wrap", [[True, True], [True, True, False]], ids=["torus", "mapping_torus"])
