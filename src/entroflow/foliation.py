@@ -137,9 +137,10 @@ class LeafSegment:
         if self.chords is None:
             self.chords = _chords(self.space, self.points)
         if self.points.shape[0] > 1:
-            if np.any(np.diff(self.arc_coords) <= 0):
+            # both checks written so that NaN fails them
+            if not np.all(np.diff(self.arc_coords) > 0):
                 raise ValueError("arc coordinates must be strictly increasing")
-            if float(np.max(self.chords)) > self.spacing_bound * (1 + 1e-9) + 1e-12:
+            if not float(np.max(self.chords)) <= self.spacing_bound * (1 + 1e-9) + 1e-12:
                 raise ValueError("consecutive vertices exceed the spacing bound")
 
     @property
@@ -369,6 +370,11 @@ def refine_step(sys, pts, spacing):
     chords.  No vertex count is bounded here: the streamed growth checks
     its budget over the pieces it grows.
     """
+    spacing = float(spacing)
+    # written so that NaN fails it; a spacing <= 0 would bisect every
+    # edge on every pass
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     space = sys.space
     return _bisection_passes(
         pts,
@@ -384,9 +390,14 @@ def _bisection_passes(pre, image, midpoint, space, spacing):
 
     pre are the input pre-images, image maps pre-image rows to chart
     points and midpoint(a, b) gives the pre-image midpoint of each edge.
-    Each pass bisects the edges whose chord exceeds spacing, measures the
-    two halves of each and writes the midpoints in after their edge's
-    first vertex (_interleaved).  Returns (pre-images, images, chords).
+    Each pass bisects the edges whose chord exceeds spacing.  When that is
+    every edge, as on a uniformly stretched leaf, the old rows and the
+    midpoints are a fixed interleave (_doubled) and the doubled image is
+    measured in one call: distance works row by row, so the chords are the
+    bits the two halves give apart.  Otherwise the pass measures the two
+    halves of each bisected edge and writes the midpoints in after their
+    edge's first vertex (_interleaved).  Returns (pre-images, images,
+    chords).
     """
     img = image(pre)
     chords = _chords(space, img)
@@ -394,6 +405,12 @@ def _bisection_passes(pre, image, midpoint, space, spacing):
         bad = np.flatnonzero(chords > spacing)
         if bad.size == 0:
             return pre, img, chords
+        if bad.size == chords.size:
+            mids = midpoint(pre[:-1], pre[1:])
+            pre = _doubled(pre, mids)
+            img = _doubled(img, image(mids))
+            chords = _chords(space, img)
+            continue
         mids = midpoint(np.take(pre, bad, axis=0), np.take(pre, bad + 1, axis=0))
         mid_imgs = image(mids)
         chords[bad] = space.distance(np.take(img, bad, axis=0), mid_imgs)
@@ -417,6 +434,15 @@ def _interleaved(rows, new, keep, at):
     out = np.empty((keep.size + at.size,) + rows.shape[1:])
     _items(out)[keep] = _items(rows)
     _items(out)[at] = _items(new)
+    return out
+
+
+def _doubled(rows, new):
+    """A fresh array with rows on the even indices and new, one row
+    shorter, on the odd ones."""
+    out = np.empty((rows.shape[0] + new.shape[0],) + rows.shape[1:])
+    _items(out)[0::2] = _items(rows)
+    _items(out)[1::2] = _items(new)
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import entroflow
-from entroflow import systems
+from entroflow import foliation, systems
 from entroflow.config import parse_config, system_from_config
 from entroflow.foliation import (
     DENSITY_RADIUS_BOUND,
@@ -328,6 +328,24 @@ def test_density_covering_radius_shrinks(time1):
 def test_unstable_segment_radius_validation(cat):
     with pytest.raises(ValueError, match=">= 0"):
         unstable_segment(cat, np.array([0.2, 0.3]), -0.1)
+
+
+def test_segment_with_a_nan_vertex_is_rejected(cat):
+    pts = unstable_segment(cat, np.array([0.2, 0.3]), 0.05).points.copy()
+    good = foliation._segment("unstable", cat.space, pts, 0.1)
+    pts[7] = np.nan
+    # the NaN row makes two chords and every later arc coordinate NaN
+    with pytest.raises(ValueError, match="strictly increasing"):
+        foliation._segment("unstable", cat.space, pts, 0.1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        foliation.LeafSegment(
+            "unstable", good.points, np.where(good.arc_coords > 0.05, np.nan, good.arc_coords),
+            0.1, cat.space, good.chords,
+        )
+    chords = good.chords.copy()
+    chords[3] = np.nan
+    with pytest.raises(ValueError, match="spacing bound"):
+        foliation.LeafSegment("unstable", good.points, good.arc_coords, 0.1, cat.space, chords)
 
 
 def reference_point_at(seg, arc):

@@ -290,6 +290,73 @@ def test_refine_step_matches_insert_reference(case):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("case", ["suspension_time1", "center_shear_0.04"])
+def test_full_and_partial_passes_in_one_call(case, monkeypatch):
+    sys, x, h = _refinement_cases()[case]
+    # edges of h and 2h along the leaf stretch to about LAMBDA*h and
+    # 2*LAMBDA*h: the first pass bisects every edge, the second only the
+    # halves of the long ones
+    seg = unstable_segment(sys, np.array(x), 0.05, spacing=h)
+    pts = seg.points[[i for i in range(seg.vertex_count) if i % 3 != 2]]
+    spacing = 0.75 * LAMBDA * h
+    calls = {"_doubled": 0, "_interleaved": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _f=getattr(foliation, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(foliation, name, counted)
+    got = foliation.refine_step(sys, pts, spacing)
+    # pre-images, images and chords: one of each per pass
+    assert calls == {"_doubled": 2, "_interleaved": 3}
+    expect = insert_refine_step(sys, pts, spacing)
+    for a, b in zip(got, expect, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_continuity_member_step_bisects_every_edge_without_a_scatter(monkeypatch):
+    cfg = config.parse_config(
+        json.loads((CONFIG_DIR / "continuity_center_shear.json").read_text())
+    )
+    sys = config.system_from_config(
+        replace(
+            cfg.system,
+            kind="perturbed",
+            epsilon=0.04,
+            shape=cfg.shape,
+            harmonics=cfg.harmonics,
+            direction=cfg.direction,
+        )
+    )
+    # the member's seed and its first step (unstable_rate_estimate)
+    seg = unstable_segment(sys, np.array(cfg.x), cfg.delta)
+    spacing = cfg.delta / 10.0
+    expect = insert_refine_step(sys, seg.points, spacing)
+
+    def scatter(*args):
+        raise AssertionError("a pass that bisects every edge scattered its rows")
+
+    monkeypatch.setattr(foliation, "_interleaved", scatter)
+    got = foliation.refine_step(sys, seg.points, spacing)
+    assert got[0].shape[0] == 2 * seg.vertex_count - 1
+    for a, b in zip(got, expect, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.005])
+def test_refine_step_rejects_a_spacing_that_is_not_positive(spacing, monkeypatch):
+    # without the check a spacing <= 0 bisects every edge on each of 64
+    # passes; no pass may run here
+    def no_pass(*args):
+        raise AssertionError("refine_step ran a bisection pass")
+
+    monkeypatch.setattr(foliation, "_bisection_passes", no_pass)
+    with pytest.raises(ValueError, match="^spacing must be "):
+        foliation.refine_step(CAT, _CAT_SEED.points, spacing)
+
+
 def _square(v):
     return v * v
 
@@ -315,6 +382,7 @@ _CAT_SEED = unstable_segment(CAT, np.array([0.2, 0.3]), 0.05)
 # entry point -> (call with the bad value, the argument its error names)
 NONFINITE_CALLS = {
     "grow_segment": (lambda v: grow_segment(CAT, _CAT_SEED, 2, v), "spacing"),
+    "refine_step": (lambda v: foliation.refine_step(CAT, _CAT_SEED.points, v), "spacing"),
     "unstable_rate_estimate-delta": (
         lambda v: unstable_rate_estimate(CAT, (0.2, 0.3), v, [1, 2]),
         "delta",
@@ -641,6 +709,18 @@ TRIG_ROOF_ARCLENGTHS = [
 ]
 
 
+# the t = 2 point of flow_family_sweep.json: each of its 95 passes
+# bisects every edge, 2,621,400 edges in all
+FLOW_FAMILY_T2_ARCLENGTHS = [
+    "0x1.18be77de289ebp-2",
+    "0x1.e10fe120f00aep+0",
+    "0x1.9c27f13de0d65p+3",
+    "0x1.611eb391a1cd1p+6",
+    "0x1.2e8a3d5a74ed7p+9",
+    "0x1.03347ae0bc6c1p+12",
+]
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 0.04])
 def test_continuity_member_arclengths_are_golden(epsilon):
     cfg = config.parse_config(
@@ -665,3 +745,12 @@ def test_trig_roof_arclengths_are_golden(flow_trig):
     sys = systems.TimeTMapHandle(flow_trig, 1.0)
     curve = unstable_rate_estimate(sys, (0.2, 0.3, 0.37), 0.02, range(1, 7))
     assert [length.hex() for _, length in curve.arclengths] == TRIG_ROOF_ARCLENGTHS
+
+
+def test_flow_family_t2_arclengths_are_golden():
+    cfg = config.parse_config(json.loads((CONFIG_DIR / "flow_family_sweep.json").read_text()))
+    point = config.apply_grid_point(cfg.base, {"t": 2.0})
+    sys = config.system_from_config(point.system)
+    curve = unstable_rate_estimate(sys, point.x, point.delta, point.N_schedule)
+    assert [n for n, _ in curve.arclengths] == list(range(1, 7))
+    assert [length.hex() for _, length in curve.arclengths] == FLOW_FAMILY_T2_ARCLENGTHS
