@@ -164,15 +164,13 @@ _JSON_TYPES = {
 }
 
 
-def _check_type(f, value, context):
-    """Reject a value whose JSON type does not fit the field's annotation."""
-    if f.type not in _JSON_TYPES:
+def _check_type(annotation, value, label):
+    """Reject a value whose JSON type does not fit the annotation."""
+    if annotation not in _JSON_TYPES:
         return
-    types, what = _JSON_TYPES[f.type]
+    types, what = _JSON_TYPES[annotation]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(
-            f"config key {context}{f.name!r} must be {what}, got {type(value).__name__} {value!r}"
-        )
+        raise ValueError(f"{label} must be {what}, got {type(value).__name__} {value!r}")
 
 
 def _parse_fields(cls, data, context):
@@ -187,7 +185,7 @@ def _parse_fields(cls, data, context):
         if f.name not in data:
             continue
         value = data[f.name]
-        _check_type(f, value, context)
+        _check_type(f.type, value, f"config key {context}{f.name!r}")
         if f.name == "system":
             kwargs[f.name] = _parse_fields(SystemConfig, value, context + "system.")
         elif isinstance(value, (list, tuple)):
@@ -236,7 +234,14 @@ def parse_config(data):
                 f"sweep parameter {name!r} needs a {' or '.join(kinds)} system, "
                 f"got kind {base.system.kind!r}"
             )
-        grid.append((name, _deep_tuple(values)))
+        # apply_grid_point would coerce these; a value is kept as written,
+        # so the canonical config and the point ids do not move
+        for v in values:
+            if name == "n":
+                systems._positive_whole(v, f"sweep parameter {name!r}")
+            else:
+                _check_type("float", v, f"sweep parameter {name!r}")
+        grid.append((name, tuple(values)))
     return SweepConfig(base=base, grid=tuple(grid))
 
 

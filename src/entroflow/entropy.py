@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .systems import SystemHandle, _positive_whole, _whole
+from .systems import SystemHandle, _finite, _positive_whole, _whole
 
 __all__ = [
     "SampleCloud",
@@ -139,10 +139,7 @@ class SeparatedSet:
 
 
 def _check_radius(delta):
-    # written so that NaN fails it
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if delta > DELTA_CAP:
+    if _finite(delta, "delta") > DELTA_CAP:
         raise ValueError(
             f"delta {delta} exceeds the supported radius cap {DELTA_CAP}"
         )
@@ -461,5 +458,5 @@ def grid_cloud(sys: SystemHandle, resolution):
 
 def random_cloud(sys: SystemHandle, count, seed):
     rng = np.random.default_rng(seed)
-    pts = sys.space.random_points(rng, int(count))
+    pts = sys.space.random_points(rng, _positive_whole(count, "count"))
     return SampleCloud(sys.space, pts)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import PerturbedHandle, TimeTMapHandle, ToralMapHandle, wrap_unit
+from .systems import PerturbedHandle, TimeTMapHandle, ToralMapHandle, _finite, _positive_whole, wrap_unit
 
 __all__ = [
     "LeafSegment",
@@ -319,10 +319,7 @@ def _chord_end(curve, space, t0, t1, p0, target):
 
 def _leaf_segment(sys, x, radius, spacing, stable):
     kind = "stable" if stable else "unstable"
-    radius = float(radius)
-    # written so that NaN fails it
-    if not 0 <= radius < math.inf:
-        raise ValueError(f"radius must be >= 0 and finite, got {radius}")
+    radius = _finite(radius, "radius", positive=False)
     x = _canonical_point(sys, x)
     if radius == 0:
         return _segment(kind, sys.space, x[None, :], 1.0)
@@ -370,11 +367,8 @@ def refine_step(sys, pts, spacing):
     chords.  No vertex count is bounded here: the streamed growth checks
     its budget over the pieces it grows.
     """
-    spacing = float(spacing)
-    # written so that NaN fails it; a spacing <= 0 would bisect every
-    # edge on every pass
-    if not 0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    # a spacing <= 0 would bisect every edge on every pass
+    spacing = _finite(spacing, "spacing")
     space = sys.space
     return _bisection_passes(
         pts,
@@ -473,8 +467,8 @@ def center_segment(sys, x, length):
     """
     _require_center(sys)
     length = float(length)
-    if abs(length) > CENTER_RADIUS_CAP + 1e-12:
-        raise ValueError(f"center arcs are capped at length {CENTER_RADIUS_CAP}")
+    if not abs(length) <= CENTER_RADIUS_CAP + 1e-12:
+        raise ValueError(f"length must be finite and is capped at +-{CENTER_RADIUS_CAP}, got {length}")
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
     if length == 0:
@@ -536,9 +530,7 @@ def center_holonomy(sys, x, y, u_points, depth):
     stabilize with depth.
     """
     _require_center(sys)
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _positive_whole(depth, "depth")
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
     y = _canonical_point(sys, y)
@@ -625,6 +617,8 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
     against CENTER_LENGTH_MAX / CENTER_LENGTH_MIN.
     """
     _require_center(sys)
+    samples = _positive_whole(samples, "samples")
+    horizon = _positive_whole(horizon, "horizon")
     fl = sys.reference_flow
     rng = np.random.default_rng(rng_seed)
     X = fl.random_points(rng, samples)
@@ -657,8 +651,8 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
     return CenterExpansionReport(
         max_ratio_forward=fwd,
         max_ratio_backward=bwd,
-        samples=int(samples),
-        horizon=int(horizon),
+        samples=samples,
+        horizon=horizon,
         ratio_bound=bound,
         passed=max(fwd, bwd) <= bound,
     )
@@ -702,18 +696,13 @@ def build_product_box(sys, x, delta, samples_per_axis):
     flow(x_u, c), with no leaf to tabulate.
     """
     _require_center(sys)
-    delta = float(delta)
-    # written so that NaN fails it
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    delta = _finite(delta, "delta")
     if delta > BOX_DELTA_CAP + 1e-12:
         raise ValueError(
             f"delta {delta} is above the product-box cap "
             f"{BOX_DELTA_CAP}; use a smaller delta"
         )
-    k = int(samples_per_axis)
-    if k < 1:
-        raise ValueError("samples_per_axis must be >= 1")
+    k = _positive_whole(samples_per_axis, "samples_per_axis")
     x = _canonical_point(sys, x)
     fl = sys.reference_flow
     u_offs = _axis_offsets(delta, k)
@@ -838,13 +827,8 @@ def density_check(sys, x, center_radius, leaf_radius, probe_points):
     _require_center(sys)
     fl = sys.reference_flow
     x = _canonical_point(sys, x)
-    center_radius = float(center_radius)
-    leaf_radius = float(leaf_radius)
-    # written so that NaN fails them
-    if not 0 <= center_radius < math.inf:
-        raise ValueError(f"center_radius must be >= 0 and finite, got {center_radius}")
-    if not 0 <= leaf_radius < math.inf:
-        raise ValueError(f"leaf_radius must be >= 0 and finite, got {leaf_radius}")
+    center_radius = _finite(center_radius, "center_radius", positive=False)
+    leaf_radius = _finite(leaf_radius, "leaf_radius", positive=False)
     probes = getattr(probe_points, "points", probe_points)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.ndim != 2 or probes.shape[0] == 0 or probes.shape[1] != 3:

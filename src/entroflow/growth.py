@@ -33,7 +33,7 @@ import numpy as np
 
 from . import foliation
 from .entropy import SampleCloud, _ols_line, entropy_estimate
-from .systems import _whole
+from .systems import _finite, _positive_whole, _whole
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
 #: a piece of a grown segment is cut once a step leaves it with more
@@ -80,10 +80,7 @@ def grow_segment(sys, seg, steps, spacing):
     steps = _whole(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    spacing = float(spacing)
-    # written so that NaN fails it
-    if not 0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    spacing = _finite(spacing, "spacing")
     if steps == 0:
         return seg
     pts = seg.points
@@ -99,13 +96,8 @@ def disk_center_arcs(arclength, two_delta):
     disk diameter, so consecutive centers sit 2*two_delta apart in arc.
     An arclength below two_delta fits no disk.
     """
-    two_delta = float(two_delta)
-    # both checks written so that NaN fails them
-    if not 0 < two_delta < math.inf:
-        raise ValueError(f"two_delta must be positive and finite, got {two_delta}")
-    arclength = float(arclength)
-    if not 0 <= arclength < math.inf:
-        raise ValueError(f"arclength must be >= 0 and finite, got {arclength}")
+    two_delta = _finite(two_delta, "two_delta")
+    arclength = _finite(arclength, "arclength", positive=False)
     if arclength < two_delta:
         return np.empty(0)
     count = 1 + int(math.floor((arclength - two_delta) / (2.0 * two_delta) + 1e-12))
@@ -254,10 +246,7 @@ def unstable_rate_estimate(
         raise ValueError("N_schedule must be nonempty")
     if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("N_schedule must be strictly increasing positive integers")
-    delta = float(delta)
-    # both checks written so that NaN fails them
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    delta = _finite(delta, "delta")
     spacing = delta / 10.0 if spacing is None else float(spacing)
     if not 0 < spacing <= delta / 10.0 + 1e-12:
         raise ValueError(
@@ -319,12 +308,13 @@ def disk_vs_box_comparison(
     resolved.  The report passes when the two rates differ by at most
     the tolerance.
     """
+    disk_samples = _positive_whole(disk_samples, "disk_samples")
     x = np.asarray(x, dtype=float)
     delta_schedule = (float(delta) / 2.0,)
     box = foliation.build_product_box(sys, x, delta, samples_per_axis)
     box_cloud = SampleCloud(sys.space, box.d_samples)
     seg = foliation.unstable_segment(sys, x, delta)
-    disk_pts = seg.point_at(np.linspace(0.0, seg.arclength, int(disk_samples)))
+    disk_pts = seg.point_at(np.linspace(0.0, seg.arclength, disk_samples))
     disk_cloud = SampleCloud(sys.space, disk_pts)
     disk_est = entropy_estimate(sys, disk_cloud, n_schedule, delta_schedule, order_seed)
     box_est = entropy_estimate(sys, box_cloud, n_schedule, delta_schedule, order_seed)

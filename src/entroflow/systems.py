@@ -72,6 +72,22 @@ def _positive_whole(value, name):
     return value
 
 
+def _finite(value, name, positive=True):
+    """value as a finite float > 0 (>= 0 unless `positive`), or a ValueError
+    naming `name`; a string or a bool is refused, as by _whole.  Every
+    comparison with NaN is false, so only `not lo < x < inf` refuses it: a
+    NaN radius or spacing would otherwise run on into counts and records."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            value = float(value)
+        except TypeError:
+            pass
+        else:
+            if (value > 0 if positive else value >= 0) and value < math.inf:
+                return value
+    raise ValueError(f"{name} must be {'positive' if positive else '>= 0'} and finite, got {value}")
+
+
 def wrap_unit(x):
     """Reduce coordinates mod 1 into [0, 1) by floor subtraction.
 
@@ -177,14 +193,11 @@ class Roof:
     """
 
     def __init__(self, constant=1.0, terms=()):
-        constant = float(constant)
-        # written so that NaN fails it
-        if not 0 < constant < math.inf:
-            raise ValueError(f"roof constant must be positive and finite, got {constant}")
+        constant = _finite(constant, "roof constant")
         norm_terms = []
         total = 0.0
         for kvec, amp in terms:
-            kvec = tuple(int(k) for k in kvec)
+            kvec = tuple(_whole(k, "roof wave vector component") for k in kvec)
             if len(kvec) != 2:
                 raise ValueError("roof wave vectors must have 2 components")
             if all(k == 0 for k in kvec):
@@ -891,7 +904,7 @@ class PerturbedHandle(SystemHandle):
         if not reference.suspension.roof.is_constant:
             raise ValueError("perturbation shapes require a constant roof")
         epsilon = float(epsilon)
-        # written so that NaN fails both checks
+        # `not x >= 0` and `not x < eps_max` refuse NaN too (see _finite)
         if not epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         c = reference.suspension.roof.constant

@@ -118,6 +118,52 @@ def test_sweep_over_a_parameter_the_base_does_not_read(experiment, kind, grid, e
     assert [name for name, _ in sweep.grid] == sorted(grid)
 
 
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        # n = 2.5 ran N = 1..2 under a record that said 2.5
+        ("n", 2.5, "must be a whole number, got 2.5"),
+        ("n", 0, "must be >= 1, got 0"),
+        ("n", True, "must be a whole number, got True"),
+        ("n", "3", "must be a whole number, got '3'"),
+        # float() took a bool and a quoted number: t ran at 1.0 and 2.0
+        ("t", True, "must be a number, got bool True"),
+        ("t", "2", "must be a number, got str '2'"),
+        # a null delta failed only at run time, as a point error
+        ("delta", None, "must be a number, got NoneType None"),
+        ("epsilon", [0.01], "must be a number, got list [0.01]"),
+    ],
+)
+def test_a_sweep_value_that_would_be_coerced_is_rejected_at_parse(name, value, error):
+    base = {"experiment": "growth", "system": {"kind": "perturbed"}}
+    with pytest.raises(ValueError) as info:
+        parse_config({"experiment": "sweep", "base": base, "grid": {name: [1, value]}})
+    assert str(info.value) == f"sweep parameter {name!r} {error}"
+
+
+def test_a_sweep_value_is_kept_as_written():
+    data = {
+        "experiment": "sweep",
+        "base": {"experiment": "estimate", "system": {"kind": "perturbed"}},
+        "grid": {"n": [3.0, 2], "t": [1, 0.5], "epsilon": [0, 0.01], "delta": [0.1]},
+    }
+    sweep = parse_config(data)
+    assert serialize_config(sweep)["grid"] == data["grid"]
+    assert [type(v) for v in dict(sweep.grid)["n"]] == [float, int]
+    moved = apply_grid_point(sweep.base, grid_points(sweep)[0])
+    assert moved.n_schedule == (1, 2, 3)
+    assert moved.system.epsilon == 0.0 and moved.system.t == 1.0
+
+
+def test_a_fractional_roof_wave_vector_in_a_config_is_rejected():
+    # it ran as k = (1, 0) under a record that said 1.5
+    cfg = parse_config(
+        {"experiment": "growth", "system": {"kind": "time_t", "roof_terms": [[[1.5, 0], 0.2]]}}
+    )
+    with pytest.raises(ValueError, match="^roof wave vector component must be a whole number, got 1.5$"):
+        system_from_config(cfg.system)
+
+
 def test_grid_points_lexicographic_order():
     sweep = parse_config(
         {

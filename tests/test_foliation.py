@@ -89,6 +89,14 @@ def test_center_segment_cap(time1):
         center_segment(time1, np.array([0.2, 0.3, 0.1]), 2.5)
 
 
+# NaN passed the cap and died in int() with "cannot convert float NaN to
+# integer"
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+def test_center_segment_rejects_a_nonfinite_length_by_name(time1, length):
+    with pytest.raises(ValueError, match=rf"^length must be finite and is capped at \+-2\.0, got {length}$"):
+        center_segment(time1, np.array([0.2, 0.3, 0.1]), length)
+
+
 def test_holonomy_identity_offset(time1):
     x = np.array([0.2, 0.3, 0.4])
     seg = unstable_segment(time1, x, 0.05)

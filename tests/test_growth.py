@@ -442,6 +442,18 @@ def test_nonfinite_radius_or_spacing_is_rejected_by_name(entry, value):
         call(value)
 
 
+# float() took a bool and a quoted number: spacing=True ran as 1.0 and
+# unstable_rate_estimate(delta="0.05") ran
+@pytest.mark.parametrize("value", [True, "0.05"], ids=repr)
+@pytest.mark.parametrize(
+    "entry", sorted(e for e, (_, name) in NONFINITE_CALLS.items() if name != "base point")
+)
+def test_a_bool_or_quoted_radius_or_spacing_is_rejected_by_name(entry, value):
+    call, name = NONFINITE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
 # entry point -> (call with the step number, the argument its error names);
 # each call returns a plain value that == can compare
 STEP_CALLS = {
@@ -495,6 +507,46 @@ def test_a_grid_resolution_that_is_not_whole_is_rejected_by_name(entry, value):
     assert call(4.0) == call(4)
 
 
+# entry point -> (call with the count, the argument its error names); each
+# call returns a plain value that == can compare.  int() truncated 2.5 to
+# 2 and took True as 1; center_nonexpansion_check raised TypeError
+_TIME1_X = [0.2, 0.3, 0.4]
+COUNT_CALLS = {
+    "center_holonomy-depth": (
+        lambda v: foliation.center_holonomy(TIME1, _TIME1_X, _TIME1_X, [_TIME1_X], v).tolist(),
+        "depth",
+    ),
+    "build_product_box-samples_per_axis": (
+        lambda v: foliation.build_product_box(TIME1, _TIME1_X, 0.05, v).d_samples.tolist(),
+        "samples_per_axis",
+    ),
+    "random_cloud-count": (lambda v: entropy.random_cloud(CAT, v, 0).points.tolist(), "count"),
+    "disk_vs_box_comparison-disk_samples": (
+        lambda v: disk_vs_box_comparison(
+            TIME1, _TIME1_X, 0.05, (1, 2), samples_per_axis=2, disk_samples=v
+        ).disk_estimate.counts,
+        "disk_samples",
+    ),
+    "center_nonexpansion_check-samples": (
+        lambda v: foliation.center_nonexpansion_check(TIME1, samples=v, horizon=3),
+        "samples",
+    ),
+    "center_nonexpansion_check-horizon": (
+        lambda v: foliation.center_nonexpansion_check(TIME1, samples=4, horizon=v),
+        "horizon",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
+@pytest.mark.parametrize("entry", sorted(COUNT_CALLS))
+def test_a_count_that_is_not_whole_is_rejected_by_name(entry, value):
+    call, name = COUNT_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(value))}$"):
+        call(value)
+    assert call(3.0) == call(3)
+
+
 # the grid resolutions a config carries, through the runner; each call
 # fails before any work is done
 CONFIG_GRID_CALLS = {
@@ -517,11 +569,12 @@ def test_a_config_resolution_that_is_not_whole_is_rejected_by_name(entry, value)
         call(value)
 
 
-# grid(-2) made an empty grid
+# grid(-2) made an empty grid, and center_nonexpansion_check(horizon=0)
+# passed without a step
 @pytest.mark.parametrize("value", [0, -2, -2.0])
-@pytest.mark.parametrize("entry", sorted(GRID_CALLS) + sorted(CONFIG_GRID_CALLS))
+@pytest.mark.parametrize("entry", sorted(GRID_CALLS) + sorted(CONFIG_GRID_CALLS) + sorted(COUNT_CALLS))
 def test_a_grid_resolution_below_one_is_rejected_by_name(entry, value):
-    call, name = {**GRID_CALLS, **CONFIG_GRID_CALLS}[entry]
+    call, name = {**GRID_CALLS, **CONFIG_GRID_CALLS, **COUNT_CALLS}[entry]
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {int(value)}$"):
         call(value)
 

@@ -673,6 +673,19 @@ def test_cli_run_rejects_a_nan_radius(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cli_run_rejects_a_fractional_sweep_horizon(tmp_path, capsys):
+    # n = 2.5 ran N = 1..2 under a record that said 2.5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"experiment": "sweep", "base": {"experiment": "growth"}, "grid": {"n": [2.5]}})
+    )
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep parameter 'n' must be a whole number, got 2.5\n"
+    assert not out.exists()
+
+
 def test_cli_run_reports_a_vertex_budget_overrun(tmp_path, capsys):
     # exit code 1 belongs to verify's failed record
     cfg = GrowthConfig(N_schedule=(1, 2, 3, 4, 5, 6), vertex_budget=100)

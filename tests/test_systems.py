@@ -84,6 +84,20 @@ def test_roof_rejects_bad_coefficients():
         Roof(1.0, [((1, 0), 0.6), ((0, 1), 0.5)])
 
 
+# int() truncated a wave vector (1.5, 0) to (1, 0), so a config's record
+# said 1.5 of a run at 1; a NaN component died in int() unnamed
+@pytest.mark.parametrize("k", [1.5, math.nan, math.inf, "1", True, None])
+def test_roof_wave_vector_components_must_be_whole(k):
+    with pytest.raises(
+        ValueError, match=f"^roof wave vector component must be a whole number, got {re.escape(repr(k))}$"
+    ):
+        Roof(1.0, [((k, 0), 0.2)])
+    # a whole float or a numpy integer runs as its int
+    terms = Roof(1.0, [((1.0, np.int64(0)), 0.2)]).terms
+    assert terms == (((1, 0), 0.2),)
+    assert all(type(c) is int for c in terms[0][0])
+
+
 def test_flow_additivity(flow_const, flow_trig, rng):
     pts = flow_trig.random_points(rng, 40)
     one = flow_trig.flow(flow_trig.flow(pts, 0.4), 0.7)
