@@ -34,6 +34,12 @@ The search radius is padded (RADIUS_PAD), which makes the candidates a
 superset of the conflicting pairs; the rule above then decides each
 candidate with exactly the arithmetic stated.
 
+One routine (_near) decides every pair the kernel tests: node against
+node in the self-join, point against node in the scan's queries, and
+point against point for the join's edges, the scan's blocks and
+candidates, and carried graphs.  A point is a box with no half-width, so
+the box test run on points at delta is the rule, iterate by iterate.
+
 When the conflict graph is small (points mostly separated) one self-join
 of the tree lists all of it, and the ordered greedy runs over that graph
 in rounds (_edge_greedy; Blelloch, Fineman and Shun, SPAA 2012).  A round
@@ -77,9 +83,9 @@ A listed conflict graph is carried to later n of its delta column.  A
 pair conflicts at n' > n exactly when it conflicts at n and, at every
 iterate n..n'-1, passes the rule's test for that iterate: the rule is a
 conjunction over iterates (d_n' >= d_n).  So the graph at n', filtered at
-those iterates by the same arithmetic (_conflicts on the tables' iterates
-from n on), is the graph a self-join at n' would list, and the ordered
-greedy over it accepts the same sequence.
+those iterates by the same arithmetic (the rule at iterates n'-1 down to
+n), is the graph a self-join at n' would list, and the ordered greedy over
+it accepts the same sequence.
 
 Between calls the kernel keeps one state (_Kept) for one pair of
 read-only tables: the last tree order, by split iterate (n = 1 and 2
@@ -255,16 +261,16 @@ def _unwind(d, wrap):
 class _Tree:
     """An _Order with per-iterate node boxes.
 
-    sets[0] is prim, sets[1:] the other representatives; boxes[L][s] =
-    (center, half), each (n, nodes, C), bounds set s of every node of
-    level L at every iterate.  On a wrapped axis a box is an arc of the
-    circle, at most the whole circle.
+    points holds the point sets as _near takes them, one (table, None) per
+    representative, prim first; boxes[L][s] = (centre, half), each (n,
+    nodes, C), bounds set s of every node of level L at every iterate.  On
+    a wrapped axis a box is an arc of the circle, at most the whole circle.
     """
 
-    def __init__(self, order, prim, reps, wrap):
+    def __init__(self, order, points, wrap):
         self.wrap = wrap
         self.perm, self.levels = order.perm, order.levels
-        self.sets = [prim] + [reps[:, :, r] for r in range(reps.shape[2])]
+        self.points = points
         #: (level, a, b): node pairs (a <= b) of one level, among them every
         #: pair whose boxes come within the radius; the root with itself
         #: until _self_join lists deeper levels
@@ -272,9 +278,10 @@ class _Tree:
         self.pairs = (0, root, root)
         leaf = self.levels[-1]
         nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
+        prim = points[0][0]
         shape = (prim.shape[0], leaf.size - 1, prim.shape[2])
         boxes = []
-        for x in self.sets:
+        for x, _ in points:
             # one iterate at a time, the same arithmetic on an (N, C)
             # working set rather than (n, N, C) temporaries
             c, h = np.empty(shape), np.empty(shape)
@@ -301,34 +308,14 @@ class _Tree:
             np.minimum(half[..., a], 0.5, out=half[..., a])
         return c0 + 0.5 * (lo + hi), half
 
-    def _gather(self, L, k, idx):
-        """(centre, half) of every set of the nodes idx of level L at
-        iterate k; L=None takes idx as points, with no half."""
-        if L is None:
-            return [(np.take(x[k], idx, axis=0), None) for x in self.sets]
-        return [(np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)) for c, h in self.boxes[L]]
-
     def close(self, its, r2, La, ia, Lb, ib):
-        """Positions of the pairs (ia, ib) whose boxes may hold a conflict.
-
-        A pair stays when, at each iterate of its, the lower bound of the
-        symmetrized distance between its two boxes is at most sqrt(r2).
-        """
+        """Positions of the pairs (ia, ib) whose boxes may hold a conflict:
+        the nodes of levels La and Lb (La=None takes ia as points) whose
+        boxes come within sqrt(r2) at every iterate of its (_near)."""
+        sets_a, sets_b = (self.points if La is None else self.boxes[La]), self.boxes[Lb]
         chunks = zip(range(0, ia.size, CHUNK_PAIRS), _chunks(ia, ib, CHUNK_PAIRS))
-        parts = [s + self._close(its, r2, La, a, Lb, b) for s, (a, b) in chunks]
+        parts = [s + _near(its, r2, self.wrap, sets_a, a, sets_b, b) for s, (a, b) in chunks]
         return np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
-
-    def _close(self, its, r2, La, a, Lb, b):
-        live = np.arange(a.size)
-        for k in its:
-            boxes_a, boxes_b = self._gather(La, k, a), self._gather(Lb, k, b)
-            best = _sq_gap(boxes_a[0], boxes_b[0], self.wrap)
-            for s in range(1, len(boxes_a)):
-                np.minimum(best, _sq_gap(boxes_a[0], boxes_b[s], self.wrap), out=best)
-                np.minimum(best, _sq_gap(boxes_b[0], boxes_a[s], self.wrap), out=best)
-            keep = np.flatnonzero(best <= r2)
-            a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
-        return live
 
     def node_points(self, level, nodes):
         """(row, point) for every point of every listed node of level."""
@@ -369,30 +356,36 @@ def _sq_gap(box_a, box_b, wrap):
     return acc
 
 
-def _conflicts(prim, reps, wrap, delta2, i, j):
-    """Mask of the candidate pairs (i, j) that conflict under the rule.
+def _near(its, r2, wrap, sets_a, a, sets_b, b):
+    """Positions of the pairs (a, b) within sqrt(r2) at every iterate of its.
 
-    Iterates are checked in descending order: late iterates are the most
-    expanded, so most candidates drop out on the first check.  prim is
-    compared with prim one way, as both directions are bitwise equal
-    (d - rint(d) is odd in d), and each other representative both ways.
+    A set is one (centre, half) per representative, prim first, each
+    indexed (iterate, row, axis); half None marks points, so the same test
+    takes nodes against nodes, points against nodes and points against
+    points.  At each iterate a pair's gap is the least _sq_gap of prim
+    against prim, prim of a against each other representative of b and
+    prim of b against each of a.  prim is compared one way, as both
+    directions are bitwise equal (d - rint(d) is odd in d).  The order of
+    its decides only how early a pair drops, and the test stops as soon as
+    no pair is left, so callers put first the iterates that drop most: the
+    rule the latest, which are the most expanded, and the box test those
+    nearest the split iterate, where the boxes are smallest.
     """
-    a, b, live = i, j, np.arange(i.size)
-    for it in range(prim.shape[0] - 1, -1, -1):
-        p = prim[it]
-        pa, pb = (np.take(p, a, axis=0), None), (np.take(p, b, axis=0), None)
-        d2 = _sq_gap(pa, pb, wrap)
-        for r in range(reps.shape[2]):
-            q = reps[it, :, r]
-            qa, qb = (np.take(q, a, axis=0), None), (np.take(q, b, axis=0), None)
-            d2 = np.minimum(d2, np.minimum(_sq_gap(pa, qb, wrap), _sq_gap(pb, qa, wrap)))
-        keep = np.flatnonzero(d2 <= delta2)
-        a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
+    live = np.arange(a.size)
+    for k in its:
         if live.size == 0:
             break
-    mask = np.zeros(i.size, dtype=bool)
-    mask[live] = True
-    return mask
+        rows_a, rows_b = (
+            [(np.take(c[k], x, axis=0), None if h is None else np.take(h[k], x, axis=0)) for c, h in sets]
+            for sets, x in ((sets_a, a), (sets_b, b))
+        )
+        best = _sq_gap(rows_a[0], rows_b[0], wrap)
+        for s in range(1, len(rows_a)):
+            np.minimum(best, _sq_gap(rows_a[0], rows_b[s], wrap), out=best)
+            np.minimum(best, _sq_gap(rows_b[0], rows_a[s], wrap), out=best)
+        keep = np.flatnonzero(best <= r2)
+        a, b, live = np.take(a, keep), np.take(b, keep), np.take(live, keep)
+    return live
 
 
 def _self_join(tree, its, r2):
@@ -680,10 +673,12 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
         return np.zeros(0, dtype=np.int64)
     r2 = padded_radius(delta) ** 2
     state = _kept_state(prim, reps, wrap)
+    points = [(prim, None)] + [(reps[:, :, r], None) for r in range(reps.shape[2])]
 
     def conflicts_from(k):
-        """The rule at iterates k..n-1 (all of them for k = 0)."""
-        return lambda i, j: _conflicts(prim[k:], reps[k:], wrap, delta * delta, i, j)
+        """The rule at iterates k..n-1 (all of them for k = 0), latest first."""
+        its = range(n - 1, k - 1, -1)
+        return lambda i, j: _near(its, delta * delta, wrap, points, i, points, j)
 
     carried = state.take_graph(delta, n)
     if carried is not None:
@@ -692,7 +687,7 @@ def greedy_thinning(prim, reps, wrap_mask, n, delta, order):
     else:
         split_it = (n - 1) // 2
         its = sorted(range(n), key=lambda k: abs(k - split_it))
-        tree = _Tree(state.tree_order(prim, wrap, split_it), prim, reps, wrap)
+        tree = _Tree(state.tree_order(prim, wrap, split_it), points, wrap)
         leaves = _self_join(tree, its, r2)
         if leaves is None:
             return np.array(_scan(tree, its, r2, conflicts_from(0), order), dtype=np.int64)

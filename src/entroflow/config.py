@@ -241,6 +241,8 @@ def parse_config(data):
                 systems._positive_whole(v, f"sweep parameter {name!r}")
             else:
                 _check_type("float", v, f"sweep parameter {name!r}")
+                # json.loads reads NaN and Infinity as numbers
+                systems._finite(v, f"sweep parameter {name!r}", positive=None)
         grid.append((name, tuple(values)))
     return SweepConfig(base=base, grid=tuple(grid))
 

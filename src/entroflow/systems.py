@@ -73,19 +73,23 @@ def _positive_whole(value, name):
 
 
 def _finite(value, name, positive=True):
-    """value as a finite float > 0 (>= 0 unless `positive`), or a ValueError
-    naming `name`; a string or a bool is refused, as by _whole.  Every
-    comparison with NaN is false, so only `not lo < x < inf` refuses it: a
-    NaN radius or spacing would otherwise run on into counts and records."""
+    """value as a finite float, > 0 if `positive`, >= 0 if it is False and
+    of any sign if it is None, or a ValueError naming `name`; a string or a
+    bool is refused, as by _whole, and so is an int too large for a float.
+    Every comparison with NaN is false, so only `not lo < x < inf` refuses
+    it: a NaN radius or spacing would otherwise run on into counts and
+    records."""
     if not isinstance(value, (str, bytes, bool, np.bool_)):
         try:
             value = float(value)
-        except TypeError:
+        except (TypeError, OverflowError):
             pass
         else:
-            if (value > 0 if positive else value >= 0) and value < math.inf:
+            low = {True: value > 0, False: value >= 0, None: value > -math.inf}[positive]
+            if low and value < math.inf:
                 return value
-    raise ValueError(f"{name} must be {'positive' if positive else '>= 0'} and finite, got {value}")
+    bound = {True: "positive and ", False: ">= 0 and ", None: ""}[positive]
+    raise ValueError(f"{name} must be {bound}finite, got {value}")
 
 
 def wrap_unit(x):
@@ -202,9 +206,7 @@ class Roof:
                 raise ValueError("roof wave vectors must have 2 components")
             if all(k == 0 for k in kvec):
                 raise ValueError("constant roof term must go into `constant`")
-            amp = float(amp)
-            if not math.isfinite(amp):
-                raise ValueError(f"roof amplitude must be finite, got {amp}")
+            amp = _finite(amp, "roof amplitude", positive=None)
             total += abs(amp)
             norm_terms.append((kvec, amp))
         if total >= constant:
@@ -727,9 +729,7 @@ class TimeTMapHandle(SystemHandle):
         if not isinstance(susp_flow, SuspensionFlow):
             raise ValueError("need a SuspensionFlow")
         self.suspension = susp_flow
-        self.t = float(t)
-        if not math.isfinite(self.t):
-            raise ValueError(f"flow time t must be finite, got {self.t}")
+        self.t = _finite(t, "flow time t", positive=None)
         self.space = susp_flow.space
 
     @property
@@ -903,10 +903,7 @@ class PerturbedHandle(SystemHandle):
             raise ValueError("reference must be a time-t map of a suspension flow")
         if not reference.suspension.roof.is_constant:
             raise ValueError("perturbation shapes require a constant roof")
-        epsilon = float(epsilon)
-        # `not x >= 0` and `not x < eps_max` refuse NaN too (see _finite)
-        if not epsilon >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        epsilon = _finite(epsilon, "epsilon", positive=False)
         c = reference.suspension.roof.constant
         lip = shape.lipschitz(c)
         eps_max = 0.5 / lip if lip > 0 else math.inf

@@ -141,6 +141,24 @@ def test_a_sweep_value_that_would_be_coerced_is_rejected_at_parse(name, value, e
     assert str(info.value) == f"sweep parameter {name!r} {error}"
 
 
+@pytest.mark.parametrize(
+    "literal, shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1" + "0" * 400, "1" + "0" * 400)],
+    ids=["nan", "inf", "-inf", "1e400"],
+)
+@pytest.mark.parametrize("name", ["t", "epsilon", "delta"])
+def test_a_sweep_value_that_is_not_finite_is_rejected_at_parse(name, literal, shown):
+    # json.loads reads the first three as floats and the last as an int no
+    # float holds; a NaN delta or such a t ran and was recorded as a failed
+    # point of a run that exited 0
+    kind = "perturbed" if name == "epsilon" else "time_t"
+    text = f'{{"experiment": "sweep", "base": {{"experiment": "growth", "system": {{"kind": "{kind}"}}}}, '
+    text += f'"grid": {{"{name}": [{literal}, 0.02]}}}}'
+    with pytest.raises(ValueError) as info:
+        parse_config(json.loads(text))
+    assert str(info.value) == f"sweep parameter {name!r} must be finite, got {shown}"
+
+
 def test_a_sweep_value_is_kept_as_written():
     data = {
         "experiment": "sweep",

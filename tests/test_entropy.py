@@ -973,7 +973,7 @@ def _all_iterate_boxes(tree):
     leaf = tree.levels[-1]
     nid = np.repeat(np.arange(leaf.size - 1), np.diff(leaf))
     boxes = []
-    for x in tree.sets:
+    for x, _ in tree.points:
         x = np.take(x, tree.perm, axis=1)
         off = _kernels._offsets(x, leaf, nid, 1, tree.wrap)
         lo = np.minimum.reduceat(off, leaf[:-1], axis=1)
@@ -996,7 +996,7 @@ def test_tree_boxes_match_the_all_iterate_build(case):
     reps = cloud.rep_table(handle, 4)
     assert reps.shape[2] == (0 if case == "cat_map" else 2)
     wrap = cloud.space.wrap_mask
-    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), prim, reps, wrap)
+    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), _point_sets(prim, reps), wrap)
     want = _all_iterate_boxes(tree)
     assert len(tree.boxes) == len(want) == len(tree.levels)
     for got_level, want_level in zip(tree.boxes, want):
@@ -1082,7 +1082,7 @@ def _ref_dist2(x, y, wrap, i, j):
 def _ref_box(tree, L, s, k, idx):
     """Box of set s at iterate k; L=None takes idx as points."""
     if L is None:
-        return np.take(tree.sets[s][k], idx, axis=0), 0.0
+        return np.take(tree.points[s][0][k], idx, axis=0), 0.0
     c, h = tree.boxes[L][s]
     return np.take(c[k], idx, axis=0), np.take(h[k], idx, axis=0)
 
@@ -1091,7 +1091,7 @@ def _ref_box_gap2(tree, k, La, a, Lb, b):
     """The symmetrized squared gap between the boxes of (a, b) at iterate k."""
     pa, pb = _ref_box(tree, La, 0, k, a), _ref_box(tree, Lb, 0, k, b)
     best = _ref_gap2(pa, pb, tree.wrap)
-    for s in range(1, len(tree.sets)):
+    for s in range(1, len(tree.points)):
         best = np.minimum(best, _ref_gap2(pa, _ref_box(tree, Lb, s, k, b), tree.wrap))
         best = np.minimum(best, _ref_gap2(pb, _ref_box(tree, La, s, k, a), tree.wrap))
     return best
@@ -1145,6 +1145,24 @@ def _radii(gaps, extra):
     return [values[int(q * (values.size - 1))] for q in (0.1, 0.5, 0.9)] + list(extra)
 
 
+def _point_sets(prim, reps):
+    """The point sets the kernel keeps: prim and each other representative
+    as (table, None)."""
+    return [(prim, None)] + [(reps[:, :, r], None) for r in range(reps.shape[2])]
+
+
+def _gathered(sets, k, idx):
+    """(centre, half) of every set at iterate k for the rows idx."""
+    return [(np.take(c[k], idx, axis=0), None if h is None else np.take(h[k], idx, axis=0)) for c, h in sets]
+
+
+def _rule(prim, reps, wrap, delta2, i, j):
+    """Positions of the pairs (i, j) that conflict, as greedy_thinning asks
+    _near: points against points, latest iterate first."""
+    points = _point_sets(prim, reps)
+    return _kernels._near(range(prim.shape[0] - 1, -1, -1), delta2, wrap, points, i, points, j)
+
+
 LEAN_CASES = ["cat_map_grid", "seam_cloud_0", "seam_cloud_1", "dense_seam"]
 
 
@@ -1154,7 +1172,7 @@ def test_box_test_matches_the_reference_bit_for_bit(case):
     # some gaps equal exactly: a gap one unit in the last place off the
     # reference would move a pair across its radius
     prim, reps, wrap = _lean_tables(case)
-    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), prim, reps, wrap)
+    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), _point_sets(prim, reps), wrap)
     its = sorted(range(4), key=lambda k: abs(k - 1))
     rng = np.random.default_rng(0)
     N = prim.shape[1]
@@ -1163,9 +1181,10 @@ def test_box_test_matches_the_reference_bit_for_bit(case):
         a, b = rng.integers(0, nodes, (2, 2000))
         points = rng.integers(0, N, 2000)
         for La, ia in ((L, a), (None, points)):
+            sets_a = tree.points if La is None else tree.boxes[La]
             for k in its:
                 want = _ref_box_gap2(tree, k, La, ia, L, b)
-                boxes_a, boxes_b = tree._gather(La, k, ia), tree._gather(L, k, b)
+                boxes_a, boxes_b = _gathered(sets_a, k, ia), _gathered(tree.boxes[L], k, b)
                 got = _kernels._sq_gap(boxes_a[0], boxes_b[0], wrap)
                 for s in range(1, len(boxes_a)):
                     got = np.minimum(got, _kernels._sq_gap(boxes_a[0], boxes_b[s], wrap))
@@ -1173,7 +1192,7 @@ def test_box_test_matches_the_reference_bit_for_bit(case):
                 assert got.tobytes() == want.tobytes()
             at_split = _ref_box_gap2(tree, 1, La, ia, L, b)
             for r2 in _radii(at_split, [_kernels.padded_radius(0.1) ** 2]):
-                got = tree._close(its, r2, La, ia, L, b)
+                got = _kernels._near(its, r2, wrap, sets_a, ia, tree.boxes[L], b)
                 assert got.tolist() == _ref_close(tree, its, r2, La, ia, L, b).tolist()
 
 
@@ -1190,10 +1209,34 @@ def test_conflict_rule_matches_the_reference_bit_for_bit(case):
     for delta2 in _radii(worst, [0.05**2, 0.1**2, 0.2**2]):
         want = _ref_conflicts(prim, reps, wrap, delta2, i, j)
         assert want[worst == delta2].all()
-        assert _kernels._conflicts(prim, reps, wrap, delta2, i, j).tolist() == want.tolist()
+        assert _rule(prim, reps, wrap, delta2, i, j).tolist() == np.flatnonzero(want).tolist()
         for n in (1, 2):
-            got = _kernels._conflicts(prim[:n], reps[:n], wrap, delta2, i, j)
-            assert got.tolist() == _ref_conflicts(prim[:n], reps[:n], wrap, delta2, i, j).tolist()
+            got = _rule(prim[:n], reps[:n], wrap, delta2, i, j)
+            assert got.tolist() == np.flatnonzero(_ref_conflicts(prim[:n], reps[:n], wrap, delta2, i, j)).tolist()
+
+
+@pytest.mark.parametrize("case", LEAN_CASES)
+def test_the_iterate_order_decides_only_how_early_a_pair_drops(case):
+    # the rule visits the iterates latest first, the box test from the
+    # split iterate outwards; a pair stays only when it is near at every
+    # iterate, so both orders keep the pairs whose largest gap is within
+    # the radius, also at radii some of those largest gaps equal exactly
+    prim, reps, wrap = _lean_tables(case)
+    points = _point_sets(prim, reps)
+    tree = _kernels._Tree(_kernels._Order(prim[1], wrap), points, wrap)
+    orders = [range(3, -1, -1), sorted(range(4), key=lambda k: abs(k - 1))]
+    rng = np.random.default_rng(2)
+    i, j = rng.integers(0, prim.shape[1], (2, 20000))
+    tests = [(points, i, j, [_ref_pair_dist2(prim, reps, wrap, it, i, j) for it in range(4)])]
+    for L in range(1, len(tree.levels)):
+        a, b = rng.integers(0, tree.levels[L].size - 1, (2, 2000))
+        tests.append((tree.boxes[L], a, b, [_ref_box_gap2(tree, k, L, a, L, b) for k in range(4)]))
+    for sets, a, b, gaps in tests:
+        worst = np.max(gaps, axis=0)
+        for r2 in _radii(worst, [0.1**2]):
+            want = np.flatnonzero(worst <= r2).tolist()
+            for its in orders:
+                assert _kernels._near(its, r2, wrap, sets, a, sets, b).tolist() == want
 
 
 @pytest.mark.parametrize(

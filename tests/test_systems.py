@@ -192,7 +192,7 @@ def test_perturbed_rejects_epsilon_above_threshold(time1):
         PerturbedHandle(time1, -0.01, CenterShear())
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"])
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -216,6 +216,30 @@ def test_system_parameters_that_are_not_finite_are_rejected(build, message, valu
     if message == "epsilon" and value == -math.inf:
         message = ">= 0"
     with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+def _time_t(t):
+    return TimeTMapHandle(SuspensionFlow(ToralMapHandle([[2, 1], [1, 1]]), Roof(1.0)), t)
+
+
+@pytest.mark.parametrize("value", [True, False, "2", "0.01", np.bool_(True)], ids=repr)
+@pytest.mark.parametrize(
+    "build, attribute, accepted, message",
+    [
+        (lambda v: Roof(2.0, [((1, 0), v)]), lambda r: r.terms[0][1], [-0.5, 1, np.float32(0.25)], "roof amplitude"),
+        (_time_t, lambda h: h.t, [-1.5, 0, 2, np.float64(0.5)], "flow time t"),
+        (lambda v: PerturbedHandle(_time_t(1.0), v, CenterShear()), lambda h: h.epsilon, [0, 0.01, np.float32(0.02)], "epsilon"),
+    ],
+    ids=["roof_amplitude", "time_t", "epsilon"],
+)
+def test_a_bool_or_quoted_system_parameter_is_rejected_by_name(build, attribute, accepted, message, value):
+    # float() took these: t = True ran at 1.0, "2" at 2.0, epsilon "0.01"
+    # at 0.01 and an amplitude True held 1.0; every finite number still passes
+    for v in accepted:
+        got = attribute(build(v))
+        assert type(got) is float and got == float(v)
+    with pytest.raises(ValueError, match=f"^{message} must be "):
         build(value)
 
 
