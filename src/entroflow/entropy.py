@@ -29,6 +29,7 @@ __all__ = [
     "min_spanning_greedy",
     "entropy_estimate",
     "fit_count_table",
+    "per_delta_slopes",
     "count_table_violations",
     "exhaustive_max_separated",
     "grid_cloud",
@@ -139,10 +140,13 @@ class SeparatedSet:
 
 
 def _check_radius(delta):
-    if _finite(delta, "delta") > DELTA_CAP:
+    """delta as a finite float in (0, DELTA_CAP], or a ValueError."""
+    delta = _finite(delta, "delta")
+    if delta > DELTA_CAP:
         raise ValueError(
             f"delta {delta} exceeds the supported radius cap {DELTA_CAP}"
         )
+    return delta
 
 
 def dn_distance(sys: SystemHandle, x, y, n):
@@ -328,11 +332,11 @@ def entropy_estimate(
     n_schedule = sorted(set(_whole(n, "each n_schedule entry") for n in n_schedule))
     if not n_schedule or n_schedule[0] < 1:
         raise ValueError("n_schedule must contain integers >= 1")
-    delta_schedule = sorted(set(float(d) for d in delta_schedule), reverse=True)
+    delta_schedule = sorted(set(_check_radius(d) for d in delta_schedule), reverse=True)
     if not delta_schedule:
         raise ValueError("delta_schedule must be nonempty")
-    for d in delta_schedule:
-        _check_radius(d)
+    order_seed = _whole(order_seed, "order_seed")
+    workers = _whole(workers, "workers")
     n_max = n_schedule[-1]
     # warm the caches once; forked workers inherit the tables copy-on-write
     cloud.rep_table(sys, n_max)
@@ -344,22 +348,14 @@ def entropy_estimate(
     )
     rows = [row for column in columns for row in column]
     rate, stderr, window, found = fit_count_table(rows)
-    diagnostics = {"affine_window_found": found}
-    # per-delta slopes over unsaturated rows, for diagnostics
-    per_delta = {}
-    for delta in delta_schedule:
-        sel = [(r[0], math.log(r[2])) for r in rows if r[1] == delta and not r[3]]
-        if len(sel) >= 2:
-            s, _, _, _ = _ols_line([x for x, _ in sel], [y for _, y in sel])
-            per_delta[delta] = s
-    diagnostics["per_delta_slopes"] = per_delta
+    diagnostics = {"affine_window_found": found, "per_delta_slopes": per_delta_slopes(rows)}
     return EntropyEstimate(
         rate=rate,
         slope_stderr=stderr,
         fit_window=window,
         n_schedule=tuple(n_schedule),
         delta_schedule=tuple(delta_schedule),
-        order_seed=int(order_seed),
+        order_seed=order_seed,
         cloud_size=N,
         counts=tuple(rows),
         diagnostics=diagnostics,
@@ -394,6 +390,18 @@ def fit_count_table(rows):
     if len(set(r[2] for r in rows)) == 1:
         slope, stderr = 0.0, 0.0  # degenerate: all counts equal
     return max(slope, 0.0), stderr, window, found
+
+
+def per_delta_slopes(rows):
+    """Least-squares slope of log(count) against n over the unsaturated
+    rows of each delta of a count table, for every delta with at least two
+    such rows, keyed in the order the table first lists the deltas."""
+    out = {}
+    for delta in dict.fromkeys(r[1] for r in rows):
+        sel = [(r[0], math.log(r[2])) for r in rows if r[1] == delta and not r[3]]
+        if len(sel) >= 2:
+            out[delta] = _ols_line([x for x, _ in sel], [y for _, y in sel])[0]
+    return out
 
 
 def count_table_violations(rows):

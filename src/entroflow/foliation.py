@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import PerturbedHandle, TimeTMapHandle, ToralMapHandle, _finite, _positive_whole, wrap_unit
+from .systems import (
+    _NOT_NUMBERS, PerturbedHandle, TimeTMapHandle, ToralMapHandle, _finite, _positive_whole, wrap_unit
+)
 
 __all__ = [
     "LeafSegment",
@@ -323,7 +325,7 @@ def _leaf_segment(sys, x, radius, spacing, stable):
     x = _canonical_point(sys, x)
     if radius == 0:
         return _segment(kind, sys.space, x[None, :], 1.0)
-    spacing = radius / 20.0 if spacing is None else float(spacing)
+    spacing = radius / 20.0 if spacing is None else _finite(spacing, "spacing", positive=None)
     if not 0 < spacing <= radius / 10.0 + 1e-12:
         raise ValueError(f"spacing must be positive and at most radius/10, got {spacing}")
     if isinstance(sys, ToralMapHandle):
@@ -384,14 +386,14 @@ def _bisection_passes(pre, image, midpoint, space, spacing):
 
     pre are the input pre-images, image maps pre-image rows to chart
     points and midpoint(a, b) gives the pre-image midpoint of each edge.
-    Each pass bisects the edges whose chord exceeds spacing.  When that is
-    every edge, as on a uniformly stretched leaf, the old rows and the
-    midpoints are a fixed interleave (_doubled) and the doubled image is
-    measured in one call: distance works row by row, so the chords are the
-    bits the two halves give apart.  Otherwise the pass measures the two
-    halves of each bisected edge and writes the midpoints in after their
-    edge's first vertex (_interleaved).  Returns (pre-images, images,
-    chords).
+    Each pass bisects the edges whose chord exceeds spacing, writes each
+    midpoint in after its edge's first vertex (_interleaved) and measures
+    every edge of the refined image in one call: distance works row by
+    row, so the chords are the bits each edge gives alone.  When every
+    edge is bisected, as on a uniformly stretched leaf, the rows are
+    addressed by slices (old rows even, midpoints odd); otherwise by a
+    mask of the old rows and the indices of the midpoints.  Returns
+    (pre-images, images, chords).
     """
     img = image(pre)
     chords = _chords(space, img)
@@ -400,43 +402,27 @@ def _bisection_passes(pre, image, midpoint, space, spacing):
         if bad.size == 0:
             return pre, img, chords
         if bad.size == chords.size:
-            mids = midpoint(pre[:-1], pre[1:])
-            pre = _doubled(pre, mids)
-            img = _doubled(img, image(mids))
-            chords = _chords(space, img)
-            continue
-        mids = midpoint(np.take(pre, bad, axis=0), np.take(pre, bad + 1, axis=0))
-        mid_imgs = image(mids)
-        chords[bad] = space.distance(np.take(img, bad, axis=0), mid_imgs)
-        right = space.distance(mid_imgs, np.take(img, bad + 1, axis=0))
-        # midpoint i lands after the i earlier ones, behind its edge; the
-        # old vertices fill the other rows in order
-        at = bad + np.arange(1, bad.size + 1)
-        old = np.ones(img.shape[0] + bad.size, dtype=bool)
-        old[at] = False
-        keep = np.flatnonzero(old)
-        pre = _interleaved(pre, mids, keep, at)
-        img = _interleaved(img, mid_imgs, keep, at)
-        # edge k of the result starts on vertex k: the right halves start
-        # on the midpoints, every other edge on an old vertex
-        chords = _interleaved(chords, right, keep[:-1], at)
+            old, at, left, right = slice(0, None, 2), slice(1, None, 2), pre[:-1], pre[1:]
+        else:
+            # midpoint i lands after the i earlier ones, behind its edge;
+            # the old vertices fill the other rows in order
+            at = bad + np.arange(1, bad.size + 1)
+            old = np.ones(pre.shape[0] + bad.size, dtype=bool)
+            old[at] = False
+            left, right = np.take(pre, bad, axis=0), np.take(pre, bad + 1, axis=0)
+        mids = midpoint(left, right)
+        pre = _interleaved(pre, mids, old, at)
+        img = _interleaved(img, image(mids), old, at)
+        chords = _chords(space, img)
     raise RuntimeError("midpoint refinement failed to settle in 64 passes")
 
 
-def _interleaved(rows, new, keep, at):
-    """A fresh array with rows placed at indices `keep` and new at indices `at`."""
-    out = np.empty((keep.size + at.size,) + rows.shape[1:])
-    _items(out)[keep] = _items(rows)
-    _items(out)[at] = _items(new)
-    return out
-
-
-def _doubled(rows, new):
-    """A fresh array with rows on the even indices and new, one row
-    shorter, on the odd ones."""
+def _interleaved(rows, new, old, at):
+    """A fresh array with rows placed at `old` and new at `at` (slices, a
+    mask or indices)."""
     out = np.empty((rows.shape[0] + new.shape[0],) + rows.shape[1:])
-    _items(out)[0::2] = _items(rows)
-    _items(out)[1::2] = _items(new)
+    _items(out)[old] = _items(rows)
+    _items(out)[at] = _items(new)
     return out
 
 
@@ -466,6 +452,9 @@ def center_segment(sys, x, length):
     flow times; negative lengths walk backward along the flow.
     """
     _require_center(sys)
+    # a quoted number or a bool is refused by name; NaN and inf fail the cap
+    if isinstance(length, _NOT_NUMBERS):
+        _finite(length, "length", positive=None)
     length = float(length)
     if not abs(length) <= CENTER_RADIUS_CAP + 1e-12:
         raise ValueError(f"length must be finite and is capped at +-{CENTER_RADIUS_CAP}, got {length}")

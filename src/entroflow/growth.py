@@ -247,7 +247,7 @@ def unstable_rate_estimate(
     if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("N_schedule must be strictly increasing positive integers")
     delta = _finite(delta, "delta")
-    spacing = delta / 10.0 if spacing is None else float(spacing)
+    spacing = delta / 10.0 if spacing is None else _finite(spacing, "spacing", positive=None)
     if not 0 < spacing <= delta / 10.0 + 1e-12:
         raise ValueError(
             f"spacing must be positive and at most delta/10 to resolve the packing, got {spacing}"
@@ -309,6 +309,7 @@ def disk_vs_box_comparison(
     the tolerance.
     """
     disk_samples = _positive_whole(disk_samples, "disk_samples")
+    tolerance = _finite(tolerance, "tolerance", positive=None)
     x = np.asarray(x, dtype=float)
     delta_schedule = (float(delta) / 2.0,)
     box = foliation.build_product_box(sys, x, delta, samples_per_axis)
@@ -324,8 +325,8 @@ def disk_vs_box_comparison(
         disk_rate=disk_est.rate,
         box_rate=box_est.rate,
         difference=diff,
-        tolerance=float(tolerance),
-        passed=abs(diff) <= float(tolerance),
+        tolerance=tolerance,
+        passed=abs(diff) <= tolerance,
         disk_estimate=disk_est,
         box_estimate=box_est,
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import count_table_violations, fit_count_table
+from .entropy import count_table_violations, fit_count_table, per_delta_slopes
 from .growth import disk_center_arcs, fit_packing_counts
 
 ARTIFACT_VERSION = "0.1.0"
@@ -203,13 +203,15 @@ def _verify_estimate(results, failures):
     if any(r[2] < 1 for r in rows):
         failures.append("counts: a count below 1, which no nonempty cloud gives")
     elif rows:
-        rate, stderr, window, _found = fit_count_table(rows)
-        _replay(
-            results,
-            {"rate": rate, "stderr": stderr, "window": list(window)},
-            "counts",
-            failures,
-        )
+        rate, stderr, window, found = fit_count_table(rows)
+        expected = {"rate": rate, "stderr": stderr, "window": list(window)}
+        # the fit's diagnostics are replayed where a record carries them: an
+        # estimate persisted outside the runner may leave them out
+        slopes = {str(k): v for k, v in per_delta_slopes(rows).items()}
+        for key, want in (("affine_window_found", bool(found)), ("per_delta_slopes", slopes)):
+            if key in results:
+                expected[key] = want
+        _replay(results, expected, "counts", failures)
     size = results.get("cloud_size")
     if size is not None:
         for n, delta, count, sat in rows:

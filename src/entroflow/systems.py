@@ -43,6 +43,9 @@ _EIG_TOL = 1e-9
 #: within the tolerance
 _CENTER_TIME_CROSSINGS = 12
 _CENTER_TIME_TOL = 1e-8
+#: what float() and int() convert but a numeric argument must not be: a
+#: quoted number or a bool
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
 def _whole(value, name):
@@ -50,7 +53,7 @@ def _whole(value, name):
     number (a whole float such as 2.0 passes; NaN and inf do not, nor do a
     string or a bool, though int and float would take "3" and True, nor
     None or anything else float refuses)."""
-    if not isinstance(value, (str, bytes, bool, np.bool_)):
+    if not isinstance(value, _NOT_NUMBERS):
         try:
             return operator.index(value)
         except TypeError:
@@ -79,7 +82,7 @@ def _finite(value, name, positive=True):
     Every comparison with NaN is false, so only `not lo < x < inf` refuses
     it: a NaN radius or spacing would otherwise run on into counts and
     records."""
-    if not isinstance(value, (str, bytes, bool, np.bool_)):
+    if not isinstance(value, _NOT_NUMBERS):
         try:
             value = float(value)
         except (TypeError, OverflowError):
@@ -89,7 +92,7 @@ def _finite(value, name, positive=True):
             if low and value < math.inf:
                 return value
     bound = {True: "positive and ", False: ">= 0 and ", None: ""}[positive]
-    raise ValueError(f"{name} must be {bound}finite, got {value}")
+    raise ValueError(f"{name} must be {bound}finite, got {value!r}")
 
 
 def wrap_unit(x):

@@ -299,17 +299,20 @@ def test_full_and_partial_passes_in_one_call(case, monkeypatch):
     seg = unstable_segment(sys, np.array(x), 0.05, spacing=h)
     pts = seg.points[[i for i in range(seg.vertex_count) if i % 3 != 2]]
     spacing = 0.75 * LAMBDA * h
-    calls = {"_doubled": 0, "_interleaved": 0}
-    for name in calls:
+    passed = []
+    interleaved = foliation._interleaved
 
-        def counted(*args, _name=name, _f=getattr(foliation, name)):
-            calls[_name] += 1
-            return _f(*args)
+    def counted(rows, new, old, at):
+        passed.append((old, at))
+        return interleaved(rows, new, old, at)
 
-        monkeypatch.setattr(foliation, name, counted)
+    monkeypatch.setattr(foliation, "_interleaved", counted)
     got = foliation.refine_step(sys, pts, spacing)
-    # pre-images, images and chords: one of each per pass
-    assert calls == {"_doubled": 2, "_interleaved": 3}
+    # pre-images and images: two calls per pass; the full pass addresses
+    # its rows by slices
+    assert len(passed) == 4
+    assert passed[:2] == [(slice(0, None, 2), slice(1, None, 2))] * 2
+    assert not any(isinstance(a, slice) for pair in passed[2:] for a in pair)
     expect = insert_refine_step(sys, pts, spacing)
     for a, b in zip(got, expect, strict=True):
         assert a.dtype == b.dtype
@@ -335,10 +338,14 @@ def test_continuity_member_step_bisects_every_edge_without_a_scatter(monkeypatch
     spacing = cfg.delta / 10.0
     expect = insert_refine_step(sys, seg.points, spacing)
 
-    def scatter(*args):
-        raise AssertionError("a pass that bisects every edge scattered its rows")
+    interleaved = foliation._interleaved
 
-    monkeypatch.setattr(foliation, "_interleaved", scatter)
+    def strided(rows, new, old, at):
+        if not (isinstance(old, slice) and isinstance(at, slice)):
+            raise AssertionError("a pass that bisects every edge scattered its rows")
+        return interleaved(rows, new, old, at)
+
+    monkeypatch.setattr(foliation, "_interleaved", strided)
     got = foliation.refine_step(sys, seg.points, spacing)
     assert got[0].shape[0] == 2 * seg.vertex_count - 1
     for a, b in zip(got, expect, strict=True):
@@ -431,6 +438,23 @@ NONFINITE_CALLS = {
         ),
         "base point",
     ),
+    "entropy_estimate-delta_schedule": (
+        lambda v: entropy.entropy_estimate(CAT, entropy.grid_cloud(CAT, 8), [1, 2], [v]),
+        "delta",
+    ),
+    "center_segment-length": (
+        lambda v: foliation.center_segment(TIME1, [0.2, 0.3, 0.4], v),
+        "length",
+    ),
+    # a NaN tolerance gave passed=False without an error
+    "disk_vs_box_comparison-tolerance": (
+        lambda v: disk_vs_box_comparison(TIME1, [0.2, 0.3, 0.4], 0.05, (1, 2), tolerance=v),
+        "tolerance",
+    ),
+    "disk_vs_box_comparison-delta": (
+        lambda v: disk_vs_box_comparison(TIME1, [0.2, 0.3, 0.4], v, (1, 2)),
+        "delta",
+    ),
 }
 
 
@@ -442,20 +466,24 @@ def test_nonfinite_radius_or_spacing_is_rejected_by_name(entry, value):
         call(value)
 
 
-# float() took a bool and a quoted number: spacing=True ran as 1.0 and
-# unstable_rate_estimate(delta="0.05") ran
-@pytest.mark.parametrize("value", [True, "0.05"], ids=repr)
+# float() took a bool and a quoted number: spacing=True ran as 1.0,
+# unstable_rate_estimate(delta="0.05") ran, and so did spacing="0.005",
+# which is within both spacing bounds, delta_schedule=["0.1"], a center
+# length of True or "0.5" and a tolerance of "0.1"; a refused string is
+# printed quoted
+@pytest.mark.parametrize("value", [True, "0.05", "0.005"], ids=repr)
 @pytest.mark.parametrize(
     "entry", sorted(e for e, (_, name) in NONFINITE_CALLS.items() if name != "base point")
 )
 def test_a_bool_or_quoted_radius_or_spacing_is_rejected_by_name(entry, value):
     call, name = NONFINITE_CALLS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be "):
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite, got {re.escape(repr(value))}$"):
         call(value)
 
 
-# entry point -> (call with the step number, the argument its error names);
-# each call returns a plain value that == can compare
+# entry point -> (call with the step number, worker count or seed, the
+# argument its error names); each call returns a plain value that == can
+# compare
 STEP_CALLS = {
     "grow_segment": (
         lambda v: grow_segment(CAT, _CAT_SEED, v, 0.005).points.tolist(),
@@ -468,6 +496,19 @@ STEP_CALLS = {
     "entropy_estimate": (
         lambda v: entropy.entropy_estimate(CAT, entropy.grid_cloud(CAT, 8), [v, 3], [0.2]).counts,
         "each n_schedule entry",
+    ),
+    # workers=2.5 ran as 2 and order_seed=True as seed 1
+    "entropy_estimate-workers": (
+        lambda v: entropy.entropy_estimate(
+            CAT, entropy.grid_cloud(CAT, 8), [1, 2], [0.2, 0.1], workers=v
+        ).counts,
+        "workers",
+    ),
+    "entropy_estimate-order_seed": (
+        lambda v: entropy.entropy_estimate(
+            CAT, entropy.grid_cloud(CAT, 8), [1, 2], [0.2], order_seed=v
+        ).counts,
+        "order_seed",
     ),
 }
 

@@ -322,6 +322,46 @@ def test_verify_replays_estimate_fit(estimate_run, tmp_path, key):
     assert any(f.startswith(f"results.{key}:") for f in report.failures), report.failures
 
 
+# verify replayed only the fit and let the diagnostics through: a flipped
+# affine_window_found and a per-delta slope set to 123.0 both passed
+def test_verify_replays_the_affine_window_flag(estimate_run, tmp_path):
+    record, rdir = estimate_run
+
+    def edit(results):
+        results["affine_window_found"] = not results["affine_window_found"]
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert any(f.startswith("results.affine_window_found:") for f in report.failures), report.failures
+
+
+def test_verify_replays_the_per_delta_slopes(estimate_run, tmp_path):
+    record, rdir = estimate_run
+
+    def edit(results):
+        slopes = results["per_delta_slopes"]
+        assert len(slopes) >= 2
+        slopes[min(slopes)] = 123.0
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert not report.passed
+    assert any(f.startswith("results.per_delta_slopes:") for f in report.failures), report.failures
+
+
+def test_verify_passes_an_estimate_without_diagnostics(estimate_run, tmp_path):
+    # an estimate persisted outside the runner may carry the fit alone
+    record, rdir = estimate_run
+
+    def edit(results):
+        del results["affine_window_found"], results["per_delta_slopes"]
+
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    report = verify_record(tmp_path / "clone")
+    assert report.passed, report.failures
+
+
 def test_verify_reports_a_zero_count(estimate_run, tmp_path):
     record, rdir = estimate_run
 
