@@ -305,7 +305,7 @@ def grid_points(sweep_cfg):
 
 def override_seeds(cfg, seed):
     """Config with every RNG seed field replaced by `seed`."""
-    seed = int(seed)
+    seed = systems._whole(seed, "seed")
     if isinstance(cfg, SweepConfig):
         return replace(cfg, base=override_seeds(cfg.base, seed))
     if isinstance(cfg, EstimateConfig):

@@ -185,9 +185,10 @@ def max_separated(sys: SystemHandle, cloud: SampleCloud, n, delta, order_seed=0)
     Deterministic given (cloud, n, delta, order_seed).  Every point of the
     cloud not selected is within delta of a selected point in d_n.
     """
+    order_seed = _whole(order_seed, "order_seed")
     order = np.random.default_rng(order_seed).permutation(len(cloud))
     accepted = _thinned(sys, cloud, n, delta, order)
-    return SeparatedSet(indices=accepted, n=int(n), delta=float(delta), order_seed=int(order_seed))
+    return SeparatedSet(indices=accepted, n=int(n), delta=float(delta), order_seed=order_seed)
 
 
 def min_spanning_greedy(sys: SystemHandle, cloud: SampleCloud, n, delta):
@@ -465,6 +466,6 @@ def grid_cloud(sys: SystemHandle, resolution):
 
 
 def random_cloud(sys: SystemHandle, count, seed):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seed"))
     pts = sys.space.random_points(rng, _positive_whole(count, "count"))
     return SampleCloud(sys.space, pts)

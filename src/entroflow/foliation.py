@@ -7,13 +7,18 @@ covering-radius surrogate for density of center-saturated unstable leaves.
 
 Leaves are exact eigenlines on the torus.  On a mapping torus the unstable
 leaf of a time-t map is the base eigenline plus a geometrically convergent
-height series (zero for constant roofs).  One routine refines polylines:
+height series (zero for constant roofs).  A leaf that is only sampled at
+given offsets is evaluated in that closed form (_suspension_leaf_points):
+the target leaf of center_holonomy, the axes of a product box and the
+density samples.  Polylines (LeafSegment) are kept for leaves grown under
+the map or sampled evenly in arclength: unstable_segment, stable_segment,
+center_segment and the disks of growth.  One routine refines polylines:
 the bisection passes of refine_step, which grow unstable disks under the
 map and, on eigenline parameters under the closed form, build the curved
-leaves of a variable roof.  Perturbed maps share the leaves
-of their reference: both shear shapes move a point by an amount that
-depends on its height alone, so they carry each horizontal eigenline
-segment {(x + tau v, h)} onto another by a translation, and the reference
+leaves of a variable roof.  Perturbed maps share the leaves of their
+reference: both shear shapes move a point by an amount that depends on its
+height alone, so they carry each horizontal eigenline segment
+{(x + tau v, h)} onto another by a translation, and the reference
 time-t map does the same up to the base matrix at the seam, which keeps
 each eigenline family.  The perturbed map thus stretches the unstable
 segments and shrinks the stable ones as its reference does, and they are
@@ -29,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import (
-    _NOT_NUMBERS, PerturbedHandle, TimeTMapHandle, ToralMapHandle, _finite, _positive_whole, wrap_unit
-)
+from .systems import _NOT_NUMBERS, PerturbedHandle, TimeTMapHandle, ToralMapHandle, wrap_unit
+from .systems import _finite, _positive_whole, _whole
 
 __all__ = [
     "LeafSegment",
@@ -78,25 +82,6 @@ def _canonical_point(sys, x):
     if not np.all(np.isfinite(x)):
         raise ValueError(f"base point must be finite, got {x.tolist()}")
     return sys.space.canonicalize(x[None, :])[0]
-
-
-def _quad_interp(xs, ys, q):
-    """Quadratic interpolation of a sampled curve, vectorized in q.
-
-    xs must be strictly increasing with at least 3 entries; ys may have
-    trailing coordinate axes.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    j = np.clip(np.searchsorted(xs, q) - 1, 1, xs.size - 2)
-    x0, x1, x2 = xs[j - 1], xs[j], xs[j + 1]
-    w0 = (q - x1) * (q - x2) / ((x0 - x1) * (x0 - x2))
-    w1 = (q - x0) * (q - x2) / ((x1 - x0) * (x1 - x2))
-    w2 = (q - x0) * (q - x1) / ((x2 - x0) * (x2 - x1))
-    return (
-        w0[:, None] * ys[j - 1] + w1[:, None] * ys[j] + w2[:, None] * ys[j + 1]
-    )
 
 
 # --------------------------------------------------------------------------
@@ -473,38 +458,23 @@ def center_segment(sys, x, length):
 # center holonomy
 
 
-def _slide_to_leaf(fl, space, pts, leaf, origin, t0):
-    """Move points along their flow lines onto a leaf polyline.
+def _slide_to_leaf(fl, space, pts, origin, t0):
+    """Move points along their flow lines onto the unstable leaf of origin.
 
-    The leaf is tabulated relative to `origin` in the chart; each point is
-    flowed by a Newton-adjusted time until its height residual against the
-    leaf (interpolated at the matching eigenline coordinate) vanishes.
-    Returns the met points.
+    Each point is flowed by a Newton-adjusted time until its height in the
+    chart at origin meets the leaf's closed-form height offset at the
+    point's eigenline coordinate.  Returns the met points.
     """
     v = fl.base_map.unstable_direction
-    rel_leaf = space.displacement(origin, leaf.points)
-    taus_leaf = rel_leaf[:, :2] @ v
-    if taus_leaf[0] > taus_leaf[-1]:
-        taus_leaf = taus_leaf[::-1]
-        rel_leaf = rel_leaf[::-1]
-    if np.any(np.diff(taus_leaf) <= 0):
-        raise RuntimeError("leaf polyline is not monotone in the eigenline")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    eig = _signed_eigenvalue(fl.base_map, v)
     ts = np.full(pts.shape[0], float(t0))
     for _ in range(12):
-        W = fl.flow(pts, ts)
-        rel = space.displacement(origin, W)
+        rel = space.displacement(origin, fl.flow(pts, ts))
         tau = rel[:, :2] @ v
-        pad = 0.02 * (taus_leaf[-1] - taus_leaf[0])
-        if np.any(tau < taus_leaf[0] - pad) or np.any(tau > taus_leaf[-1] + pad):
-            raise ValueError(
-                "points leave the tabulated leaf; enlarge its radius"
-            )
-        target = _quad_interp(taus_leaf, rel_leaf, tau)
-        res = rel - target
-        if float(np.max(np.abs(res[:, 2]))) < 1e-12:
+        res = rel[:, 2] - _leaf_height_offset(fl, origin[:2], tau, v, eig, backward=True)[0]
+        if float(np.max(np.abs(res))) < 1e-12:
             break
-        ts = ts - res[:, 2]
+        ts = ts - res
     return fl.flow(pts, ts)
 
 
@@ -514,9 +484,9 @@ def center_holonomy(sys, x, y, u_points, depth):
 
     Everything is pulled back `depth` steps so the data enter a small
     chart; there each point slides along its flow line onto the pulled
-    target leaf, and the meeting points are pushed forward again.  Deeper
-    pulls shrink both the chart and the interpolation error, so outputs
-    stabilize with depth.
+    target leaf, whose height is evaluated in closed form at the point's
+    eigenline coordinate, and the meeting points are pushed forward again.
+    Deeper pulls shrink the chart the transported points must stay in.
     """
     _require_center(sys)
     depth = _positive_whole(depth, "depth")
@@ -543,19 +513,17 @@ def center_holonomy(sys, x, y, u_points, depth):
     t0 = fl.center_time(xd, yd)
     if t0 is None:
         raise RuntimeError("center pairing lost while pulling back")
-    # size the target leaf from the flown points' eigenline extent
+    # the target leaf is evaluated at the flown points' eigenline
+    # coordinates, which must stay within the chart
     v = fl.base_map.unstable_direction
     W0 = fl.flow(ud, np.full(ud.shape[0], t0))
-    tau0 = sys.space.displacement(yd, W0)[:, :2] @ v
-    leaf_r = 1.5 * float(np.max(np.abs(tau0))) + 32.0 * 1e-6
-    if leaf_r > CHART_RADIUS:
+    extent = float(np.max(np.abs(sys.space.displacement(yd, W0)[:, :2] @ v)))
+    if extent > CHART_RADIUS:
         raise ValueError(
-            f"transported unstable extent {leaf_r:.3g} exceeds the local "
+            f"transported unstable extent {extent:.3g} exceeds the local "
             f"chart radius {CHART_RADIUS}; increase depth"
         )
-    leaf_r = max(leaf_r, 1e-4)
-    leaf = unstable_segment(sys, yd, leaf_r, spacing=leaf_r / 40.0)
-    out = _slide_to_leaf(fl, sys.space, ud, leaf, yd, t0)
+    out = _slide_to_leaf(fl, sys.space, ud, yd, t0)
     for _ in range(depth):
         out = sys.step(out)
     return sys.space.canonicalize(out)
@@ -609,7 +577,7 @@ def center_nonexpansion_check(sys, samples=100, horizon=50, rng_seed=0):
     samples = _positive_whole(samples, "samples")
     horizon = _positive_whole(horizon, "horizon")
     fl = sys.reference_flow
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_whole(rng_seed, "rng_seed"))
     X = fl.random_points(rng, samples)
     offs = rng.uniform(0.05, CENTER_LENGTH_MIN, samples)
     offs *= rng.choice([-1.0, 1.0], samples)
@@ -658,7 +626,8 @@ class ProductBox:
     a_samples is the (unstable offset) x (center offset) grid: each entry
     is the intersection of the center leaf through an unstable-leaf point
     with the unstable leaf through a center-leaf point.  d_samples fattens
-    every a_sample along the stable fibers.
+    every a_sample along the stable fibers.  u_offsets and s_offsets are
+    eigenline parameters (arclength under a constant roof), c_offsets flow times.
     """
 
     center: np.ndarray
@@ -682,7 +651,8 @@ def build_product_box(sys, x, delta, samples_per_axis):
     The reference flow commutes with the map, so flowing for time c
     carries the unstable leaf of x onto the unstable leaf of flow(x, c):
     the intersection for unstable point x_u and center offset c is
-    flow(x_u, c), with no leaf to tabulate.
+    flow(x_u, c), with no leaf to tabulate.  x_u and the stable fibers are
+    evaluated in closed form at eigenline parameters; center offsets are times.
     """
     _require_center(sys)
     delta = _finite(delta, "delta")
@@ -697,8 +667,7 @@ def build_product_box(sys, x, delta, samples_per_axis):
     u_offs = _axis_offsets(delta, k)
     c_offs = _axis_offsets(delta, k)
     s_offs = _axis_offsets(delta, k)
-    u_leaf = unstable_segment(sys, x, delta, spacing=delta / 20.0)
-    x_u = u_leaf.point_at(u_leaf.arclength / 2.0 + u_offs)
+    x_u = _suspension_leaf_points(fl, x, u_offs)
     # a_samples ordered with the unstable index major, center index minor
     a_samples = np.stack([fl.flow(x_u, c) for c in c_offs], axis=1).reshape(k * k, -1)
     return ProductBox(

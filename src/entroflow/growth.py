@@ -309,6 +309,7 @@ def disk_vs_box_comparison(
     the tolerance.
     """
     disk_samples = _positive_whole(disk_samples, "disk_samples")
+    order_seed = _whole(order_seed, "order_seed")
     tolerance = _finite(tolerance, "tolerance", positive=None)
     x = np.asarray(x, dtype=float)
     delta_schedule = (float(delta) / 2.0,)

@@ -183,6 +183,29 @@ def _require(results, key, failures):
     return results[key]
 
 
+def _table_fault(rows, width):
+    """What keeps rows from being a list of rows of `width` values each (of
+    any length when width is None), or None when nothing does."""
+    if not isinstance(rows, (list, tuple)):
+        return "is not a list of rows"
+    what = "a list" if width is None else f"a list of {width} values"
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or width not in (None, len(row)):
+            return f"row {i} is not {what}"
+    return None
+
+
+def _table(results, key, width, failures):
+    """results[key] when _table_fault finds nothing wrong with it; otherwise
+    None, after one failure naming the table and what is wrong."""
+    rows = _require(results, key, failures)
+    fault = None if rows is None else _table_fault(rows, width)
+    if fault is not None:
+        failures.append(f"{key}: {fault}")
+        return None
+    return rows
+
+
 def _replay(results, expected, source, failures):
     """Compare recorded fields with the values replayed from `source`.
 
@@ -195,7 +218,7 @@ def _replay(results, expected, source, failures):
 
 
 def _verify_estimate(results, failures):
-    rows = _require(results, "counts", failures)
+    rows = _table(results, "counts", 4, failures)
     if rows is None:
         return
     rows = [tuple(r) for r in rows]
@@ -226,9 +249,9 @@ def _verify_estimate(results, failures):
 
 
 def _verify_growth(results, failures):
-    table = _require(results, "growth_table", failures)
+    table = _table(results, "growth_table", 4, failures)
     delta = _require(results, "delta", failures)
-    arcs = _require(results, "center_arcs", failures)
+    arcs = _table(results, "center_arcs", None, failures)
     if table is None:
         return
     counts = [(int(r[0]), int(r[1])) for r in table]
@@ -266,9 +289,13 @@ def _verify_growth(results, failures):
 
 
 def _verify_continuity(results, failures):
-    entries = _require(results, "entries", failures)
+    entries = _table(results, "entries", 3, failures)
     modulus = _require(results, "modulus", failures)
-    member_counts = _require(results, "member_counts", failures)
+    member_counts = _table(results, "member_counts", None, failures)
+    bad = next((i for i, rows in enumerate(member_counts or ()) if _table_fault(rows, 2)), None)
+    if bad is not None:
+        failures.append(f"member_counts: row {bad} is not a list of rows of 2 values")
+        return
     if entries is None or modulus is None or member_counts is None:
         return
     if len(member_counts) != len(entries):
@@ -296,7 +323,7 @@ def _verify_continuity(results, failures):
 
 
 def _verify_foliation(results, failures):
-    rows = _require(results, "density_rows", failures)
+    rows = _table(results, "density_rows", 4, failures)
     if rows is not None:
         pairs = [(r[0], float(r[1])) for r in rows]
         for (l0, c0), (l1, c1) in zip(pairs, pairs[1:]):
@@ -319,7 +346,8 @@ def _verify_side_tables(rdir, experiment, results, failures):
     """Check each CSV side table against the JSON results payload."""
     for name, header, key in _SIDE_TABLES.get(experiment, ()):
         rows = results.get(key)
-        if rows is None:
+        # a table of the wrong shape is reported by the record's verifier
+        if rows is None or _table_fault(rows, len(header)):
             continue
         path = Path(rdir) / name
         if not path.is_file():
@@ -349,6 +377,9 @@ def _verify_side_tables(rdir, experiment, results, failures):
 def _verify_sweep(results, failures):
     points = _require(results, "points", failures)
     if points is None:
+        return
+    if not isinstance(points, list) or not all(isinstance(pt, dict) for pt in points):
+        failures.append("points: not a list of objects")
         return
     for pt in points:
         if pt.get("error") is None and pt.get("rate") is None:

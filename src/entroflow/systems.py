@@ -751,11 +751,13 @@ class TimeTMapHandle(SystemHandle):
 
 def _check_rows(what, rows, width, harmonics=True):
     """Raise a ValueError naming the first row that is not `width` finite
-    numbers, or, for harmonics, whose m (first entry) is not whole and >= 0."""
+    numbers, or, for harmonics, whose m (first entry) is not whole and >= 0.
+    A bool is refused: numbers.Real counts it (though not np.bool_)."""
     for row in rows:
         vals = tuple(row) if isinstance(row, (tuple, list)) else ()
         if len(vals) != width or not all(
-            isinstance(v, numbers.Real) and math.isfinite(v) for v in vals
+            isinstance(v, numbers.Real) and not isinstance(v, _NOT_NUMBERS) and math.isfinite(v)
+            for v in vals
         ):
             raise ValueError(f"{what} {row!r} must be {width} finite numbers")
         if harmonics and not (vals[0] >= 0 and vals[0] == int(vals[0])):

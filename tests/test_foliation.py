@@ -138,6 +138,35 @@ def test_holonomy_equivariance_perturbed(time1):
     assert gap <= 1e-6
 
 
+@pytest.mark.parametrize("depth", [4, 5])
+def test_holonomy_is_the_flow_on_a_variable_roof(depth, flow_trig):
+    # the flow commutes with the time-1 map, so transport to the unstable
+    # leaf of y = flow(x, 0.3) is flow for time 0.3, on the curved leaves
+    # of the trig roof as on the flat ones
+    handle = TimeTMapHandle(flow_trig, 1.0)
+    x = np.array([0.2, 0.3, 0.4])
+    y = flow_trig.flow(x, 0.3)
+    u = unstable_segment(handle, x, 0.05).points
+    out = center_holonomy(handle, x, y, u, depth)
+    assert float(np.max(handle.space.distance(out, flow_trig.flow(u, 0.3)))) <= 1e-12
+
+
+def test_holonomy_refuses_a_transported_extent_beyond_the_chart(time1):
+    # one step back shrinks the offsets +-0.25 to about 0.095, within the
+    # chart, but flowing them onto the leaf of y crosses the seam forward
+    # and stretches them back to 0.25; two steps back end at 0.095
+    fl = time1.reference_flow
+    x = np.array([0.2, 0.3, 0.9])
+    y = fl.flow(x, 0.3)
+    u = _suspension_leaf_points(fl, x, [-0.25, 0.0, 0.25])
+    with pytest.raises(
+        ValueError, match=r"^transported unstable extent 0\.25 exceeds the local chart radius 0\.2;"
+    ):
+        center_holonomy(time1, x, y, u, 1)
+    out = center_holonomy(time1, x, y, u, 2)
+    assert float(np.max(time1.space.distance(out, fl.flow(u, 0.3)))) <= 1e-12
+
+
 def test_holonomy_depth_validation(time1):
     x = np.array([0.2, 0.3, 0.4])
     with pytest.raises(ValueError, match="depth"):
@@ -185,24 +214,19 @@ def test_nonexpansion_rejects_plain_toral(cat):
 def test_product_box_reconstruction(time1, flow_trig):
     # each a_sample sits on the center leaf of its unstable point x_u at
     # flow time c, and on the unstable leaf of flow(x, c) at its eigenline
-    # coordinate; on the trig roof x_u is read off the leaf polyline, whose
-    # chords miss the curved leaf by about 1e-7.  x = (0.7, 0.1, 0.9) at
-    # delta 0.04 puts the box across the trig roof's seam
-    cases = [
-        (time1, 1e-12),
-        (PerturbedHandle(time1, 0.04, CenterShear()), 1e-12),
-        (TimeTMapHandle(flow_trig, 1.0), 1e-6),
-    ]
-    for (sys, tol), x, delta in itertools.product(
-        cases, [(0.2, 0.3, 0.4), (0.7, 0.1, 0.9)], [0.04, 0.01]
-    ):
+    # coordinate; x_u is the closed-form leaf of the center at the box's
+    # eigenline offsets, so on the trig roof the samples meet the curved
+    # leaf to rounding (read off a polyline they missed it by about 1e-7).
+    # x = (0.7, 0.1, 0.9) at delta 0.04 puts the box across the trig
+    # roof's seam
+    cases = [time1, PerturbedHandle(time1, 0.04, CenterShear()), TimeTMapHandle(flow_trig, 1.0)]
+    for sys, x, delta in itertools.product(cases, [(0.2, 0.3, 0.4), (0.7, 0.1, 0.9)], [0.04, 0.01]):
         fl = sys.reference_flow
         box = build_product_box(sys, np.array(x), delta, 5)
         k = box.u_offsets.size
         assert box.a_samples.shape == (k * box.c_offsets.size, 3)
         assert box.d_samples.shape[0] == box.a_samples.shape[0] * box.s_offsets.size
-        leaf = unstable_segment(sys, box.center, delta, spacing=delta / 20.0)
-        x_u = leaf.point_at(leaf.arclength / 2.0 + box.u_offsets)
+        x_u = _suspension_leaf_points(fl, box.center, box.u_offsets)
         v = fl.base_map.unstable_direction
         a = box.a_samples.reshape(k, box.c_offsets.size, 3)
         for j, c in enumerate(box.c_offsets):
@@ -211,7 +235,7 @@ def test_product_box_reconstruction(time1, flow_trig):
             y = fl.flow(box.center, c)
             tau = sys.space.displacement(y, a[:, j])[:, :2] @ v
             on_leaf = _suspension_leaf_points(fl, y, tau)
-            assert float(np.max(sys.space.distance(on_leaf, a[:, j]))) <= tol
+            assert float(np.max(sys.space.distance(on_leaf, a[:, j]))) <= 1e-12
 
 
 def _stable_fibers_one_by_one(fl, a_samples, s_offs):

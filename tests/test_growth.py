@@ -510,6 +510,25 @@ STEP_CALLS = {
         ).counts,
         "order_seed",
     ),
+    # the seeds below went to numpy unchecked: True ran as seed 1, and 2.5
+    # or "3" failed in SeedSequence without naming the argument;
+    # override_seeds truncated 2.5 to 2 and took "3" and True
+    "max_separated-order_seed": (
+        lambda v: entropy.max_separated(CAT, entropy.grid_cloud(CAT, 8), 2, 0.1, order_seed=v).indices.tolist(),
+        "order_seed",
+    ),
+    "random_cloud-seed": (lambda v: entropy.random_cloud(CAT, 10, v).points.tolist(), "seed"),
+    "center_nonexpansion_check-rng_seed": (
+        lambda v: foliation.center_nonexpansion_check(TIME1, samples=4, horizon=3, rng_seed=v),
+        "rng_seed",
+    ),
+    "override_seeds": (lambda v: config.override_seeds(config.EstimateConfig(), v), "seed"),
+    "disk_vs_box_comparison-order_seed": (
+        lambda v: disk_vs_box_comparison(
+            TIME1, _TIME1_X, 0.05, (1, 2), samples_per_axis=2, disk_samples=10, order_seed=v
+        ).disk_estimate.counts,
+        "order_seed",
+    ),
 }
 
 
@@ -527,6 +546,15 @@ def test_a_step_number_that_is_not_whole_is_rejected_by_name(entry, value):
         call(value)
     # a whole float runs as its integer
     assert call(2.0) == call(2)
+
+
+def test_disk_vs_box_refuses_its_order_seed_before_building_the_box(monkeypatch):
+    # the seed was refused by entropy_estimate, after the box was built
+    built = []
+    monkeypatch.setattr(foliation, "build_product_box", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="^order_seed must be a whole number, got True$"):
+        disk_vs_box_comparison(TIME1, _TIME1_X, 0.05, (1, 2), order_seed=True)
+    assert built == []
 
 
 # entry point -> (call with the grid resolution, the argument its error

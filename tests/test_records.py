@@ -501,6 +501,64 @@ def test_verify_replays_continuity_modulus(continuity_run, tmp_path):
     assert [f for f in report.failures if f.startswith("modulus:")], report.failures
 
 
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("swe")
+    master, _ = runner.sweep(SweepConfig(base=SMALL_GROWTH, grid=(("delta", (0.05,)),)), out_dir=str(out))
+    return master, out / master.id
+
+
+def _set(key, index, value):
+    def edit(results):
+        if index is None:
+            results[key] = value
+        else:
+            results[key][index] = value
+
+    return edit
+
+
+def _drop_modulus_and_set_entry(results):
+    del results["modulus"]
+    results["entries"][0] = 5
+
+
+# each of these ended verify in a traceback (TypeError, IndexError or
+# AttributeError), or, for the short counts row, in "error: not enough
+# values to unpack" with exit 2; the entries row without a modulus reached
+# the side-table check
+@pytest.mark.parametrize(
+    "run, edit, want",
+    [
+        ("growth_run", _set("growth_table", 0, 5), ["growth_table: row 0 is not a list of 4 values"]),
+        ("growth_run", _set("growth_table", 0, [1, 2]), ["growth_table: row 0 is not a list of 4 values"]),
+        ("growth_run", _set("center_arcs", None, 7), ["center_arcs: is not a list of rows"]),
+        ("estimate_run", _set("counts", 0, [1, 0.2]), ["counts: row 0 is not a list of 4 values"]),
+        (
+            "continuity_run",
+            _set("member_counts", 0, [5]),
+            ["member_counts: row 0 is not a list of rows of 2 values"],
+        ),
+        (
+            "continuity_run",
+            _drop_modulus_and_set_entry,
+            ["entries: row 0 is not a list of 3 values", "results.modulus: missing"],
+        ),
+        ("sweep_run", _set("points", 0, 5), ["points: not a list of objects"]),
+    ],
+    ids=["growth row 5", "growth row [1, 2]", "center_arcs 7", "counts row [1, 0.2]",
+         "member_counts row [5]", "entries row 5 without modulus", "sweep point 5"],
+)
+def test_verify_names_a_malformed_table_row(run, edit, want, request, tmp_path, capsys):
+    record, rdir = request.getfixturevalue(run)
+    _clone_with_results(rdir, tmp_path / "clone", edit)
+    assert list(verify_record(tmp_path / "clone").failures) == want
+    assert cli.main(["verify", str(tmp_path / "clone")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert all(f"  - {w}" in out for w in want)
+
+
 def test_identity_system_estimate_rate_zero(tmp_path):
     cfg = EstimateConfig(
         system=SystemConfig(matrix=((1,),)),

@@ -306,6 +306,11 @@ SHAPE_MAKERS = {
         ("base", (1, math.inf)),
         ("direction", (1, 0, 0)),
         ("direction", (1.0, math.nan)),
+        # numbers.Real counts a bool, which ran as 1
+        ("center", (True, 1.0, 0.0)),
+        ("center", (1, True, 0.0)),
+        ("base", (1, True)),
+        ("direction", (True, 0.0)),
     ],
 )
 def test_shear_shapes_reject_malformed_rows(kind, row):
